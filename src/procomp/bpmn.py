@@ -191,7 +191,15 @@ def _parse_data_associations(element, owner_id: str, builder: _Builder) -> None:
 
 
 def _parse_flow_elements(container, parent: str | None, builder: _Builder) -> None:
-    for element in container:
+    # An explicit stack of (children, parent) walks nested sub-processes in
+    # document pre-order without recursion, so nesting depth is unbounded.
+    stack = [(iter(container), parent)]
+    while stack:
+        children, parent = stack[-1]
+        element = next(children, None)
+        if element is None:
+            stack.pop()
+            continue
         local = _local(element.tag)
         if local in _SKIP_TAGS:
             continue
@@ -230,7 +238,7 @@ def _parse_flow_elements(container, parent: str | None, builder: _Builder) -> No
         if kind in (NodeKind.TASK, NodeKind.SUB_PROCESS):
             _parse_data_associations(element, node_id, builder)
         if kind is NodeKind.SUB_PROCESS:
-            _parse_flow_elements(element, node_id, builder)
+            stack.append((iter(element), node_id))
 
 
 def parse_model(document: bytes | str) -> ProcessModelGraph:

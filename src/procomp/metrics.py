@@ -10,9 +10,13 @@ Counting rules for the built-in extractors:
 * nesting depth is the deepest sub-process containment (top level = 0).
 * the unlabeled ratio covers tasks and sub-processes, the elements
   modeling conventions expect to be labeled.
-* a model counts as block-structured when every gateway split can be
-  paired with a join of the same kind: either one on which all outgoing
-  branches reconverge, or one sharing a cycle with the split (a loop).
+* block-structuredness reduces the sequence-flow graph of the flow nodes
+  with three rules until none fires: (a) contract a node with one incoming
+  and one outgoing flow that is not a self-loop; (b) merge parallel flows
+  between two gateways of the same kind; (c) drop the back flow of a
+  structured loop, a same-kind join whose only outgoing flow enters a
+  split that has no other incoming flow. A model scores 1.0 when no
+  gateway with two or more outgoing flows remains, else 0.0.
 * the gateway mismatch sums |splits - joins| per gateway kind.
 * density is sequence flows over n*(n-1) possible flow-node pairs.
 """
@@ -156,52 +160,81 @@ def density(graph: ProcessModelGraph) -> float:
     return len(graph.sequence_edges()) / (n * (n - 1))
 
 
-def _reachable(adjacency: dict[str, list[str]], start: str) -> set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for succ in adjacency.get(stack.pop(), []):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return seen
-
-
 def block_structuredness(graph: ProcessModelGraph) -> float:
-    """1.0 when every gateway split pairs with a same-kind join, else 0.0.
+    """1.0 when the sequence-flow graph reduces to one without splits, else 0.0.
 
-    A split matches a join either when all its outgoing branches can reach
-    that join (a block), or when split and join lie on a common cycle (a
-    structured loop).
+    The graph has the flow nodes as vertices and the sequence flows between
+    them as edges (parallel flows kept). Three local rules are applied until
+    none fires:
+
+    (a) sequence: a node with exactly one incoming and one outgoing flow is
+        contracted into a flow from its predecessor to its successor, unless
+        that flow is a self-loop;
+    (b) block: parallel flows from a gateway to a distinct gateway of the
+        same kind are merged into one;
+    (c) loop: when a join ``j`` (in-degree >= 2) has its only outgoing flow
+        to a same-kind split ``s`` (out-degree >= 2), and ``j -> s`` is the
+        only flow into ``s``, one back flow ``s -> j`` is dropped.
+
+    The model is block-structured iff no gateway with out-degree >= 2
+    remains. Every rule removes a node or a flow and rules are rechecked
+    only where degrees changed, so the reduction is linear in the graph.
     """
-    degrees = _degrees(graph)
-    adjacency: dict[str, list[str]] = {}
+    nodes = graph.flow_nodes()
+    index = {n.id: i for i, n in enumerate(nodes)}
+    kinds = [n.kind if n.kind in GATEWAY_KINDS else None for n in nodes]
+    size = len(nodes)
+    succ: list[dict[int, int]] = [{} for _ in range(size)]  # target -> parallel flows
+    pred: list[dict[int, int]] = [{} for _ in range(size)]  # source -> parallel flows
+    indeg = [0] * size
+    outdeg = [0] * size
+    worklist = list(range(size))
+
+    def add_flow(u: int, w: int) -> None:
+        succ[u][w] = succ[u].get(w, 0) + 1
+        pred[w][u] = pred[w].get(u, 0) + 1
+        outdeg[u] += 1
+        indeg[w] += 1
+        if succ[u][w] >= 2 and u != w and kinds[u] is not None and kinds[u] is kinds[w]:
+            drop_flow(u, w)  # rule (b)
+
+    def drop_flow(u: int, w: int) -> None:
+        succ[u][w] -= 1
+        if not succ[u][w]:
+            del succ[u][w]
+        pred[w][u] -= 1
+        if not pred[w][u]:
+            del pred[w][u]
+        outdeg[u] -= 1
+        indeg[w] -= 1
+        worklist.extend((u, w))
+
+    def loop_back(j: int, s: int) -> bool:
+        # callers pass j -> s as j's only outgoing or s's only incoming flow
+        return (kinds[j] is not None and kinds[j] is kinds[s]
+                and indeg[j] >= 2 and outdeg[j] == 1
+                and indeg[s] == 1 and outdeg[s] >= 2 and j in succ[s])
+
     for edge in graph.sequence_edges():
-        adjacency.setdefault(edge.source, []).append(edge.target)
+        if edge.source in index and edge.target in index:
+            add_flow(index[edge.source], index[edge.target])
 
-    nodes = {n.id: n for n in graph.flow_nodes()}
-    reach_cache: dict[str, set[str]] = {}
-
-    def reach(node_id: str) -> set[str]:
-        if node_id not in reach_cache:
-            reach_cache[node_id] = _reachable(adjacency, node_id)
-        return reach_cache[node_id]
-
-    for node in graph.flow_nodes():
-        if node.kind not in GATEWAY_KINDS or degrees[node.id][1] < 2:
+    while worklist:
+        v = worklist.pop()  # a contracted node has no flows left, so no rule fires on it
+        if indeg[v] == 1 and outdeg[v] == 1:
+            u, w = next(iter(pred[v])), next(iter(succ[v]))
+            if u != v:  # rule (a)
+                drop_flow(u, v)
+                drop_flow(v, w)
+                add_flow(u, w)
             continue
-        joins = [
-            other.id
-            for other in graph.flow_nodes()
-            if other.kind is node.kind and degrees[other.id][0] >= 2
-        ]
-        branch_meet: set[str] | None = None
-        for succ in adjacency.get(node.id, []):
-            branch_meet = reach(succ) if branch_meet is None else branch_meet & reach(succ)
-        forward = branch_meet is not None and any(j in branch_meet for j in joins)
-        looped = any(j in reach(node.id) and node.id in reach(j) for j in joins)
-        if not (forward or looped):
-            return 0.0
+        if outdeg[v] == 1 and loop_back(v, next(iter(succ[v]))):
+            drop_flow(next(iter(succ[v])), v)  # rule (c), v as the join
+        elif indeg[v] == 1 and loop_back(next(iter(pred[v])), v):
+            drop_flow(v, next(iter(pred[v])))  # rule (c), v as the split
+
+    if any(kinds[v] is not None and outdeg[v] >= 2 for v in range(size)):
+        return 0.0
     return 1.0
 
 
@@ -231,10 +264,12 @@ def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> lis
     """One raw value per model-derived metric in the tree.
 
     Metrics resolve to extractors through their binding key; any metric
-    without a matching extractor makes the whole extraction fail.
+    without a matching extractor makes the whole extraction fail. Each
+    binding key is extracted once, however many metrics share it.
     """
     results: list[RawMetricValue] = []
     missing: list[str] = []
+    values: dict[str, float] = {}
     for metric in tree.all_metrics():
         if metric.source is not MetricSource.MODEL_DERIVED:
             continue
@@ -242,7 +277,9 @@ def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> lis
         if extractor is None:
             missing.append(metric.id)
             continue
-        results.append(RawMetricValue(metric_id=metric.id, value=extractor(graph)))
+        if metric.binding_key not in values:
+            values[metric.binding_key] = extractor(graph)
+        results.append(RawMetricValue(metric_id=metric.id, value=values[metric.binding_key]))
     if missing:
         raise ExtractionError(missing)
     return results

@@ -69,6 +69,18 @@ def response_bundle(tmp_path, modeler_schema, reader_schema):
     }
 
 
+def nested_subprocess_document(depth: int) -> str:
+    """``depth`` sub-processes nested in one another, a task in the innermost."""
+    return (
+        '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d">'
+        '<process id="p">'
+        + "".join(f'<subProcess id="sp{i}">' for i in range(depth))
+        + '<task id="t" name="Innermost"/>'
+        + "</subProcess>" * depth
+        + "</process></definitions>"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Random BPMN documents for parser/extractor cross-checks
 

@@ -111,3 +111,64 @@ def constrained_least_squares_weight(rows) -> float:
     numerator = sum((sb - sr) * (sm - sr) for sm, sr, sb in rows)
     denominator = sum((sm - sr) ** 2 for sm, sr, sb in rows)
     return numerator / denominator
+
+
+def naive_block_structuredness(graph, rng=None) -> float:
+    """Reduce the flow graph by rescanning every node for a rule on each step.
+
+    The rules: contract a node with one incoming and one outgoing flow (not
+    a self-loop); drop one of two parallel flows between distinct gateways
+    of the same kind; drop a back flow s -> j when gateway j has two or more
+    incoming flows and its only outgoing flow enters a same-kind gateway s,
+    s has no other incoming flow and two or more outgoing ones. The model
+    scores 1.0 when no gateway is left with two or more outgoing flows.
+
+    Without ``rng`` the first rule found fires; with it a random one does,
+    which checks that the result does not depend on the order of reduction.
+    """
+    kind = {n.id: n.kind.value for n in graph.nodes if n.kind.value in _FLOW_KINDS}
+    flows = [
+        (e.source, e.target) for e in graph.edges
+        if e.kind.value == "sequence" and e.source in kind and e.target in kind
+    ]
+    remaining = list(kind)
+
+    def incoming(node):
+        return [f for f in flows if f[1] == node]
+
+    def outgoing(node):
+        return [f for f in flows if f[0] == node]
+
+    while True:
+        options = []
+        for node in remaining:
+            ins, outs = incoming(node), outgoing(node)
+            if len(ins) == 1 and len(outs) == 1 and ins[0][0] != node:
+                options.append(("sequence", node))
+            if kind[node] not in _GATEWAY_KINDS:
+                continue
+            for flow in outs:
+                if (flow[1] != node and kind[flow[1]] == kind[node]
+                        and flows.count(flow) >= 2):
+                    options.append(("drop", flow))
+            if len(ins) >= 2 and len(outs) == 1:
+                split = outs[0][1]
+                if (kind[split] == kind[node] and len(incoming(split)) == 1
+                        and len(outgoing(split)) >= 2 and (split, node) in flows):
+                    options.append(("drop", (split, node)))
+        if not options:
+            break
+        rule, target = options[0] if rng is None else rng.choice(options)
+        if rule == "sequence":
+            (before, _), (_, after) = incoming(target)[0], outgoing(target)[0]
+            flows.remove((before, target))
+            flows.remove((target, after))
+            flows.append((before, after))
+            remaining.remove(target)
+        else:
+            flows.remove(target)
+
+    for node in remaining:
+        if kind[node] in _GATEWAY_KINDS and len(outgoing(node)) >= 2:
+            return 0.0
+    return 1.0

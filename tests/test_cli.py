@@ -7,7 +7,7 @@ from procomp.cli import main
 from procomp.questionnaire import load_responses_file
 from procomp.report import parse_evaluation
 
-from conftest import FIXTURES, make_answers
+from conftest import FIXTURES, make_answers, nested_subprocess_document
 from oracles import brute_force_ordering, normalized_weighted_sum
 
 
@@ -200,6 +200,14 @@ def test_model_inspect_json(capsys):
     document = json.loads(out)
     assert document["metrics"]["node-count"] == 3.0
     assert len(document["nodes"]) == 3
+
+
+def test_model_inspect_deeply_nested_sub_processes(capsys, tmp_path):
+    model = tmp_path / "deep.bpmn"
+    model.write_text(nested_subprocess_document(1100), encoding="utf-8")
+    code, out, err = run(capsys, "model", "inspect", str(model), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["metrics"]["nesting-depth"] == 1100.0
 
 
 def test_init_writes_files_and_refuses_overwrite(capsys, tmp_path):

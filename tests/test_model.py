@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from procomp.bpmn import EdgeKind, NodeKind, parse_model, parse_model_file
+from procomp.bpmn import (
+    GATEWAY_KINDS,
+    Edge,
+    EdgeKind,
+    Node,
+    NodeKind,
+    ProcessModelGraph,
+    parse_model,
+    parse_model_file,
+)
 from procomp.errors import ExtractionError, ModelParseError
 from procomp.ett import (
     NormalizationKind,
@@ -13,8 +22,8 @@ from procomp.ett import (
 )
 from procomp.metrics import EXTRACTORS, extract_metrics, normalize_metric
 
-from conftest import FIXTURES, random_bpmn_document
-from oracles import naive_counts
+from conftest import FIXTURES, nested_subprocess_document, random_bpmn_document
+from oracles import naive_block_structuredness, naive_counts
 
 BPMN_NS = 'xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"'
 
@@ -126,6 +135,13 @@ def test_data_association_on_subprocess_is_an_edge_not_a_node():
     assert graph.warnings == ()
 
 
+def test_deeply_nested_sub_processes_parse():
+    graph = parse_model(nested_subprocess_document(1100))
+    assert [n.id for n in graph.nodes] == [f"sp{i}" for i in range(1100)] + ["t"]
+    assert graph.node_map()["t"].parent == "sp1099"
+    assert EXTRACTORS["nesting-depth"](graph) == 1100.0
+
+
 # ---------------------------------------------------------------------------
 # Extractors on hand-counted fixtures
 
@@ -199,6 +215,173 @@ def test_mismatched_gateway_kinds_break_block_structure():
     assert EXTRACTORS["gateway-mismatch-count"](graph) == 2.0
 
 
+def flows(*pairs: str) -> str:
+    """Sequence flows from "a>b" pairs."""
+    return "".join(
+        f'<sequenceFlow id="f{i}" sourceRef="{pair.split(">")[0]}"'
+        f' targetRef="{pair.split(">")[1]}"/>'
+        for i, pair in enumerate(pairs)
+    )
+
+
+BLOCK_STRUCTURE_CASES = {
+    # an exclusive split closed by a parallel join, then an exclusive diamond
+    "xor-split-and-join-before-xor-diamond": (wrap(
+        '<startEvent id="s"/><exclusiveGateway id="x1"/><task id="a"/><task id="b"/>'
+        '<parallelGateway id="p1"/><exclusiveGateway id="x2"/><task id="c"/>'
+        '<task id="d"/><exclusiveGateway id="x3"/><endEvent id="e"/>'
+        + flows("s>x1", "x1>a", "x1>b", "a>p1", "b>p1", "p1>x2", "x2>c", "x2>d",
+                "c>x3", "d>x3", "x3>e")
+    ), 0.0),
+    "xor-loop-around-and-block": (wrap(
+        '<startEvent id="s"/><exclusiveGateway id="j"/><parallelGateway id="p1"/>'
+        '<task id="a"/><task id="b"/><parallelGateway id="p2"/>'
+        '<exclusiveGateway id="x"/><endEvent id="e"/>'
+        + flows("s>j", "j>p1", "p1>a", "p1>b", "a>p2", "b>p2", "p2>x", "x>j", "x>e")
+    ), 1.0),
+    "and-loop": (wrap(
+        '<startEvent id="s"/><parallelGateway id="j"/><task id="a"/>'
+        '<parallelGateway id="x"/><endEvent id="e"/>'
+        + flows("s>j", "j>a", "a>x", "x>j", "x>e")
+    ), 1.0),
+    "split-into-separate-end-events": (wrap(
+        '<startEvent id="s"/><exclusiveGateway id="x"/><task id="a"/><task id="b"/>'
+        '<endEvent id="e1"/><endEvent id="e2"/>'
+        + flows("s>x", "x>a", "x>b", "a>e1", "b>e2")
+    ), 0.0),
+    "unstructured-sub-process-in-structured-parent": (wrap(
+        '<startEvent id="s"/><exclusiveGateway id="x1"/><task id="a"/>'
+        '<subProcess id="sub"><startEvent id="s2"/><inclusiveGateway id="o1"/>'
+        '<task id="b"/><task id="c"/><exclusiveGateway id="o2"/><endEvent id="e2"/>'
+        '<sequenceFlow id="g1" sourceRef="s2" targetRef="o1"/>'
+        '<sequenceFlow id="g2" sourceRef="o1" targetRef="b"/>'
+        '<sequenceFlow id="g3" sourceRef="o1" targetRef="c"/>'
+        '<sequenceFlow id="g4" sourceRef="b" targetRef="o2"/>'
+        '<sequenceFlow id="g5" sourceRef="c" targetRef="o2"/>'
+        '<sequenceFlow id="g6" sourceRef="o2" targetRef="e2"/>'
+        '</subProcess><exclusiveGateway id="x2"/><endEvent id="e"/>'
+        + flows("s>x1", "x1>a", "x1>sub", "a>x2", "sub>x2", "x2>e")
+    ), 0.0),
+    "two-structured-pools": (
+        f'<definitions {BPMN_NS} id="d" targetNamespace="http://x">'
+        '<collaboration id="c"><participant id="pa" processRef="p1"/>'
+        '<participant id="pb" processRef="p2"/>'
+        '<messageFlow id="m" sourceRef="a" targetRef="b"/></collaboration>'
+        '<process id="p1"><startEvent id="s1"/><parallelGateway id="g1"/><task id="a"/>'
+        '<task id="a2"/><parallelGateway id="g2"/><endEvent id="e1"/>'
+        '<sequenceFlow id="f1" sourceRef="s1" targetRef="g1"/>'
+        '<sequenceFlow id="f2" sourceRef="g1" targetRef="a"/>'
+        '<sequenceFlow id="f3" sourceRef="g1" targetRef="a2"/>'
+        '<sequenceFlow id="f4" sourceRef="a" targetRef="g2"/>'
+        '<sequenceFlow id="f5" sourceRef="a2" targetRef="g2"/>'
+        '<sequenceFlow id="f6" sourceRef="g2" targetRef="e1"/></process>'
+        '<process id="p2"><startEvent id="s2"/><exclusiveGateway id="h1"/><task id="b"/>'
+        '<exclusiveGateway id="h2"/><endEvent id="e2"/>'
+        '<sequenceFlow id="k1" sourceRef="s2" targetRef="h1"/>'
+        '<sequenceFlow id="k2" sourceRef="h1" targetRef="b"/>'
+        '<sequenceFlow id="k3" sourceRef="h1" targetRef="h2"/>'
+        '<sequenceFlow id="k4" sourceRef="b" targetRef="h2"/>'
+        '<sequenceFlow id="k5" sourceRef="h2" targetRef="e2"/></process>'
+        '</definitions>', 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_STRUCTURE_CASES))
+def test_block_structuredness_cases(case):
+    document, want = BLOCK_STRUCTURE_CASES[case]
+    graph = parse_model(document)
+    assert EXTRACTORS["block-structuredness"](graph) == want
+    assert naive_block_structuredness(graph) == want
+
+
+def random_block_graph(rng: random.Random, max_flow_nodes: int = 12) -> ProcessModelGraph:
+    """A small structured graph, usually with a defect injected.
+
+    Fragments are sequences, split/join blocks and loops of any gateway
+    kind; the defects are mismatched join kinds, extra random flows (back
+    edges, parallel edges, flows into unrelated joins), dropped flows and
+    branches ending in their own end event.
+    """
+    gateway_kinds = sorted(GATEWAY_KINDS)
+    while True:
+        kinds: list[NodeKind] = []
+        pairs: list[tuple[int, int]] = []
+
+        def node(kind: NodeKind) -> int:
+            kinds.append(kind)
+            return len(kinds) - 1
+
+        def fragment(depth: int) -> tuple[int, int]:
+            shape = "task" if depth >= 3 else rng.choices(
+                ("task", "seq", "block", "loop"), weights=(3 if depth else 0, 2, 3, 1))[0]
+            if shape == "task":
+                t = node(rng.choice((NodeKind.TASK, NodeKind.INTERMEDIATE_EVENT)))
+                return t, t
+            if shape == "seq":
+                first, second = fragment(depth + 1), fragment(depth + 1)
+                pairs.append((first[1], second[0]))
+                return first[0], second[1]
+            kind = rng.choice(gateway_kinds)
+            split = node(kind)
+            if shape == "loop":
+                body = fragment(depth + 1)
+                join = node(kind)
+                pairs.extend([(split, body[0]), (body[1], join), (join, split)])
+                return split, join
+            ends = []
+            for _ in range(rng.randint(2, 3)):
+                if rng.random() < 0.25:
+                    ends.append(split)
+                    continue
+                entry, exit_ = fragment(depth + 1)
+                pairs.append((split, entry))
+                ends.append(exit_)
+            join = node(kind)
+            pairs.extend((end, join) for end in ends)
+            return split, join
+
+        start = node(NodeKind.START_EVENT)
+        entry, exit_ = fragment(0)
+        end = node(NodeKind.END_EVENT)
+        pairs.extend([(start, entry), (exit_, end)])
+        if len(kinds) <= max_flow_nodes:
+            break
+
+    gateways = [i for i, kind in enumerate(kinds) if kind in GATEWAY_KINDS]
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        defect = rng.choice(("kind", "flow", "parallel", "drop", "end"))
+        if defect == "kind" and gateways:
+            kinds[rng.choice(gateways)] = rng.choice(gateway_kinds)
+        elif defect == "flow":
+            pairs.append((rng.randrange(len(kinds)), rng.randrange(len(kinds))))
+        elif defect == "parallel":
+            pairs.append(rng.choice(pairs))
+        elif defect == "drop":
+            pairs.remove(rng.choice(pairs))
+        elif defect == "end" and gateways and len(kinds) < max_flow_nodes:
+            pairs.append((rng.choice(gateways), node(NodeKind.END_EVENT)))
+
+    nodes = [Node(id=f"n{i}", kind=kind) for i, kind in enumerate(kinds)]
+    edges = [Edge(id=f"f{i}", source=f"n{a}", target=f"n{b}", kind=EdgeKind.SEQUENCE)
+             for i, (a, b) in enumerate(pairs)]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return ProcessModelGraph(nodes=tuple(nodes), edges=tuple(edges))
+
+
+def test_block_structuredness_matches_exhaustive_reduction():
+    rng = random.Random(2008)
+    seen = []
+    for _ in range(400):
+        graph = random_block_graph(rng)
+        assert len(graph.flow_nodes()) <= 12
+        want = naive_block_structuredness(graph)
+        assert naive_block_structuredness(graph, rng) == want, graph
+        assert EXTRACTORS["block-structuredness"](graph) == want, graph
+        seen.append(want)
+    assert 0.25 < sum(seen) / len(seen) < 0.75
+
+
 def test_random_documents_match_naive_traversal():
     rng = random.Random(42)
     for _ in range(100):
@@ -223,6 +406,23 @@ def test_extract_covers_every_model_derived_metric(ett):
     assert values["r-rep-element-count"] == 16.0
     assert values["r-detail-nesting"] == 1.0
     assert all(math.isfinite(v) for v in values.values())
+
+
+def test_extract_calls_each_binding_once(ett, monkeypatch):
+    calls: list[str] = []
+    for key, extractor in list(EXTRACTORS.items()):
+        monkeypatch.setitem(
+            EXTRACTORS, key,
+            lambda graph, key=key, extractor=extractor: calls.append(key) or extractor(graph),
+        )
+    graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
+    values = extract_metrics(graph, ett)
+    model_derived = [m for m in ett.all_metrics() if m.source.value == "model-derived"]
+    assert [rv.metric_id for rv in values] == [m.id for m in model_derived]
+    assert len(calls) == len(set(calls)) == len({m.binding_key for m in model_derived})
+    assert len(values) > len(calls)
+    for rv, metric in zip(values, model_derived):
+        assert rv.value == EXTRACTORS[metric.binding_key](graph)
 
 
 def test_unextractable_metric_is_reported():
