@@ -42,6 +42,7 @@ from .ett import (
     QualityCriterion,
     QualityMetric,
     assign_weights,
+    build_ett,
     load_ett,
     load_ett_file,
     serialize_ett,

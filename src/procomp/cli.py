@@ -19,7 +19,8 @@ from .errors import (
     ResponseError,
     ScoringError,
 )
-from .ett import EvaluationTheoryTree, load_ett_file, serialize_ett, validate_ett
+from .documents import read_json_object
+from .ett import build_ett, load_ett_file, serialize_ett, validate_ett
 from .languages import (
     complexity_score,
     load_descriptor_file,
@@ -43,7 +44,7 @@ from .ranking import (
     load_survey_csv,
     rank_items,
 )
-from .report import ReportFormat, export
+from .report import ReportFormat, batch_entry, export, frame_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,40 +53,29 @@ EXIT_INPUT = 2
 CONFIG_DIR_ENV = "PROCOMP_CONFIG_DIR"
 
 
-def _config_dir() -> Path | None:
-    value = os.environ.get(CONFIG_DIR_ENV)
-    return Path(value) if value else None
-
-
-def _resolve_ett(path: str | None) -> EvaluationTheoryTree:
+def _config_file(path: str | None, name: str) -> Path | None:
+    """``path`` if given, else ``name`` in the config directory if it exists."""
     if path:
-        return load_ett_file(path)
-    config = _config_dir()
-    if config and (config / "ett.json").exists():
-        return load_ett_file(config / "ett.json")
-    return defaults.default_ett()
+        return Path(path)
+    config = os.environ.get(CONFIG_DIR_ENV)
+    found = Path(config) / name if config else None
+    return found if found and found.exists() else None
 
 
 def _resolve_schema(path: str | None, perspective: str) -> QuestionnaireSchema:
-    if path:
-        return load_schema_file(path)
-    config = _config_dir()
-    if config and (config / f"questionnaire_{perspective}.json").exists():
-        return load_schema_file(config / f"questionnaire_{perspective}.json")
+    found = _config_file(path, f"questionnaire_{perspective}.json")
+    if found:
+        return load_schema_file(found)
     if perspective == "modeler":
         return defaults.default_modeler_schema()
     return defaults.default_reader_schema()
 
 
 def _resolve_registry(paths: list[str] | None):
-    if paths:
-        return tuple(load_descriptor_file(p) for p in paths)
-    config = _config_dir()
-    if config and (config / "languages").is_dir():
-        files = sorted((config / "languages").glob("*.json"))
-        if files:
-            return tuple(load_descriptor_file(p) for p in files)
-    return defaults.builtin_language_registry()
+    if not paths:
+        found = _config_file(None, "languages")
+        paths = sorted(found.glob("*.json")) if found and found.is_dir() else []
+    return tuple(load_descriptor_file(p) for p in paths) or defaults.builtin_language_registry()
 
 
 def _parse_weights(value: str) -> tuple[float, float]:
@@ -98,13 +88,13 @@ def _parse_weights(value: str) -> tuple[float, float]:
     return (w_m, w_r)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces: list[str], output: str | None) -> None:
+    """Write the pieces one after another, so that no joined copy is made."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +102,14 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_score(args) -> int:
-    tree = _resolve_ett(args.ett)
+    ett_path = _config_file(args.ett, "ett.json")
+    tree = load_ett_file(ett_path) if ett_path else defaults.default_ett()
     modeler_schema = _resolve_schema(args.schema_modeler, "modeler")
     reader_schema = _resolve_schema(args.schema_reader, "reader")
     registry = _resolve_registry(args.languages)
     modeler_responses = load_responses_file(args.modeler_responses)
     reader_responses = [load_responses_file(p) for p in args.reader_responses]
+    models: list[str] = args.model
 
     def _one(model_path: str) -> str:
         graph = parse_model_file(model_path)
@@ -134,20 +126,23 @@ def _cmd_score(args) -> int:
             interaction_weights=args.weights,
             language=args.language,
         )
-        return export(evaluation, args.format).body
+        if len(models) == 1:
+            return export(evaluation, args.format).body
+        return batch_entry(evaluation, args.format)
 
-    models: list[str] = args.model
     if args.jobs > 1 and len(models) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            bodies = list(pool.map(_one, models))
+            parts = list(pool.map(_one, models))
     else:
-        bodies = [_one(m) for m in models]
-    _emit("\n".join(bodies) if len(bodies) > 1 else bodies[0], args.output)
+        parts = [_one(m) for m in models]
+    _emit(frame_batch(parts, args.format) if len(parts) > 1 else parts, args.output)
     return EXIT_OK
 
 
 def _cmd_ett_validate(args) -> int:
-    tree = _resolve_ett(args.ett)
+    ett_path = _config_file(args.ett, "ett.json")
+    # built without load_ett's invariant checks, so that every violation is reported
+    tree = build_ett(read_json_object(ett_path)) if ett_path else defaults.default_ett()
     report = validate_ett(tree)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -160,7 +155,7 @@ def _cmd_survey_rank(args) -> int:
         for row in compare_methods(dataset):
             ordering = " > ".join(row.ordering)
             lines.append(f"{row.method:<22} {row.growth:<12} {ordering}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
         return EXIT_OK
     kind = MethodKind(args.method)
     param = {MethodKind.DNLOG: args.d, MethodKind.RANK_EXPONENT: args.p}.get(kind)
@@ -168,7 +163,7 @@ def _cmd_survey_rank(args) -> int:
     lines = [f"rank  score       item   (method: {method.label})"]
     for position, (item, score) in enumerate(rank_items(dataset, method), start=1):
         lines.append(f"{position:>4}  {score:.6f}  {item}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -187,7 +182,7 @@ def _cmd_language_compare(args) -> int:
             f"{descriptor.name:<24} {complexity_score(descriptor):>8.2f} "
             f"{normalized[descriptor.name]:>6.2f} {total:>8g}  {shares}"
         )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -207,7 +202,7 @@ def _cmd_model_inspect(args) -> int:
             "warnings": list(graph.warnings),
             "metrics": {key: fn(graph) for key, fn in sorted(EXTRACTORS.items())},
         }
-        _emit(json.dumps(document, indent=2) + "\n", args.output)
+        _emit([json.dumps(document, indent=2) + "\n"], args.output)
         return EXIT_OK
     lines = [f"model: {args.model} ({graph.language})", "", "nodes:"]
     for node in graph.nodes:
@@ -223,7 +218,7 @@ def _cmd_model_inspect(args) -> int:
     lines.append("metrics:")
     for key, fn in sorted(EXTRACTORS.items()):
         lines.append(f"  {key:<26} {fn(graph):g}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 

@@ -3,7 +3,7 @@
 Rows are (id, name, description, source, binding, normalization, polarity)
 with source codes md = model-derived, mq/rq = modeler/reader questionnaire,
 lr = language registry. Normalization is None for identity, "bool", or
-("linear"/"inverse", lo, hi). Criterion and metric ranks follow row order;
+("linear", lo, hi). Criterion and metric ranks follow row order;
 reorder rows (or edit the exported file) to re-rank.
 
 Normalization bounds for model-derived metrics are pragmatic defaults:

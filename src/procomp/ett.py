@@ -7,11 +7,11 @@ construction; the weighting pass returns a new tree.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
+from .documents import read_json_object
 from .errors import ConfigError
 from .ranking import dnlog_weight
 
@@ -41,7 +41,6 @@ class Polarity(str, enum.Enum):
 class NormalizationKind(str, enum.Enum):
     IDENTITY = "identity"
     LINEAR_CLAMP = "linear-clamp"
-    INVERSE_LINEAR_CLAMP = "inverse-linear-clamp"
     BOOLEAN = "boolean"
 
 
@@ -54,7 +53,7 @@ class NormalizationSpec:
     hi: float | None = None
 
     def __post_init__(self):
-        if self.kind in (NormalizationKind.LINEAR_CLAMP, NormalizationKind.INVERSE_LINEAR_CLAMP):
+        if self.kind is NormalizationKind.LINEAR_CLAMP:
             if self.lo is None or self.hi is None:
                 raise ConfigError(f"{self.kind.value} normalization needs lo and hi")
             if not self.lo < self.hi:
@@ -137,6 +136,8 @@ class EvaluationTheoryTree:
 
 
 def _require(document: dict, key: str, path: str) -> Any:
+    if not isinstance(document, dict):
+        raise ConfigError(f"expected an object, got {type(document).__name__}", path=path)
     if key not in document:
         raise ConfigError(f"missing field {key!r}", path=path)
     return document[key]
@@ -156,20 +157,29 @@ def _parse_normalization(document: dict | None, path: str) -> NormalizationSpec:
     kind = _parse_enum(NormalizationKind, _require(document, "kind", path), f"{path}.kind")
     try:
         return NormalizationSpec(kind=kind, lo=document.get("lo"), hi=document.get("hi"))
-    except ConfigError as exc:
+    except (ConfigError, TypeError) as exc:
         raise ConfigError(str(exc), path=path) from None
 
 
-def _parse_metric(document: dict, path: str) -> QualityMetric:
+def _parse_ranked(document: dict, path: str) -> tuple[str, int, float | None]:
+    """The id, rank and optional weight that criteria and metrics share."""
+    node_id = _require(document, "id", path)
+    if not isinstance(node_id, str):
+        raise ConfigError(f"id must be a string, got {node_id!r}", path=f"{path}.id")
     rank = _require(document, "rank", path)
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:  # bool is an int subclass
         raise ConfigError(f"rank must be a positive integer, got {rank!r}", path=f"{path}.rank")
     weight = document.get("weight")
-    if weight is not None and weight <= 0:
-        raise ConfigError(f"weight must be > 0, got {weight!r}", path=f"{path}.weight")
+    if weight is not None and type(weight) not in (int, float):
+        raise ConfigError(f"weight must be a number, got {weight!r}", path=f"{path}.weight")
+    return node_id, rank, weight
+
+
+def _parse_metric(document: dict, path: str) -> QualityMetric:
+    metric_id, rank, weight = _parse_ranked(document, path)
     return QualityMetric(
-        id=_require(document, "id", path),
-        name=document.get("name", document["id"]),
+        id=metric_id,
+        name=document.get("name", metric_id),
         description=document.get("description", ""),
         source=_parse_enum(MetricSource, _require(document, "source", path), f"{path}.source"),
         rank=rank,
@@ -180,97 +190,81 @@ def _parse_metric(document: dict, path: str) -> QualityMetric:
     )
 
 
-def _check_rank_permutation(ranks: list[int], what: str, path: str) -> None:
-    if sorted(ranks) != list(range(1, len(ranks) + 1)):
-        raise ConfigError(
-            f"rank permutation violation: {what} ranks {sorted(ranks)} are not 1..{len(ranks)}",
-            path=path,
-        )
+def _parse_criterion(document: dict, path: str) -> QualityCriterion:
+    criterion_id, rank, weight = _parse_ranked(document, path)
+    perspective = _parse_enum(Perspective, _require(document, "perspective", path), f"{path}.perspective")
+    metrics = [_parse_metric(mdoc, f"{path}.metrics[{mi}]")
+               for mi, mdoc in enumerate(document.get("metrics", []))]
+    return QualityCriterion(id=criterion_id, name=document.get("name", criterion_id),
+                            perspective=perspective, rank=rank,
+                            metrics=tuple(sorted(metrics, key=lambda m: m.rank)), weight=weight)
+
+
+def build_ett(document: dict) -> EvaluationTheoryTree:
+    """Build a tree from its document form without checking its invariants.
+
+    Raises ConfigError on a missing field, a value of the wrong type or an
+    unknown enum value. Ranks, ids and weights are left to load_ett and
+    validate_ett, so that validate_ett can report every violation.
+    """
+    version = str(_require(document, "version", ""))
+    try:
+        raw_weights = document.get("interaction_weights", {"modeler": 0.156, "reader": 0.844})
+        interaction = (float(raw_weights["modeler"]), float(raw_weights["reader"]))
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError("interaction_weights must map 'modeler' and 'reader' to numbers",
+                          path="interaction_weights") from None
+    try:
+        survey_d = float(document.get("survey_d", 10.0))
+        criteria = [_parse_criterion(cdoc, f"criteria[{ci}]")
+                    for ci, cdoc in enumerate(_require(document, "criteria", ""))]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tree document: {exc}") from exc
+    criteria.sort(key=lambda c: (c.perspective.value, c.rank))
+    return EvaluationTheoryTree(version=version, criteria=tuple(criteria), survey_d=survey_d,
+                                interaction_weights=interaction)
+
+
+def _tree_violations(tree: EvaluationTheoryTree):
+    """Every broken structural invariant of a tree, as (code, path, message).
+
+    Sibling ranks must be permutations of 1..n, criterion and metric ids
+    must be unique, and weights, where present, must be > 0.
+    """
+    ranked = [("criterion-rank-permutation", f"criteria({p.value})", tree.criteria_for(p))
+              for p in Perspective]
+    ranked += [("rank-permutation", f"criteria[{c.id}].metrics", c.metrics) for c in tree.criteria]
+    for code, path, siblings in ranked:
+        ranks = sorted(s.rank for s in siblings)
+        if ranks != list(range(1, len(ranks) + 1)):
+            yield code, path, f"rank permutation violation: ranks {ranks} are not a permutation of 1..{len(ranks)}"
+    first_seen: dict[tuple[str, str], str] = {}
+    for criterion in tree.criteria:
+        cpath = f"criteria[{criterion.id}]"
+        nodes = [("criterion", criterion, cpath)]
+        nodes += [("metric", m, f"{cpath}.metrics[{m.id}]") for m in criterion.metrics]
+        for kind, node, path in nodes:
+            if (kind, node.id) in first_seen:
+                yield (f"duplicate-{kind}-id", path,
+                       f"duplicate {kind} id {node.id!r} (also at {first_seen[kind, node.id]})")
+            first_seen.setdefault((kind, node.id), path)
+            if node.weight is not None and not node.weight > 0:
+                yield "nonpositive-weight", f"{path}.weight", f"weight must be > 0, got {node.weight!r}"
 
 
 def load_ett(document: dict) -> EvaluationTheoryTree:
-    """Build a tree from its document form, enforcing structural invariants.
+    """build_ett, raising ConfigError on the first broken structural invariant.
 
-    Raises ConfigError (with a path into the document) on malformed input,
-    duplicate metric ids, rank permutation violations, or unknown
-    perspectives. Weights are optional; absent weights are derived later by
-    assign_weights.
+    Weights are optional; absent weights are derived later by assign_weights.
     """
-    if not isinstance(document, dict):
-        raise ConfigError("tree document must be a mapping")
-    version = str(_require(document, "version", ""))
-    raw_weights = document.get("interaction_weights", {"modeler": 0.156, "reader": 0.844})
-    try:
-        interaction = (float(raw_weights["modeler"]), float(raw_weights["reader"]))
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(
-            "interaction_weights must map 'modeler' and 'reader' to numbers",
-            path="interaction_weights",
-        ) from None
-    survey_d = float(document.get("survey_d", 10.0))
-
-    criteria: list[QualityCriterion] = []
-    seen_metric_ids: dict[str, str] = {}
-    seen_criterion_ids: set[str] = set()
-    for ci, cdoc in enumerate(_require(document, "criteria", "")):
-        cpath = f"criteria[{ci}]"
-        cid = _require(cdoc, "id", cpath)
-        if cid in seen_criterion_ids:
-            raise ConfigError(f"duplicate criterion id {cid!r}", path=cpath)
-        seen_criterion_ids.add(cid)
-        perspective = _parse_enum(Perspective, _require(cdoc, "perspective", cpath), f"{cpath}.perspective")
-        crank = _require(cdoc, "rank", cpath)
-        if not isinstance(crank, int) or crank < 1:
-            raise ConfigError(f"rank must be a positive integer, got {crank!r}", path=f"{cpath}.rank")
-        cweight = cdoc.get("weight")
-        if cweight is not None and cweight <= 0:
-            raise ConfigError(f"weight must be > 0, got {cweight!r}", path=f"{cpath}.weight")
-
-        metrics: list[QualityMetric] = []
-        for mi, mdoc in enumerate(cdoc.get("metrics", [])):
-            mpath = f"{cpath}.metrics[{mi}]"
-            metric = _parse_metric(mdoc, mpath)
-            if metric.id in seen_metric_ids:
-                raise ConfigError(
-                    f"duplicate metric id {metric.id!r} (also under {seen_metric_ids[metric.id]})",
-                    path=mpath,
-                )
-            seen_metric_ids[metric.id] = cid
-            metrics.append(metric)
-        _check_rank_permutation([m.rank for m in metrics], "metric", f"{cpath}.metrics")
-        metrics.sort(key=lambda m: m.rank)
-        criteria.append(
-            QualityCriterion(
-                id=cid,
-                name=cdoc.get("name", cid),
-                perspective=perspective,
-                rank=crank,
-                metrics=tuple(metrics),
-                weight=cweight,
-            )
-        )
-
-    for perspective in Perspective:
-        group = [c for c in criteria if c.perspective is perspective]
-        if group:
-            _check_rank_permutation([c.rank for c in group], "criterion", f"criteria({perspective.value})")
-
-    criteria.sort(key=lambda c: (c.perspective.value, c.rank))
-    return EvaluationTheoryTree(
-        version=version,
-        criteria=tuple(criteria),
-        survey_d=survey_d,
-        interaction_weights=interaction,
-    )
+    tree = build_ett(document)
+    for _code, path, message in _tree_violations(tree):
+        raise ConfigError(message, path=path)
+    return tree
 
 
 def load_ett_file(path: str | Path) -> EvaluationTheoryTree:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed tree document: {exc}", path=str(path)) from exc
-    return load_ett(document)
+    return load_ett(read_json_object(path))
 
 
 def serialize_ett(tree: EvaluationTheoryTree) -> dict:
@@ -340,7 +334,7 @@ def assign_weights(
     """
     if d is None:
         d = tree.survey_d
-    if d <= 1:
+    if not d > 1:
         raise ValueError(f"weighting requires d > 1, got {d}")
 
     new_criteria: list[QualityCriterion] = []
@@ -403,63 +397,35 @@ class ValidationReport:
 
 
 def validate_ett(tree: EvaluationTheoryTree) -> ValidationReport:
-    """Invariant check over an already-constructed tree.
+    """Every invariant violation of an already-constructed tree.
 
-    Structural violations are errors; non-canonical catalog shapes (metric
-    counts differing from the shipped 96 = 54 + 42) are warnings only, since
-    the catalog is meant to be extended.
+    Structural violations, bad interaction weights or survey_d and empty
+    criteria are errors; non-canonical catalog shapes (metric counts
+    differing from the shipped 96 = 54 + 42) are warnings only, since the
+    catalog is meant to be extended.
     """
-    entries: list[ValidationEntry] = []
-
-    def err(code: str, path: str, message: str) -> None:
-        entries.append(ValidationEntry("error", code, path, message))
-
-    def warn(code: str, path: str, message: str) -> None:
-        entries.append(ValidationEntry("warning", code, path, message))
-
+    errors: list[tuple[str, str, str]] = []
     w_m, w_r = tree.interaction_weights
     if abs(w_m + w_r - 1.0) > INTERACTION_SUM_TOL:
-        err("interaction-weights-sum", "interaction_weights",
-            f"interaction weights must sum to 1, got {w_m} + {w_r}")
+        errors.append(("interaction-weights-sum", "interaction_weights",
+                       f"interaction weights must sum to 1, got {w_m} + {w_r}"))
     if not (0.0 <= w_m <= 1.0 and 0.0 <= w_r <= 1.0):
-        err("interaction-weights-range", "interaction_weights",
-            f"interaction weights must lie in [0, 1], got ({w_m}, {w_r})")
-    if tree.survey_d <= 1:
-        err("survey-d-range", "survey_d", f"survey_d must be > 1, got {tree.survey_d}")
-
-    seen_metric_ids: dict[str, str] = {}
-    for perspective in Perspective:
-        group = tree.criteria_for(perspective)
-        ranks = [c.rank for c in group]
-        if group and sorted(ranks) != list(range(1, len(group) + 1)):
-            err("criterion-rank-permutation", f"criteria({perspective.value})",
-                f"criterion ranks {sorted(ranks)} are not a permutation of 1..{len(group)}")
-        for criterion in group:
-            cpath = f"criteria[{criterion.id}]"
-            if not criterion.metrics:
-                err("empty-criterion", cpath, "criterion holds no metrics")
-            if criterion.weight is not None and criterion.weight <= 0:
-                err("nonpositive-weight", cpath, f"weight {criterion.weight} is not > 0")
-            mranks = [m.rank for m in criterion.metrics]
-            if criterion.metrics and sorted(mranks) != list(range(1, len(mranks) + 1)):
-                err("rank-permutation", f"{cpath}.metrics",
-                    f"metric ranks {sorted(mranks)} are not a permutation of 1..{len(mranks)}")
-            for metric in criterion.metrics:
-                mpath = f"{cpath}.metrics[{metric.id}]"
-                if metric.id in seen_metric_ids:
-                    err("duplicate-metric-id", mpath,
-                        f"metric id also appears under {seen_metric_ids[metric.id]}")
-                seen_metric_ids[metric.id] = criterion.id
-                if metric.weight is not None and metric.weight <= 0:
-                    err("nonpositive-weight", mpath, f"weight {metric.weight} is not > 0")
+        errors.append(("interaction-weights-range", "interaction_weights",
+                       f"interaction weights must lie in [0, 1], got ({w_m}, {w_r})"))
+    if not tree.survey_d > 1:
+        errors.append(("survey-d-range", "survey_d", f"survey_d must be > 1, got {tree.survey_d}"))
+    errors += [("empty-criterion", f"criteria[{c.id}]", "criterion holds no metrics")
+               for c in tree.criteria if not c.metrics]
+    errors += _tree_violations(tree)
+    entries = [ValidationEntry("error", *error) for error in errors]
 
     total = tree.metric_count()
     modeler = tree.metric_count(Perspective.MODELER)
     reader = tree.metric_count(Perspective.READER)
     if (total, modeler, reader) != (CANONICAL_TOTAL, CANONICAL_MODELER, CANONICAL_READER):
-        warn("non-canonical-metric-count", "criteria",
-             f"catalog holds {total} metrics ({modeler} modeler / {reader} reader); "
-             f"the shipped default holds {CANONICAL_TOTAL} "
-             f"({CANONICAL_MODELER} / {CANONICAL_READER})")
-
+        entries.append(ValidationEntry(
+            "warning", "non-canonical-metric-count", "criteria",
+            f"catalog holds {total} metrics ({modeler} modeler / {reader} reader); "
+            f"the shipped default holds {CANONICAL_TOTAL} "
+            f"({CANONICAL_MODELER} / {CANONICAL_READER})"))
     return ValidationReport(tuple(entries))

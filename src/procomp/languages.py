@@ -8,11 +8,11 @@ support is tallied per pattern type against a fixed catalog size.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .documents import read_json_object
 from .errors import ConfigError
 
 
@@ -97,8 +97,9 @@ class LanguageDescriptor:
     patterns: PatternSupportTable
 
     def __post_init__(self):
-        if self.elements < 0 or self.characteristics < 0 or self.relations < 0:
-            raise ConfigError(f"descriptor counts for {self.name!r} must be >= 0")
+        counts = (self.elements, self.characteristics, self.relations)
+        if not all(0 <= count < math.inf for count in counts):
+            raise ConfigError(f"descriptor counts for {self.name!r} must be finite and >= 0")
         if self.elements == self.characteristics == self.relations == 0:
             raise ConfigError(f"descriptor {self.name!r} has all-zero counts")
 
@@ -202,17 +203,12 @@ def load_descriptor(document: dict) -> LanguageDescriptor:
             relations=float(document["relations"]),
             patterns=PatternSupportTable(entries=entries, catalog_sizes=catalog),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad language descriptor: {exc}") from exc
 
 
 def load_descriptor_file(path: str | Path) -> LanguageDescriptor:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed descriptor document: {exc}") from exc
-    return load_descriptor(document)
+    return load_descriptor(read_json_object(path))
 
 
 def serialize_descriptor(descriptor: LanguageDescriptor) -> dict:

@@ -294,10 +294,7 @@ def normalize_metric(value: float, spec: NormalizationSpec, polarity: Polarity) 
     else:
         clamped = min(max(value, spec.lo), spec.hi)
         fraction = (clamped - spec.lo) / (spec.hi - spec.lo)
-        if spec.kind is NormalizationKind.LINEAR_CLAMP:
-            score = 1.0 + 9.0 * fraction
-        else:
-            score = 10.0 - 9.0 * fraction
+        score = 1.0 + 9.0 * fraction
     if polarity is Polarity.LOWER_IS_BETTER:
         score = 11.0 - score
     return score

@@ -8,10 +8,10 @@ questions feed one metric, the metric score is their arithmetic mean.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .documents import read_json_object
 from .errors import ConfigError, ResponseError
 from .ett import EvaluationTheoryTree, MetricSource, Perspective
 
@@ -203,12 +203,7 @@ def load_schema(document: dict) -> QuestionnaireSchema:
 
 
 def load_schema_file(path: str | Path) -> QuestionnaireSchema:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed schema document: {exc}") from exc
-    return load_schema(document)
+    return load_schema(read_json_object(path))
 
 
 def serialize_schema(schema: QuestionnaireSchema) -> dict:
@@ -238,17 +233,12 @@ def load_responses(document: dict) -> ResponseSet:
             schema_version=str(document.get("schema_version", "1")),
             answers=answers,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad response document: {exc}") from exc
 
 
 def load_responses_file(path: str | Path) -> ResponseSet:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed response document: {exc}") from exc
-    return load_responses(document)
+    return load_responses(read_json_object(path))
 
 
 def serialize_responses(responses: ResponseSet) -> dict:

@@ -206,19 +206,17 @@ def parse_evaluation(body: str) -> ComprehensionEvaluation:
     )
 
 
-def _render_csv(evaluation: ComprehensionEvaluation) -> str:
+CSV_HEADER = ("metric", "criterion", "perspective", "raw", "normalized", "weight")
+
+
+def _csv_rows(evaluation: ComprehensionEvaluation) -> list[list[str]]:
+    return [[m.id, c.id, c.perspective.value, "" if m.raw is None else repr(m.raw),
+             repr(m.score), repr(m.weight)] for c, m in evaluation.metric_results()]
+
+
+def _csv_text(rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["metric", "criterion", "perspective", "raw", "normalized", "weight"])
-    for criterion, metric in evaluation.metric_results():
-        writer.writerow([
-            metric.id,
-            criterion.id,
-            criterion.perspective.value,
-            "" if metric.raw is None else repr(metric.raw),
-            repr(metric.score),
-            repr(metric.weight),
-        ])
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
@@ -236,4 +234,32 @@ def export(evaluation: ComprehensionEvaluation, format: ReportFormat | str) -> R
     if fmt is ReportFormat.JSON:
         body = json.dumps(_evaluation_document(evaluation), indent=2) + "\n"
         return ReportDocument(fmt, body)
-    return ReportDocument(fmt, _render_csv(evaluation))
+    return ReportDocument(fmt, _csv_text([CSV_HEADER, *_csv_rows(evaluation)]))
+
+
+def batch_entry(evaluation: ComprehensionEvaluation, format: ReportFormat | str) -> str:
+    """One model's part of a multi-model report (see frame_batch)."""
+    fmt = ReportFormat(format)
+    if fmt is ReportFormat.CSV:
+        return _csv_text([evaluation.model_id, *row] for row in _csv_rows(evaluation))
+    body = export(evaluation, fmt).body
+    # a JSON part is an element of the report's array, so it is indented one level
+    return "  " + body.rstrip("\n").replace("\n", "\n  ") if fmt is ReportFormat.JSON else body
+
+
+def frame_batch(parts: list[str], format: ReportFormat | str) -> list[str]:
+    """Pieces that concatenate the models' batch_entry parts into one report.
+
+    JSON gives one array, byte-equal to ``json.dumps(documents, indent=2)``;
+    CSV one table whose first column is ``model``; text and markdown the
+    reports one after another.
+    """
+    head, separator, tail = {
+        ReportFormat.JSON: ("[\n", ",\n", "\n]\n"),
+        ReportFormat.CSV: (",".join(("model", *CSV_HEADER)) + "\n", "", ""),
+    }.get(ReportFormat(format), ("", "\n", ""))
+    pieces = [head]
+    for part in parts:
+        pieces += (part, separator)
+    pieces[-1] = tail
+    return pieces

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -5,7 +6,7 @@ import pytest
 
 from procomp.cli import main
 from procomp.questionnaire import load_responses_file
-from procomp.report import parse_evaluation
+from procomp.report import export, parse_evaluation
 
 from conftest import FIXTURES, make_answers, nested_subprocess_document
 from oracles import brute_force_ordering, normalized_weighted_sum
@@ -103,6 +104,31 @@ def test_score_multiple_models_with_jobs(capsys, response_bundle):
     assert out.index("sequence") < out.index("order_fulfillment")
 
 
+def multi_model_args(bundle, fmt):
+    return score_args(bundle, "--model", str(FIXTURES / "sequence.bpmn"), "--format", fmt)
+
+
+def test_score_multiple_models_json_is_one_array(capsys, response_bundle):
+    code, out, err = run(capsys, *multi_model_args(response_bundle, "json"))
+    assert code == 0, err
+    documents = json.loads(out)
+    assert [d["model"] for d in documents] == ["order_fulfillment", "sequence"]
+    assert out == json.dumps(documents, indent=2) + "\n"
+    for document in documents:
+        body = json.dumps(document, indent=2) + "\n"
+        assert export(parse_evaluation(body), "json").body == body
+
+
+def test_score_multiple_models_csv_has_one_header(capsys, response_bundle):
+    code, out, err = run(capsys, *multi_model_args(response_bundle, "csv"))
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["model", "metric", "criterion", "perspective", "raw", "normalized", "weight"]
+    assert [row[0] for row in rows[1:]] == ["order_fulfillment"] * 96 + ["sequence"] * 96
+    code, single, _ = run(capsys, *score_args(response_bundle, "--format", "csv"))
+    assert [row[1:] for row in rows[1:97]] == list(csv.reader(io.StringIO(single)))[1:]
+
+
 def test_weights_override(capsys, response_bundle):
     code, out, _ = run(capsys, *score_args(
         response_bundle, "--weights", "0.5,0.5", "--format", "json"))
@@ -144,6 +170,76 @@ def test_ett_validate_bad_tree_exits_1(capsys, tmp_path):
     code, out, _ = run(capsys, "ett", "validate", "--ett", str(path))
     assert code == 1
     assert "interaction-weights-sum" in out
+
+
+def test_ett_validate_lists_every_structural_violation(capsys, tmp_path):
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    metrics = document["criteria"][0]["metrics"]
+    metrics[1]["rank"] = 1
+    metrics[2]["weight"] = -1.0
+    path = tmp_path / "ett.json"
+    path.write_text(json.dumps(document))
+    code, out, _ = run(capsys, "ett", "validate", "--ett", str(path))
+    assert code == 1
+    errors = [line for line in out.splitlines() if line.startswith("error:")]
+    assert len(errors) == 2
+    assert "[rank-permutation]" in errors[0]
+    assert "[nonpositive-weight]" in errors[1]
+
+
+def _hostile_tree(change):
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    change(document)
+    return document
+
+
+HOSTILE_DOCUMENTS = {
+    "criterion-int": ("ett", _hostile_tree(lambda d: d["criteria"].__setitem__(0, 7))),
+    "metric-int": ("ett", _hostile_tree(
+        lambda d: d["criteria"][0]["metrics"].__setitem__(0, 7))),
+    "weight-string": ("ett", _hostile_tree(
+        lambda d: d["criteria"][0]["metrics"][0].update(weight="x"))),
+    "lo-string": ("ett", _hostile_tree(lambda d: d["criteria"][0]["metrics"][1].update(
+        normalization={"kind": "linear-clamp", "lo": "a", "hi": 1.0}))),
+    "metrics-null": ("ett", _hostile_tree(lambda d: d["criteria"][0].update(metrics=None))),
+    "survey-d-null": ("ett", _hostile_tree(lambda d: d.update(survey_d=None))),
+    "survey-d-nan": ("ett", _hostile_tree(lambda d: d.update(survey_d=float("nan")))),
+    "metric-id-list": ("ett", _hostile_tree(
+        lambda d: d["criteria"][0]["metrics"][0].update(id=["m"]))),
+    "criterion-rank-bool": ("ett", _hostile_tree(lambda d: d["criteria"][0].update(rank=True))),
+    "metric-weight-bool": ("ett", _hostile_tree(
+        lambda d: d["criteria"][0]["metrics"][0].update(weight=True))),
+    "tree-list": ("ett", []),
+    "descriptor-list": ("languages", []),
+    "descriptor-string": ("languages", "x"),
+    "descriptor-catalog-list": ("languages", {
+        "name": "x", "elements": 1, "characteristics": 1, "relations": 1,
+        "pattern_catalog": [20]}),
+    "descriptor-infinite-count": ("languages", {
+        "name": "x", "elements": float("inf"), "characteristics": 1, "relations": 1}),
+    "descriptor-nan-string-count": ("languages", {
+        "name": "x", "elements": "nan", "characteristics": 1, "relations": 1}),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_DOCUMENTS)
+def test_hostile_config_documents_exit_2(capsys, tmp_path, response_bundle, name):
+    kind, document = HOSTILE_DOCUMENTS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    if kind == "ett":
+        commands = [["ett", "validate", "--ett", str(path)],
+                    score_args(response_bundle, "--ett", str(path))]
+    else:
+        commands = [["language", "compare", "--languages", str(path)],
+                    score_args(response_bundle, "--languages", str(path))]
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, (argv, err)
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_survey_rank_matches_brute_force(capsys, tmp_path):

@@ -7,6 +7,7 @@ from procomp.errors import ConfigError
 from procomp.ett import (
     Perspective,
     assign_weights,
+    build_ett,
     load_ett,
     serialize_ett,
     validate_ett,
@@ -179,3 +180,41 @@ def test_non_canonical_count_is_warning_not_error():
     assert report.ok
     assert [e.code for e in report] == ["non-canonical-metric-count"]
     assert "95" in report.entries[0].message
+
+
+def test_validate_reports_every_structural_violation():
+    document = minimal_document(metric_ranks=(1, 1))
+    document["criteria"][0]["metrics"][1]["weight"] = -1.0
+    twin = dict(document["criteria"][0], rank=2)
+    document["criteria"].append(twin)
+    with pytest.raises(ConfigError, match="rank permutation violation"):
+        load_ett(document)
+    report = validate_ett(build_ett(document))
+    assert not report.ok
+    assert [e.code for e in report if e.severity == "error"] == [
+        "rank-permutation", "rank-permutation", "nonpositive-weight",
+        "duplicate-criterion-id", "duplicate-metric-id", "duplicate-metric-id",
+        "nonpositive-weight",
+    ]
+
+
+def test_build_ett_matches_load_ett_on_a_valid_tree():
+    assert build_ett(default_ett_document()) == default_ett()
+
+
+def test_inverse_linear_clamp_kind_rejected():
+    document = minimal_document()
+    document["criteria"][0]["metrics"][0]["normalization"] = {
+        "kind": "inverse-linear-clamp", "lo": 0.0, "hi": 10.0}
+    with pytest.raises(ConfigError, match="expected one of: identity, linear-clamp, boolean"):
+        load_ett(document)
+
+
+def test_validate_rejects_nan_survey_d_and_weights():
+    document = minimal_document()
+    document["survey_d"] = float("nan")
+    document["criteria"][0]["metrics"][0]["weight"] = float("nan")
+    with pytest.raises(ConfigError, match="weight must be > 0"):
+        load_ett(document)
+    codes = [e.code for e in validate_ett(build_ett(document)) if e.severity == "error"]
+    assert codes == ["survey-d-range", "nonpositive-weight"]

@@ -472,9 +472,10 @@ def test_lower_is_better_reflects():
 
 
 def test_inverse_linear_clamp():
-    spec = NormalizationSpec(NormalizationKind.INVERSE_LINEAR_CLAMP, 0.0, 10.0)
-    assert normalize_metric(0.0, spec, HIGHER) == 10.0
-    assert normalize_metric(10.0, spec, HIGHER) == 1.0
+    # an inverted clamp is a linear clamp with lower-is-better polarity
+    spec = NormalizationSpec(NormalizationKind.LINEAR_CLAMP, 0.0, 10.0)
+    assert normalize_metric(0.0, spec, LOWER) == 10.0
+    assert normalize_metric(10.0, spec, LOWER) == 1.0
 
 
 def test_normalization_monotonicity_and_range():
