@@ -61,7 +61,7 @@ from .languages import (
     pattern_score,
 )
 from .metrics import EXTRACTORS, RawMetricValue, extract_metrics, normalize_metric
-from .pipeline import evaluate_model
+from .pipeline import ScoringPlan, compile_plan, evaluate_model
 from .questionnaire import (
     Question,
     QuestionnaireSchema,

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import defaults
@@ -28,7 +28,7 @@ from .languages import (
     pattern_score,
 )
 from .metrics import EXTRACTORS
-from .pipeline import evaluate_model
+from .pipeline import ScoringPlan, compile_plan
 from .questionnaire import (
     QuestionKind,
     QuestionnaireSchema,
@@ -85,7 +85,19 @@ def _parse_weights(value: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"weights must look like '0.156,0.844', got {value!r}"
         ) from None
+    if not (math.isfinite(w_m) and math.isfinite(w_r)):
+        raise argparse.ArgumentTypeError(f"weights must be finite numbers, got {value!r}")
     return (w_m, w_r)
+
+
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return number
 
 
 def _emit(pieces: list[str], output: str | None) -> None:
@@ -101,6 +113,25 @@ def _emit(pieces: list[str], output: str | None) -> None:
 # Subcommand handlers
 
 
+def _score_entry(plan: ScoringPlan, fmt: str, model_path: str) -> str:
+    """One model's entry in a multi-model report."""
+    graph = parse_model_file(model_path)
+    return batch_entry(plan.evaluate(graph, model_id=Path(model_path).stem), fmt)
+
+
+# the plan and the report format, set in each worker process by the pool's initializer
+_worker_state: tuple[ScoringPlan, str] | None = None
+
+
+def _init_worker(plan: ScoringPlan, fmt: str) -> None:
+    global _worker_state
+    _worker_state = (plan, fmt)
+
+
+def _worker_entry(model_path: str) -> str:
+    return _score_entry(*_worker_state, model_path)
+
+
 def _cmd_score(args) -> int:
     ett_path = _config_file(args.ett, "ett.json")
     tree = load_ett_file(ett_path) if ett_path else defaults.default_ett()
@@ -109,33 +140,37 @@ def _cmd_score(args) -> int:
     registry = _resolve_registry(args.languages)
     modeler_responses = load_responses_file(args.modeler_responses)
     reader_responses = [load_responses_file(p) for p in args.reader_responses]
+    plan = compile_plan(
+        tree,
+        registry,
+        modeler_responses,
+        reader_responses,
+        modeler_schema,
+        reader_schema,
+        noise_threshold=args.threshold,
+        interaction_weights=args.weights,
+        language=args.language,
+    )
     models: list[str] = args.model
 
-    def _one(model_path: str) -> str:
-        graph = parse_model_file(model_path)
-        evaluation = evaluate_model(
-            graph,
-            tree,
-            registry,
-            modeler_responses,
-            reader_responses,
-            modeler_schema,
-            reader_schema,
-            model_id=Path(model_path).stem,
-            noise_threshold=args.threshold,
-            interaction_weights=args.weights,
-            language=args.language,
-        )
-        if len(models) == 1:
-            return export(evaluation, args.format).body
-        return batch_entry(evaluation, args.format)
+    if len(models) == 1:
+        graph = parse_model_file(models[0])
+        evaluation = plan.evaluate(graph, model_id=Path(models[0]).stem)
+        _emit([export(evaluation, args.format).body], args.output)
+        return EXIT_OK
+    workers = min(args.jobs, len(models), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here, so that scoring one model imports no pool machinery
+        from concurrent.futures import ProcessPoolExecutor
 
-    if args.jobs > 1 and len(models) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(_one, models))
+        # the platform's default start method: the plan pickles for spawn and forkserver
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(plan, args.format)) as pool:
+            chunksize = -(-len(models) // (4 * workers))
+            parts = list(pool.map(_worker_entry, models, chunksize=chunksize))
     else:
-        parts = [_one(m) for m in models]
-    _emit(frame_batch(parts, args.format) if len(parts) > 1 else parts, args.output)
+        parts = [_score_entry(plan, args.format, m) for m in models]
+    _emit(frame_batch(parts, args.format), args.output)
     return EXIT_OK
 
 
@@ -324,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="noise threshold (default 4.0)")
     score.add_argument("--weights", type=_parse_weights,
                        help="override interaction weights, e.g. 0.156,0.844")
-    score.add_argument("--jobs", type=int, default=1,
-                       help="score multiple models concurrently")
+    score.add_argument("--jobs", type=_positive_int, default=1,
+                       help="score several models in up to this many worker processes "
+                            "(capped by the model count and the CPUs)")
     score.set_defaults(handler=_cmd_score)
 
     ett = sub.add_parser("ett", help="evaluation tree utilities")

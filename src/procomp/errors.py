@@ -36,6 +36,10 @@ class ExtractionError(ProcompError):
         self.metric_ids = list(metric_ids)
         super().__init__("unextractable metric(s): " + ", ".join(self.metric_ids))
 
+    def __reduce__(self):
+        # unpickling calls the class with ``args``, here the formatted message
+        return (ExtractionError, (self.metric_ids,))
+
 
 class ResponseError(ProcompError):
     """A response set failed validation; carries the validation report."""

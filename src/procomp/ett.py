@@ -7,6 +7,7 @@ construction; the weighting pass returns a new tree.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -210,10 +211,14 @@ def build_ett(document: dict) -> EvaluationTheoryTree:
     version = str(_require(document, "version", ""))
     try:
         raw_weights = document.get("interaction_weights", {"modeler": 0.156, "reader": 0.844})
-        interaction = (float(raw_weights["modeler"]), float(raw_weights["reader"]))
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("interaction_weights must map 'modeler' and 'reader' to numbers",
+        interaction = tuple(raw_weights[key] for key in ("modeler", "reader"))
+        # bool is an int subclass; float() of a huge int overflows
+        if not all(type(w) in (int, float) and math.isfinite(float(w)) for w in interaction):
+            raise ValueError
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ConfigError("interaction_weights must map 'modeler' and 'reader' to finite numbers",
                           path="interaction_weights") from None
+    interaction = (float(interaction[0]), float(interaction[1]))
     try:
         survey_d = float(document.get("survey_d", 10.0))
         criteria = [_parse_criterion(cdoc, f"criteria[{ci}]")

@@ -42,7 +42,8 @@ def perspective_score(criterion_scores: Sequence[float], criterion_weights: Sequ
 
 def combined_score(s_m: float, s_r: float, w_m: float, w_r: float) -> float:
     """Convex combination of the two perspective scores."""
-    if w_m < 0 or w_r < 0 or abs(w_m + w_r - 1.0) > COMBINED_CONSISTENCY_TOL:
+    # written so that a NaN weight fails every comparison and is rejected
+    if not (w_m >= 0 and w_r >= 0 and abs(w_m + w_r - 1.0) <= COMBINED_CONSISTENCY_TOL):
         raise ScoringError(f"interaction weights ({w_m}, {w_r}) must be >= 0 and sum to 1")
     combined = w_m * s_m + w_r * s_r
     return min(max(combined, min(s_m, s_r)), max(s_m, s_r))

@@ -143,12 +143,114 @@ def test_malformed_weights_flag_exits_2(response_bundle):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("weights", ["nan,0.5", "inf,0.5", "0.5,-inf"])
+def test_non_finite_weights_flag_exits_2(response_bundle, weights):
+    with pytest.raises(SystemExit) as exc:
+        main(score_args(response_bundle, "--weights", weights))
+    assert exc.value.code == 2
+
+
 def test_score_csv_through_cli(capsys, response_bundle):
     code, out, _ = run(capsys, *score_args(response_bundle, "--format", "csv"))
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("metric,criterion,perspective")
     assert len(lines) == 1 + 96
+
+
+# ---------------------------------------------------------------------------
+# Several models in worker processes (--jobs)
+
+FIXTURE_MODELS = [FIXTURES / f"{name}.bpmn"
+                  for name in ("sequence", "xor_loop", "and_parallel", "order_fulfillment")]
+
+
+def batch_args(bundle, models, *extra):
+    argv = ["score"]
+    for model in models:
+        argv += ["--model", str(model)]
+    return argv + ["--modeler-responses", str(bundle["modeler"]),
+                   "--reader-responses", *[str(p) for p in bundle["readers"]], *extra]
+
+
+def run_at_jobs(capsys, argv):
+    """``run`` at ``--jobs 1`` and at ``--jobs 2``."""
+    return [run(capsys, *argv, "--jobs", jobs) for jobs in ("1", "2")]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_jobs_2_output_matches_jobs_1(capsys, response_bundle, fmt):
+    serial, pooled = run_at_jobs(capsys, batch_args(response_bundle, FIXTURE_MODELS,
+                                                    "--format", fmt))
+    assert serial[0] == 0, serial[2]
+    assert pooled == serial
+
+
+def test_jobs_beyond_models_and_cpus_matches_jobs_1(capsys, response_bundle, tmp_path):
+    # the pool is capped at the 3 models, so at most 3 processes start
+    outputs = []
+    for jobs in ("1", "64"):
+        output = tmp_path / f"jobs-{jobs}.json"
+        code, _, err = run(capsys, *batch_args(response_bundle, FIXTURE_MODELS[:3], "--format",
+                                               "json", "--jobs", jobs, "--output", str(output)))
+        assert code == 0, err
+        outputs.append(output.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_below_one_exits_2(response_bundle, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(score_args(response_bundle, "--jobs", jobs))
+    assert exc.value.code == 2
+
+
+def test_malformed_model_mid_batch_fails_alike_at_any_jobs(capsys, response_bundle, tmp_path):
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    models = [FIXTURE_MODELS[0], broken, *FIXTURE_MODELS[1:]]
+    serial, pooled = run_at_jobs(capsys, batch_args(response_bundle, models, "--format", "json"))
+    assert serial[0] == 2 and serial[1] == ""
+    assert serial[2].startswith("error: ")
+    assert pooled == serial
+
+
+def test_unextractable_metric_fails_alike_at_any_jobs(capsys, response_bundle, tmp_path):
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    for criterion in document["criteria"]:
+        for metric in criterion["metrics"]:
+            if metric["id"] == "m-err-or-routing":
+                metric["binding"] = "no-such-extractor"
+    tree = tmp_path / "ett.json"
+    tree.write_text(json.dumps(document))
+    serial, pooled = run_at_jobs(capsys, batch_args(response_bundle, FIXTURE_MODELS[:2],
+                                                    "--ett", str(tree)))
+    assert serial == (1, "", "validation failure: unextractable metric(s): m-err-or-routing\n")
+    assert pooled == serial
+
+
+def test_config_errors_come_before_any_model_is_parsed(capsys, response_bundle, tmp_path):
+    crippled = tmp_path / "partial.json"
+    document = json.loads(response_bundle["modeler"].read_text())
+    document["answers"].popitem()
+    crippled.write_text(json.dumps(document))
+    bundle = dict(response_bundle, modeler=crippled)
+    models = [FIXTURE_MODELS[0], tmp_path / "absent.bpmn"]
+    for code, _, err in run_at_jobs(capsys, batch_args(bundle, models)):
+        assert code == 1
+        assert err.startswith("validation failure: response set 'm-1'")
+
+
+def test_score_compiles_the_config_once(capsys, response_bundle, monkeypatch):
+    from procomp import pipeline
+    calls = []
+    score_responses = pipeline.score_responses
+    monkeypatch.setattr(pipeline, "score_responses",
+                        lambda *a: calls.append(a) or score_responses(*a))
+    code, _, err = run(capsys, *batch_args(response_bundle, FIXTURE_MODELS[:3], "--jobs", "1"))
+    assert code == 0, err
+    assert len(calls) == 1 + len(response_bundle["readers"])
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +313,10 @@ HOSTILE_DOCUMENTS = {
     "criterion-rank-bool": ("ett", _hostile_tree(lambda d: d["criteria"][0].update(rank=True))),
     "metric-weight-bool": ("ett", _hostile_tree(
         lambda d: d["criteria"][0]["metrics"][0].update(weight=True))),
+    "interaction-weights-nan-string": ("ett", _hostile_tree(
+        lambda d: d.update(interaction_weights={"modeler": "nan", "reader": 0.5}))),
+    "interaction-weights-bool": ("ett", _hostile_tree(
+        lambda d: d.update(interaction_weights={"modeler": True, "reader": False}))),
     "tree-list": ("ett", []),
     "descriptor-list": ("languages", []),
     "descriptor-string": ("languages", "x"),

@@ -169,6 +169,24 @@ def test_interaction_weight_sum_violation():
     assert any(e.code == "interaction-weights-sum" for e in report)
 
 
+@pytest.mark.parametrize("weights", [
+    {"modeler": "nan", "reader": 0.5},
+    {"modeler": "0.5", "reader": 0.5},
+    {"modeler": True, "reader": False},
+    {"modeler": math.nan, "reader": 0.5},
+    {"modeler": 0.5, "reader": math.inf},
+    {"modeler": 10 ** 400, "reader": 0},
+    {"modeler": 0.5},
+    [0.5, 0.5],
+])
+def test_interaction_weights_must_be_finite_numbers(weights):
+    document = default_ett_document()
+    document["interaction_weights"] = weights
+    with pytest.raises(ConfigError) as exc:
+        build_ett(document)
+    assert exc.value.path == "interaction_weights"
+
+
 def test_non_canonical_count_is_warning_not_error():
     document = default_ett_document()
     # drop one metric (and re-rank) so the tree holds 95

@@ -150,6 +150,15 @@ def test_bad_interaction_weights_rejected():
         combined_score(5.0, 6.0, -0.2, 1.2)
 
 
+@pytest.mark.parametrize("w_m, w_r", [
+    (float("nan"), 0.5), (0.5, float("nan")), (float("nan"), float("nan")),
+    (float("inf"), float("-inf")),
+])
+def test_non_finite_interaction_weights_rejected(w_m, w_r):
+    with pytest.raises(ScoringError):
+        combined_score(5.0, 6.0, w_m, w_r)
+
+
 def test_combined_always_between_components():
     rng = random.Random(41)
     for _ in range(200):
