@@ -90,6 +90,16 @@ def _parse_weights(value: str) -> tuple[float, float]:
     return (w_m, w_r)
 
 
+def _finite_float(value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _positive_int(value: str) -> int:
     try:
         number = int(value)
@@ -355,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--format", default="text",
                        choices=[f.value for f in ReportFormat])
     score.add_argument("--output", help="write the report here instead of stdout")
-    score.add_argument("--threshold", type=float, default=4.0,
+    score.add_argument("--threshold", type=_finite_float, default=4.0,
                        help="noise threshold (default 4.0)")
     score.add_argument("--weights", type=_parse_weights,
                        help="override interaction weights, e.g. 0.156,0.844")

@@ -1,11 +1,19 @@
 """Model-derived quality metrics and raw-value normalization.
 
+Every extractor is ``fn(graph) -> float`` and reads what it shares with
+the others (flow nodes, gateways, sequence flows, degrees and node-kind
+counts) from ``graph.index``, a ``GraphIndex`` built once per graph on
+first use, so running all 18 costs one pass over the nodes and one over
+the edges plus each extractor's own work.
+
 Counting rules for the built-in extractors:
 
 * node/edge counts cover flow nodes (events, tasks, sub-processes,
   gateways, generic nodes) and sequence flows; pools, lanes and data
-  objects have their own extractors.
-* degree is in-degree plus out-degree over sequence flows.
+  objects have their own extractors. Artifacts (text annotations and
+  groups) are not flow nodes, and no extractor counts them.
+* degree is in-degree plus out-degree over sequence flows; a flow counts
+  at each end that is a flow node.
 * the connector degree averages over gateway nodes only.
 * nesting depth is the deepest sub-process containment (top level = 0).
 * the unlabeled ratio covers tasks and sub-processes, the elements
@@ -24,9 +32,10 @@ Counting rules for the built-in extractors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable
 
-from .bpmn import GATEWAY_KINDS, NodeKind, ProcessModelGraph
+from .bpmn import ACTIVITY_KINDS, FLOW_NODE_KINDS, GATEWAY_KINDS, NodeKind, ProcessModelGraph
 from .errors import ExtractionError
 from .ett import (
     EvaluationTheoryTree,
@@ -43,30 +52,20 @@ class RawMetricValue:
     value: float
 
 
-def _degrees(graph: ProcessModelGraph) -> dict[str, tuple[int, int]]:
-    degrees = {n.id: [0, 0] for n in graph.flow_nodes()}
-    for edge in graph.sequence_edges():
-        if edge.source in degrees:
-            degrees[edge.source][1] += 1
-        if edge.target in degrees:
-            degrees[edge.target][0] += 1
-    return {node_id: (ind, out) for node_id, (ind, out) in degrees.items()}
-
-
-def _count_kind(graph: ProcessModelGraph, *kinds: NodeKind) -> float:
-    return float(sum(1 for n in graph.nodes if n.kind in kinds))
+def _count_kind(graph: ProcessModelGraph, kind: NodeKind) -> float:
+    return float(graph.index.kind_counts.get(kind, 0))
 
 
 def node_count(graph: ProcessModelGraph) -> float:
-    return float(len(graph.flow_nodes()))
+    return float(len(graph.index.flow_nodes))
 
 
 def edge_count(graph: ProcessModelGraph) -> float:
-    return float(len(graph.sequence_edges()))
+    return float(len(graph.index.sequence_edges))
 
 
 def gateway_count(graph: ProcessModelGraph) -> float:
-    return _count_kind(graph, *GATEWAY_KINDS)
+    return float(len(graph.index.gateways))
 
 
 def or_gateway_count(graph: ProcessModelGraph) -> float:
@@ -82,24 +81,22 @@ def end_event_count(graph: ProcessModelGraph) -> float:
 
 
 def max_degree(graph: ProcessModelGraph) -> float:
-    degrees = _degrees(graph)
-    if not degrees:
-        return 0.0
-    return float(max(ind + out for ind, out in degrees.values()))
+    index = graph.index
+    return float(max(map(add, index.in_degree, index.out_degree), default=0))
 
 
 def average_connector_degree(graph: ProcessModelGraph) -> float:
-    degrees = _degrees(graph)
-    gateway_ids = [n.id for n in graph.nodes if n.kind in GATEWAY_KINDS]
-    if not gateway_ids:
+    index = graph.index
+    if not index.gateways:
         return 0.0
-    return sum(sum(degrees[g]) for g in gateway_ids) / len(gateway_ids)
+    total = sum(index.in_degree[i] + index.out_degree[i] for i in index.gateways)
+    return total / len(index.gateways)
 
 
 def nesting_depth(graph: ProcessModelGraph) -> float:
     parents = {n.id: n.parent for n in graph.nodes}
     deepest = 0
-    for node in graph.flow_nodes():
+    for node in graph.index.flow_nodes:
         depth = 0
         parent = node.parent
         while parent is not None:
@@ -110,7 +107,7 @@ def nesting_depth(graph: ProcessModelGraph) -> float:
 
 
 def unlabeled_ratio(graph: ProcessModelGraph) -> float:
-    activities = [n for n in graph.nodes if n.kind in (NodeKind.TASK, NodeKind.SUB_PROCESS)]
+    activities = [n for n in graph.index.flow_nodes if n.kind in ACTIVITY_KINDS]
     if not activities:
         return 0.0
     return sum(1 for n in activities if not n.label) / len(activities)
@@ -133,31 +130,23 @@ def pool_count(graph: ProcessModelGraph) -> float:
 
 
 def distinct_kind_count(graph: ProcessModelGraph) -> float:
-    return float(len({n.kind for n in graph.flow_nodes()}))
+    return float(sum(1 for kind in graph.index.kind_counts if kind in FLOW_NODE_KINDS))
 
 
 def gateway_mismatch_count(graph: ProcessModelGraph) -> float:
-    degrees = _degrees(graph)
-    mismatch = 0
-    for kind in GATEWAY_KINDS:
-        splits = joins = 0
-        for node in graph.nodes:
-            if node.kind is not kind:
-                continue
-            ind, out = degrees[node.id]
-            if out >= 2:
-                splits += 1
-            if ind >= 2:
-                joins += 1
-        mismatch += abs(splits - joins)
-    return float(mismatch)
+    index = graph.index
+    balance = dict.fromkeys(GATEWAY_KINDS, 0)  # splits - joins per kind
+    for i in index.gateways:
+        balance[index.flow_nodes[i].kind] += (index.out_degree[i] >= 2) - (index.in_degree[i] >= 2)
+    return float(sum(abs(b) for b in balance.values()))
 
 
 def density(graph: ProcessModelGraph) -> float:
-    n = len(graph.flow_nodes())
+    index = graph.index
+    n = len(index.flow_nodes)
     if n <= 1:
         return 0.0
-    return len(graph.sequence_edges()) / (n * (n - 1))
+    return len(index.sequence_edges) / (n * (n - 1))
 
 
 def block_structuredness(graph: ProcessModelGraph) -> float:
@@ -180,8 +169,7 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
     remains. Every rule removes a node or a flow and rules are rechecked
     only where degrees changed, so the reduction is linear in the graph.
     """
-    nodes = graph.flow_nodes()
-    index = {n.id: i for i, n in enumerate(nodes)}
+    nodes, position = graph.index.flow_nodes, graph.index.position
     kinds = [n.kind if n.kind in GATEWAY_KINDS else None for n in nodes]
     size = len(nodes)
     succ: list[dict[int, int]] = [{} for _ in range(size)]  # target -> parallel flows
@@ -215,9 +203,9 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
                 and indeg[j] >= 2 and outdeg[j] == 1
                 and indeg[s] == 1 and outdeg[s] >= 2 and j in succ[s])
 
-    for edge in graph.sequence_edges():
-        if edge.source in index and edge.target in index:
-            add_flow(index[edge.source], index[edge.target])
+    for edge in graph.index.sequence_edges:
+        if edge.source in position and edge.target in position:
+            add_flow(position[edge.source], position[edge.target])
 
     while worklist:
         v = worklist.pop()  # a contracted node has no flows left, so no rule fires on it

@@ -150,6 +150,17 @@ def test_non_finite_weights_flag_exits_2(response_bundle, weights):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "four"])
+def test_non_finite_threshold_flag_exits_2(capsys, response_bundle, threshold):
+    # the "=" form hands "-inf" to the flag instead of reading it as an option
+    with pytest.raises(SystemExit) as exc:
+        main(score_args(response_bundle, "--format", "json", f"--threshold={threshold}"))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
+
+
 def test_score_csv_through_cli(capsys, response_bundle):
     code, out, _ = run(capsys, *score_args(response_bundle, "--format", "csv"))
     assert code == 0

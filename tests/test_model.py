@@ -7,6 +7,7 @@ from procomp.bpmn import (
     GATEWAY_KINDS,
     Edge,
     EdgeKind,
+    GraphIndex,
     Node,
     NodeKind,
     ProcessModelGraph,
@@ -82,6 +83,69 @@ def test_unknown_construct_becomes_generic_with_warning():
     generic = [n for n in graph.nodes if n.kind is NodeKind.GENERIC]
     assert [n.id for n in generic] == ["cg"]
     assert any("complexGateway" in w for w in graph.warnings)
+
+
+def test_artifacts_are_not_flow_nodes():
+    graph = parse_model(wrap(
+        '<startEvent id="s"/><task id="t" name="Work"/><endEvent id="e"/>'
+        '<sequenceFlow id="f1" sourceRef="s" targetRef="t"/>'
+        '<sequenceFlow id="f2" sourceRef="t" targetRef="e"/>'
+        '<textAnnotation id="note"><text>Check twice</text></textAnnotation>'
+        '<group id="grp" categoryValueRef="cv"/>'
+        '<association id="a1" sourceRef="note" targetRef="t"/>'
+    ))
+    assert [(n.id, n.kind) for n in graph.nodes if n.kind is NodeKind.ARTIFACT] == [
+        ("note", NodeKind.ARTIFACT), ("grp", NodeKind.ARTIFACT)]
+    assert graph.warnings == ()
+    assert ("note", "t") in {(e.source, e.target) for e in graph.edges
+                             if e.kind is EdgeKind.DATA}
+    assert EXTRACTORS["node-count"](graph) == 3.0
+    assert EXTRACTORS["density"](graph) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert EXTRACTORS["distinct-kind-count"](graph) == 3.0
+    for key, want in naive_counts(graph).items():
+        assert EXTRACTORS[key](graph) == pytest.approx(want, abs=1e-12), key
+
+
+NAMESPACE_BODY = (
+    '<{p}collaboration id="c">'
+    '<{p}participant id="pool" name="Shop" processRef="p"/>'
+    '<{p}participant id="ext" name="Bank"/>'
+    '<{p}messageFlow id="m1" sourceRef="t1" targetRef="ext"/>'
+    "</{p}collaboration>"
+    '<{p}process id="p">'
+    '<{p}laneSet id="ls"><{p}lane id="lane1" name="Desk"/></{p}laneSet>'
+    '<{p}dataObjectReference id="d1" name="Order"/>'
+    '<{p}startEvent id="s"/>'
+    '<{p}task id="t1" name="Take">'
+    "<{p}dataInputAssociation id=\"da1\"><{p}sourceRef>d1</{p}sourceRef>"
+    "</{p}dataInputAssociation></{p}task>"
+    '<{p}subProcess id="sub"><{p}startEvent id="s2"/><{p}complexGateway id="cg"/>'
+    '<{p}sequenceFlow id="f4" sourceRef="s2" targetRef="cg"/></{p}subProcess>'
+    '<{p}textAnnotation id="note"><{p}text>Why</{p}text></{p}textAnnotation>'
+    '<{p}association id="a1" sourceRef="note" targetRef="t1"/>'
+    '<{p}endEvent id="e"/>'
+    '<{p}sequenceFlow id="f1" sourceRef="s" targetRef="t1"/>'
+    '<{p}sequenceFlow id="f2" sourceRef="t1" targetRef="sub"/>'
+    '<{p}sequenceFlow id="f3" sourceRef="sub" targetRef="e"/>'
+    "</{p}process>"
+)
+
+
+def test_namespace_forms_parse_alike():
+    ns = "http://www.omg.org/spec/BPMN/20100524/MODEL"
+    documents = [
+        f'<bpmn:definitions xmlns:bpmn="{ns}" id="d">'
+        + NAMESPACE_BODY.format(p="bpmn:") + "</bpmn:definitions>",
+        f'<definitions xmlns="{ns}" id="d">' + NAMESPACE_BODY.format(p="") + "</definitions>",
+        '<definitions id="d">' + NAMESPACE_BODY.format(p="") + "</definitions>",
+    ]
+    graphs = [parse_model(document) for document in documents]
+    first = graphs[0]
+    assert len(first.nodes) == 11 and len(first.edges) == 7
+    assert first.warnings == ("unknown construct <complexGateway> kept as generic node (cg)",)
+    for graph in graphs[1:]:
+        assert (graph.nodes, graph.edges, graph.warnings) == (
+            first.nodes, first.edges, first.warnings)
 
 
 def test_prefixed_namespace_parses_too():
@@ -390,6 +454,57 @@ def test_random_documents_match_naive_traversal():
         for key, want in expected.items():
             got = EXTRACTORS[key](graph)
             assert got == pytest.approx(want, abs=1e-12), key
+
+
+def test_random_block_graphs_match_naive_counts():
+    # parallel flows, self-loops and shuffled node and edge order
+    rng = random.Random(2008)
+    for _ in range(400):
+        graph = random_block_graph(rng)
+        for key, want in naive_counts(graph).items():
+            got = EXTRACTORS[key](graph)
+            assert got == pytest.approx(want, abs=1e-12), (key, graph)
+
+
+def test_sequence_flows_touching_non_flow_nodes():
+    # such a flow counts as an edge and adds degree at its flow-node end only
+    nodes = (
+        Node("pool", NodeKind.POOL), Node("lane", NodeKind.LANE),
+        Node("d", NodeKind.DATA_OBJECT), Node("s", NodeKind.START_EVENT),
+        Node("g", NodeKind.GATEWAY_XOR), Node("t", NodeKind.TASK),
+        Node("e", NodeKind.END_EVENT),
+    )
+    pairs = [("s", "g"), ("g", "t"), ("t", "e"), ("g", "d"), ("lane", "t"), ("d", "lane")]
+    edges = tuple(Edge(f"f{i}", a, b, EdgeKind.SEQUENCE) for i, (a, b) in enumerate(pairs))
+    graph = ProcessModelGraph(nodes=nodes, edges=edges)
+    index = graph.index
+    assert [n.id for n in index.flow_nodes] == ["s", "g", "t", "e"]
+    assert index.position == {"s": 0, "g": 1, "t": 2, "e": 3}
+    assert index.gateways == (1,)
+    assert index.in_degree == (0, 1, 2, 1)
+    assert index.out_degree == (1, 2, 1, 0)
+    hand = {"node-count": 4.0, "edge-count": 6.0, "max-degree": 3.0,
+            "average-connector-degree": 3.0, "gateway-mismatch-count": 1.0,
+            "distinct-kind-count": 4.0, "density": 6.0 / 12.0}
+    counts = naive_counts(graph)
+    for key, want in hand.items():
+        assert counts[key] == want, key
+    for key, want in counts.items():
+        assert EXTRACTORS[key](graph) == pytest.approx(want, abs=1e-12), key
+
+
+def test_graph_index_is_built_once_per_graph(ett, monkeypatch):
+    built: list[ProcessModelGraph] = []
+    original = GraphIndex.of
+    monkeypatch.setattr(GraphIndex, "of", lambda graph: built.append(graph) or original(graph))
+    graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
+    model_derived = {m.binding_key for m in ett.all_metrics()
+                     if m.source.value == "model-derived"}
+    assert model_derived == set(EXTRACTORS)
+    extract_metrics(graph, ett)
+    assert len(built) == 1 and built[0] is graph
+    assert graph.flow_nodes() is graph.flow_nodes()
+    assert graph.sequence_edges() is graph.index.sequence_edges
 
 
 # ---------------------------------------------------------------------------
