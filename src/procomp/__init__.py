@@ -45,7 +45,6 @@ from .ett import (
     build_ett,
     load_ett,
     load_ett_file,
-    serialize_ett,
     validate_ett,
 )
 from .languages import (
@@ -60,7 +59,7 @@ from .languages import (
     normalize_complexity,
     pattern_score,
 )
-from .metrics import EXTRACTORS, RawMetricValue, extract_metrics, normalize_metric
+from .metrics import EXTRACTORS, extract_metrics, normalize_metric
 from .pipeline import ScoringPlan, compile_plan, evaluate_model
 from .questionnaire import (
     Question,

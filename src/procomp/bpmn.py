@@ -141,9 +141,6 @@ class ProcessModelGraph:
         """Built on first use and kept with the graph, which is immutable."""
         return GraphIndex.of(self)
 
-    def node_map(self) -> dict[str, Node]:
-        return {n.id: n for n in self.nodes}
-
     def flow_nodes(self) -> tuple[Node, ...]:
         return self.index.flow_nodes
 

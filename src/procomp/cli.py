@@ -20,7 +20,7 @@ from .errors import (
     ScoringError,
 )
 from .documents import read_json_object
-from .ett import build_ett, load_ett_file, serialize_ett, validate_ett
+from .ett import build_ett, load_ett_file, validate_ett
 from .languages import (
     complexity_score,
     load_descriptor_file,
@@ -97,6 +97,13 @@ def _finite_float(value: str) -> float:
         number = math.nan
     if not math.isfinite(number):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _unit_float(value: str) -> float:
+    number = _finite_float(value)
+    if not 0.0 <= number <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {value!r}")
     return number
 
 
@@ -194,7 +201,7 @@ def _cmd_ett_validate(args) -> int:
 
 
 def _cmd_survey_rank(args) -> int:
-    dataset = load_survey_csv(args.dataset, respondent_count=args.respondents)
+    dataset = load_survey_csv(args.dataset)
     if args.compare:
         lines = []
         for row in compare_methods(dataset):
@@ -320,7 +327,7 @@ def _cmd_questionnaire_fill(args) -> int:
 def _cmd_init(args) -> int:
     target = Path(args.directory)
     files: dict[Path, dict] = {
-        target / "ett.json": serialize_ett(defaults.default_ett()),
+        target / "ett.json": defaults.default_ett_document(),
         target / "questionnaire_modeler.json": defaults.modeler_questionnaire_document(),
         target / "questionnaire_reader.json": defaults.reader_questionnaire_document(),
     }
@@ -386,11 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     survey_rank.add_argument("dataset", help="CSV with columns item, rank, fraction")
     survey_rank.add_argument("--method", default="dnlog",
                              choices=[k.value for k in MethodKind])
-    survey_rank.add_argument("--d", type=float, default=10.0,
+    survey_rank.add_argument("--d", type=_finite_float, default=10.0,
                              help="top weight for dnlog (default 10)")
-    survey_rank.add_argument("--p", type=float, default=2.0,
+    survey_rank.add_argument("--p", type=_finite_float, default=2.0,
                              help="power for rank-exponent (default 2)")
-    survey_rank.add_argument("--respondents", type=int, default=1)
     survey_rank.add_argument("--compare", action="store_true",
                              help="tabulate all five weighting methods")
     survey_rank.add_argument("--output")
@@ -401,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     language_compare = language_sub.add_parser("compare", help="compare registered languages")
     language_compare.add_argument("--languages", nargs="+",
                                   help="descriptor file(s) (default: built-in registry)")
-    language_compare.add_argument("--partial-weight", type=float, default=1.0)
+    language_compare.add_argument("--partial-weight", type=_unit_float, default=1.0,
+                                  help="what a partially supported pattern counts, in [0, 1] "
+                                       "(default 1); changes this table only")
     language_compare.add_argument("--full-range", action="store_true",
                                   help="spread scores over all of [1, 10]")
     language_compare.add_argument("--output")

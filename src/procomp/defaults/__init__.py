@@ -10,8 +10,8 @@ from __future__ import annotations
 from ..ett import EvaluationTheoryTree, load_ett
 from ..languages import LanguageDescriptor, load_descriptor
 from ..questionnaire import QuestionnaireSchema, load_schema
-from .descriptors import language_documents
-from .ett_catalog import ett_document
+from .descriptors import language_documents as default_language_documents  # keyed by file slug
+from .ett_catalog import ett_document as default_ett_document
 from .questions import modeler_questionnaire_document, reader_questionnaire_document
 
 __all__ = [
@@ -24,12 +24,8 @@ __all__ = [
 ]
 
 
-def default_ett_document() -> dict:
-    return ett_document()
-
-
 def default_ett() -> EvaluationTheoryTree:
-    return load_ett(ett_document())
+    return load_ett(default_ett_document())
 
 
 def default_modeler_schema() -> QuestionnaireSchema:
@@ -40,10 +36,5 @@ def default_reader_schema() -> QuestionnaireSchema:
     return load_schema(reader_questionnaire_document())
 
 
-def default_language_documents() -> dict[str, dict]:
-    """Descriptor documents keyed by a filesystem-friendly slug."""
-    return language_documents()
-
-
 def builtin_language_registry() -> tuple[LanguageDescriptor, ...]:
-    return tuple(load_descriptor(doc) for doc in language_documents().values())
+    return tuple(load_descriptor(doc) for doc in default_language_documents().values())

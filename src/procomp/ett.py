@@ -124,16 +124,9 @@ class EvaluationTheoryTree:
     def all_metrics(self) -> tuple[QualityMetric, ...]:
         return tuple(m for c in self.criteria for m in c.metrics)
 
-    def find_metric(self, metric_id: str) -> tuple[QualityCriterion, QualityMetric] | None:
-        for criterion in self.criteria:
-            for metric in criterion.metrics:
-                if metric.id == metric_id:
-                    return criterion, metric
-        return None
-
 
 # ---------------------------------------------------------------------------
-# Loading and serialization
+# Loading
 
 
 def _require(document: dict, key: str, path: str) -> Any:
@@ -272,70 +265,16 @@ def load_ett_file(path: str | Path) -> EvaluationTheoryTree:
     return load_ett(read_json_object(path))
 
 
-def serialize_ett(tree: EvaluationTheoryTree) -> dict:
-    """Document form of a tree, in canonical order (perspective, ranks)."""
-    criteria = sorted(tree.criteria, key=lambda c: (c.perspective.value, c.rank))
-    out_criteria = []
-    for criterion in criteria:
-        metrics = []
-        for metric in sorted(criterion.metrics, key=lambda m: m.rank):
-            mdoc: dict[str, Any] = {
-                "id": metric.id,
-                "name": metric.name,
-                "description": metric.description,
-                "source": metric.source.value,
-                "rank": metric.rank,
-                "polarity": metric.polarity.value,
-            }
-            if metric.normalization.kind is not NormalizationKind.IDENTITY:
-                norm: dict[str, Any] = {"kind": metric.normalization.kind.value}
-                if metric.normalization.lo is not None:
-                    norm["lo"] = metric.normalization.lo
-                    norm["hi"] = metric.normalization.hi
-                mdoc["normalization"] = norm
-            if metric.binding is not None:
-                mdoc["binding"] = metric.binding
-            if metric.weight is not None:
-                mdoc["weight"] = metric.weight
-            metrics.append(mdoc)
-        cdoc: dict[str, Any] = {
-            "id": criterion.id,
-            "name": criterion.name,
-            "perspective": criterion.perspective.value,
-            "rank": criterion.rank,
-            "metrics": metrics,
-        }
-        if criterion.weight is not None:
-            cdoc["weight"] = criterion.weight
-        out_criteria.append(cdoc)
-    return {
-        "version": tree.version,
-        "survey_d": tree.survey_d,
-        "interaction_weights": {
-            "modeler": tree.interaction_weights[0],
-            "reader": tree.interaction_weights[1],
-        },
-        "criteria": out_criteria,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Weighting
 
 
-def assign_weights(
-    tree: EvaluationTheoryTree,
-    d: float | None = None,
-    *,
-    criterion_level: bool = True,
-    metric_level: bool = True,
-) -> EvaluationTheoryTree:
+def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> EvaluationTheoryTree:
     """Derive rank weights for every sibling group; returns a new tree.
 
     Within each group of n ranked siblings, rank 1 gets weight d, rank n
     gets weight 1, with a constant ratio in between; a singleton group gets
-    d. Levels can be weighted independently; a disabled level gets uniform
-    weight 1.
+    d.
     """
     if d is None:
         d = tree.survey_d
@@ -349,13 +288,11 @@ def assign_weights(
         for criterion in group:
             if not criterion.metrics:
                 raise ConfigError(f"criterion {criterion.id!r} has no metrics to weight")
-            cweight = dnlog_weight(n_criteria, criterion.rank, d) if criterion_level else 1.0
             n_metrics = len(criterion.metrics)
-            new_metrics = tuple(
-                replace(m, weight=dnlog_weight(n_metrics, m.rank, d) if metric_level else 1.0)
-                for m in criterion.metrics
-            )
-            new_criteria.append(replace(criterion, weight=cweight, metrics=new_metrics))
+            new_metrics = tuple(replace(m, weight=dnlog_weight(n_metrics, m.rank, d))
+                                for m in criterion.metrics)
+            new_criteria.append(replace(criterion, weight=dnlog_weight(n_criteria, criterion.rank, d),
+                                        metrics=new_metrics))
     new_criteria.sort(key=lambda c: (c.perspective.value, c.rank))
     return replace(tree, criteria=tuple(new_criteria))
 

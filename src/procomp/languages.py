@@ -150,10 +150,12 @@ def pattern_score(
 ) -> tuple[float, dict[PatternType, float]]:
     """Total supported-pattern count and the per-type support share.
 
-    Partial support counts like full support by default; ``partial_weight``
-    scales it. Types with a zero catalog size are omitted from the share
-    map.
+    Partial support counts like full support by default; ``partial_weight``,
+    in [0, 1], scales it. Types with a zero catalog size are omitted from
+    the share map.
     """
+    if not 0.0 <= partial_weight <= 1.0:
+        raise ValueError(f"partial weight must lie in [0, 1], got {partial_weight}")
     total = 0.0
     percentages: dict[PatternType, float] = {}
     for ptype in PatternType:
@@ -165,14 +167,14 @@ def pattern_score(
     return total, percentages
 
 
-def control_flow_percentage(descriptor: LanguageDescriptor, *, partial_weight: float = 1.0) -> float:
+def control_flow_percentage(descriptor: LanguageDescriptor) -> float:
     """Share of the control-flow catalog the language supports, in [0, 1]."""
     size = descriptor.patterns.catalog_sizes.get(PatternType.CONTROL_FLOW, 0)
     if size <= 0:
         raise ConfigError(
             f"descriptor {descriptor.name!r} has no control-flow pattern catalog"
         )
-    return descriptor.patterns.counts(PatternType.CONTROL_FLOW, partial_weight) / size
+    return descriptor.patterns.counts(PatternType.CONTROL_FLOW) / size
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +211,3 @@ def load_descriptor(document: dict) -> LanguageDescriptor:
 
 def load_descriptor_file(path: str | Path) -> LanguageDescriptor:
     return load_descriptor(read_json_object(path))
-
-
-def serialize_descriptor(descriptor: LanguageDescriptor) -> dict:
-    patterns = sorted(descriptor.patterns.entries, key=lambda e: (e.type.value, e.id))
-    return {
-        "version": "1",
-        "name": descriptor.name,
-        "elements": descriptor.elements,
-        "characteristics": descriptor.characteristics,
-        "relations": descriptor.relations,
-        "pattern_catalog": {
-            ptype.value: size for ptype, size in sorted(
-                descriptor.patterns.catalog_sizes.items(), key=lambda kv: kv[0].value
-            )
-        },
-        "patterns": [
-            {"id": e.id, "name": e.name, "type": e.type.value, "support": e.support.value}
-            for e in patterns
-        ],
-    }

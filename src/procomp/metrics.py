@@ -31,7 +31,6 @@ Counting rules for the built-in extractors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Callable
 
@@ -44,12 +43,6 @@ from .ett import (
     NormalizationSpec,
     Polarity,
 )
-
-
-@dataclass(frozen=True)
-class RawMetricValue:
-    metric_id: str
-    value: float
 
 
 def _count_kind(graph: ProcessModelGraph, kind: NodeKind) -> float:
@@ -95,15 +88,16 @@ def average_connector_degree(graph: ProcessModelGraph) -> float:
 
 def nesting_depth(graph: ProcessModelGraph) -> float:
     parents = {n.id: n.parent for n in graph.nodes}
-    deepest = 0
-    for node in graph.index.flow_nodes:
-        depth = 0
-        parent = node.parent
-        while parent is not None:
-            depth += 1
+    depths: dict[str | None, int] = {None: 0}  # how deep the content of each parent id sits
+    for parent in {n.parent for n in graph.index.flow_nodes}:
+        chain = []
+        while parent not in depths:  # climb only to the first parent already measured
+            chain.append(parent)
             parent = parents.get(parent)
-        deepest = max(deepest, depth)
-    return float(deepest)
+        for child in reversed(chain):
+            depths[child] = depths[parent] + 1
+            parent = child
+    return float(max(depths.values()))  # an ancestor sits less deep than its descendants
 
 
 def unlabeled_ratio(graph: ProcessModelGraph) -> float:
@@ -248,29 +242,32 @@ EXTRACTORS: dict[str, Callable[[ProcessModelGraph], float]] = {
 }
 
 
-def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> list[RawMetricValue]:
-    """One raw value per model-derived metric in the tree.
+def check_extractor_bindings(tree: EvaluationTheoryTree) -> None:
+    """Raise ExtractionError naming every model-derived metric whose binding
+    key names no extractor."""
+    missing = [m.id for m in tree.all_metrics()
+               if m.source is MetricSource.MODEL_DERIVED and m.binding_key not in EXTRACTORS]
+    if missing:
+        raise ExtractionError(missing)
+
+
+def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> dict[str, float]:
+    """The raw value of every model-derived metric in the tree, by metric id.
 
     Metrics resolve to extractors through their binding key; any metric
     without a matching extractor makes the whole extraction fail. Each
     binding key is extracted once, however many metrics share it.
     """
-    results: list[RawMetricValue] = []
-    missing: list[str] = []
+    check_extractor_bindings(tree)
     values: dict[str, float] = {}
+    raw: dict[str, float] = {}
     for metric in tree.all_metrics():
-        if metric.source is not MetricSource.MODEL_DERIVED:
-            continue
-        extractor = EXTRACTORS.get(metric.binding_key)
-        if extractor is None:
-            missing.append(metric.id)
-            continue
-        if metric.binding_key not in values:
-            values[metric.binding_key] = extractor(graph)
-        results.append(RawMetricValue(metric_id=metric.id, value=values[metric.binding_key]))
-    if missing:
-        raise ExtractionError(missing)
-    return results
+        if metric.source is MetricSource.MODEL_DERIVED:
+            key = metric.binding_key
+            if key not in values:
+                values[key] = EXTRACTORS[key](graph)
+            raw[metric.id] = values[key]
+    return raw
 
 
 def normalize_metric(value: float, spec: NormalizationSpec, polarity: Polarity) -> float:

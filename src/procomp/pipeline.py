@@ -31,7 +31,7 @@ from .languages import (
     control_flow_percentage,
     normalize_complexity,
 )
-from .metrics import extract_metrics, normalize_metric
+from .metrics import check_extractor_bindings, extract_metrics, normalize_metric
 from .questionnaire import (
     QuestionnaireSchema,
     ResponseSet,
@@ -91,17 +91,10 @@ class ScoringPlan:
         """Extract, normalize, aggregate and flag one model."""
         tree = self.tree
         # Raw values per metric id, from each non-questionnaire source.
-        raw_values: dict[str, float] = {
-            rv.metric_id: rv.value for rv in extract_metrics(graph, tree)
-        }
+        raw_values = extract_metrics(graph, tree)
         registry_values = language_metric_values(self.registry, self.language or graph.language)
         for metric in tree.all_metrics():
             if metric.source is MetricSource.LANGUAGE_REGISTRY:
-                if metric.binding_key not in registry_values:
-                    raise ConfigError(
-                        f"metric {metric.id!r} binds to unknown registry value "
-                        f"{metric.binding_key!r} (known: {', '.join(_REGISTRY_BINDINGS)})"
-                    )
                 raw_values[metric.id] = registry_values[metric.binding_key]
 
         questionnaire_scores = self.questionnaire_scores
@@ -185,8 +178,9 @@ def compile_plan(
     interaction_weights: tuple[float, float] | None = None,
     language: str | None = None,
 ) -> ScoringPlan:
-    """Weight the tree, check both schemas against it and score every
-    response set, once for all the models the plan will evaluate."""
+    """Weight the tree, check both schemas and every metric binding against
+    it and score every response set, once for all the models the plan will
+    evaluate."""
     if not reader_responses:
         raise ResponseError("at least one reader response set is required")
     tree = ensure_weighted(tree)
@@ -206,6 +200,12 @@ def compile_plan(
     questionnaire_scores.update(
         average_scores([score_responses(reader_schema, r) for r in reader_responses])
     )
+    check_extractor_bindings(tree)
+    for metric in tree.all_metrics():
+        if (metric.source is MetricSource.LANGUAGE_REGISTRY
+                and metric.binding_key not in _REGISTRY_BINDINGS):
+            raise ConfigError(f"metric {metric.id!r} binds to unknown registry value "
+                              f"{metric.binding_key!r} (known: {', '.join(_REGISTRY_BINDINGS)})")
     return ScoringPlan(
         tree=tree,
         registry=tuple(registry),

@@ -56,9 +56,6 @@ class QuestionnaireSchema:
                 raise ConfigError(f"duplicate question id {question.id!r}")
             seen.add(question.id)
 
-    def question_map(self) -> dict[str, Question]:
-        return {q.id: q for q in self.questions}
-
     @property
     def expected_source(self) -> MetricSource:
         if self.perspective is Perspective.MODELER:
@@ -83,7 +80,7 @@ class ResponseIssue:
 def validate_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> list[ResponseIssue]:
     """Missing answers, unknown ids, wrong answer types, out-of-range levels."""
     issues: list[ResponseIssue] = []
-    questions = schema.question_map()
+    questions = {q.id for q in schema.questions}
     for question_id in responses.answers:
         if question_id not in questions:
             issues.append(ResponseIssue("unknown-question", question_id,
@@ -155,13 +152,13 @@ def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> 
     """
     issues: list[ResponseIssue] = []
     covered: set[str] = set()
+    metrics = {m.id: m for m in reversed(tree.all_metrics())}  # the first of a duplicate id wins
     for question in schema.questions:
-        found = tree.find_metric(question.metric_id)
-        if found is None:
+        metric = metrics.get(question.metric_id)
+        if metric is None:
             issues.append(ResponseIssue("unknown-metric", question.id,
                                         f"question targets unknown metric {question.metric_id!r}"))
             continue
-        _, metric = found
         if metric.source is not schema.expected_source:
             issues.append(ResponseIssue(
                 "source-mismatch", question.id,
@@ -204,22 +201,6 @@ def load_schema(document: dict) -> QuestionnaireSchema:
 
 def load_schema_file(path: str | Path) -> QuestionnaireSchema:
     return load_schema(read_json_object(path))
-
-
-def serialize_schema(schema: QuestionnaireSchema) -> dict:
-    questions = []
-    for q in schema.questions:
-        qdoc: dict = {"id": q.id, "text": q.text, "kind": q.kind.value, "metric": q.metric_id}
-        if q.levels is not None:
-            qdoc["levels"] = q.levels
-        if q.polarity is not QuestionPolarity.POSITIVE:
-            qdoc["polarity"] = q.polarity.value
-        questions.append(qdoc)
-    return {
-        "version": schema.version,
-        "perspective": schema.perspective.value,
-        "questions": questions,
-    }
 
 
 def load_responses(document: dict) -> ResponseSet:

@@ -43,13 +43,13 @@ class RankMethod:
     def __post_init__(self):
         if self.kind is MethodKind.RANK_EXPONENT:
             p = 2.0 if self.param is None else self.param
-            if p <= 0:
-                raise ValueError(f"rank-exponent power must be > 0, got {p}")
+            if not 0 < p < math.inf:
+                raise ValueError(f"rank-exponent power must be finite and > 0, got {p}")
             object.__setattr__(self, "param", p)
         elif self.kind is MethodKind.DNLOG:
             d = 10.0 if self.param is None else self.param
-            if d <= 1:
-                raise ValueError(f"dnlog top weight d must be > 1, got {d}")
+            if not 1 < d < math.inf:
+                raise ValueError(f"dnlog top weight d must be finite and > 1, got {d}")
             object.__setattr__(self, "param", d)
         else:
             object.__setattr__(self, "param", None)
@@ -114,13 +114,10 @@ class SurveyDataset:
     items: tuple[str, ...]
     n: int
     placements: dict[str, tuple[float, ...]] = field(compare=False)
-    respondent_count: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"rank count must be >= 1, got {self.n}")
-        if self.respondent_count < 1:
-            raise ConfigError(f"respondent count must be >= 1, got {self.respondent_count}")
         if len(set(self.items)) != len(self.items):
             raise ConfigError("duplicate item ids in survey dataset")
         for item in self.items:
@@ -139,7 +136,7 @@ class SurveyDataset:
                 )
 
 
-def load_survey_csv(path: str | Path, respondent_count: int = 1) -> SurveyDataset:
+def load_survey_csv(path: str | Path) -> SurveyDataset:
     """Read a dataset from a CSV with columns item, rank, fraction."""
     rows: list[tuple[str, int, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -168,7 +165,6 @@ def load_survey_csv(path: str | Path, respondent_count: int = 1) -> SurveyDatase
         items=tuple(items),
         n=n,
         placements={item: tuple(ps) for item, ps in placements.items()},
-        respondent_count=respondent_count,
     )
 
 

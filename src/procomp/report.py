@@ -41,6 +41,16 @@ def fmt2(value: float) -> str:
     return str(Decimal(str(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
+def _no_noise(evaluation: ComprehensionEvaluation) -> str:
+    return f"No noise detected (no score below threshold {fmt2(evaluation.noise_threshold)})."
+
+
+def _table(header: tuple[str, ...], rows) -> list[str]:
+    """The lines of a markdown table."""
+    return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
+            *("| " + " | ".join(row) + " |" for row in rows)]
+
+
 def render_summary(evaluation: ComprehensionEvaluation) -> ReportDocument:
     """The summary view: perspective scores, criterion table, noise flags."""
     lines = [
@@ -67,10 +77,7 @@ def render_summary(evaluation: ComprehensionEvaluation) -> ReportDocument:
         for flag in evaluation.flags:
             lines.append(f"    {fmt2(flag.score):>5}  {flag.kind:<9}  {flag.name}  ({flag.path})")
     else:
-        lines.append(
-            f"  No noise detected (no score below threshold "
-            f"{fmt2(evaluation.noise_threshold)})."
-        )
+        lines.append(f"  {_no_noise(evaluation)}")
     lines.append("")
     return ReportDocument(ReportFormat.TEXT, "\n".join(lines))
 
@@ -79,33 +86,23 @@ def _render_markdown(evaluation: ComprehensionEvaluation) -> str:
     lines = [
         f"# Comprehension summary: {evaluation.model_id}",
         "",
-        "| Perspective | Score |",
-        "|---|---|",
-        f"| Modeler (S_m) | {fmt2(evaluation.s_m)} |",
-        f"| Reader (S_r) | {fmt2(evaluation.s_r)} |",
-        f"| Combined (S_b) | {fmt2(evaluation.s_b)} |",
+        *_table(("Perspective", "Score"), [("Modeler (S_m)", fmt2(evaluation.s_m)),
+                                           ("Reader (S_r)", fmt2(evaluation.s_r)),
+                                           ("Combined (S_b)", fmt2(evaluation.s_b))]),
         "",
         "## Criteria",
         "",
-        "| Perspective | Criterion | Score |",
-        "|---|---|---|",
+        *_table(("Perspective", "Criterion", "Score"),
+                [(c.perspective.value, c.name, fmt2(c.score)) for c in evaluation.criteria]),
+        "",
+        "## Noise",
+        "",
     ]
-    for criterion in evaluation.criteria:
-        lines.append(
-            f"| {criterion.perspective.value} | {criterion.name} | {fmt2(criterion.score)} |"
-        )
-    lines.append("")
-    lines.append("## Noise")
-    lines.append("")
     if evaluation.flags:
-        lines.append("| Score | Kind | Name | Path |")
-        lines.append("|---|---|---|---|")
-        for flag in evaluation.flags:
-            lines.append(f"| {fmt2(flag.score)} | {flag.kind} | {flag.name} | {flag.path} |")
+        lines += _table(("Score", "Kind", "Name", "Path"),
+                        [(fmt2(f.score), f.kind, f.name, f.path) for f in evaluation.flags])
     else:
-        lines.append(
-            f"No noise detected (no score below threshold {fmt2(evaluation.noise_threshold)})."
-        )
+        lines.append(_no_noise(evaluation))
     lines.append("")
     return "\n".join(lines)
 

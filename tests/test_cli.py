@@ -241,6 +241,32 @@ def test_unextractable_metric_fails_alike_at_any_jobs(capsys, response_bundle, t
     assert pooled == serial
 
 
+def _rebound_tree(tmp_path, source, binding):
+    """The default tree with its first metric of ``source`` bound to ``binding``."""
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    metric = next(m for c in document["criteria"] for m in c["metrics"] if m["source"] == source)
+    metric["binding"] = binding
+    path = tmp_path / "ett.json"
+    path.write_text(json.dumps(document))
+    return path, metric["id"]
+
+
+@pytest.mark.parametrize("source, code, message", [
+    ("model-derived", 1, "validation failure: unextractable metric(s): {}\n"),
+    ("language-registry", 2, "error: metric '{}' binds to unknown registry value 'no-such-binding' "
+                             "(known: complexity, control-flow-pattern-support)\n"),
+], ids=["extractor", "registry"])
+def test_unknown_binding_is_reported_before_any_model_is_parsed(capsys, response_bundle, tmp_path,
+                                                                source, code, message):
+    tree, metric_id = _rebound_tree(tmp_path, source, "no-such-binding")
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    for models in ([broken], [broken, FIXTURE_MODELS[0]]):
+        for result in run_at_jobs(capsys, batch_args(response_bundle, models, "--ett", str(tree))):
+            assert result == (code, "", message.format(metric_id))
+
+
 def test_config_errors_come_before_any_model_is_parsed(capsys, response_bundle, tmp_path):
     crippled = tmp_path / "partial.json"
     document = json.loads(response_bundle["modeler"].read_text())
@@ -301,6 +327,10 @@ def test_ett_validate_lists_every_structural_violation(capsys, tmp_path):
     assert "[nonpositive-weight]" in errors[1]
 
 
+# json.dumps writes no float that overflows, so this string stands for 1e400 in the text
+OVERFLOW = "<1e400>"
+
+
 def _hostile_tree(change):
     from procomp.defaults import default_ett_document
     document = default_ett_document()
@@ -328,6 +358,8 @@ HOSTILE_DOCUMENTS = {
         lambda d: d.update(interaction_weights={"modeler": "nan", "reader": 0.5}))),
     "interaction-weights-bool": ("ett", _hostile_tree(
         lambda d: d.update(interaction_weights={"modeler": True, "reader": False}))),
+    "survey-d-overflow": ("ett", _hostile_tree(lambda d: d.update(survey_d=OVERFLOW))),
+    "survey-d-overflow-int": ("ett", _hostile_tree(lambda d: d.update(survey_d=10 ** 400))),
     "tree-list": ("ett", []),
     "descriptor-list": ("languages", []),
     "descriptor-string": ("languages", "x"),
@@ -338,6 +370,8 @@ HOSTILE_DOCUMENTS = {
         "name": "x", "elements": float("inf"), "characteristics": 1, "relations": 1}),
     "descriptor-nan-string-count": ("languages", {
         "name": "x", "elements": "nan", "characteristics": 1, "relations": 1}),
+    "descriptor-overflow-count": ("languages", {
+        "name": "x", "elements": OVERFLOW, "characteristics": 1, "relations": 1}),
 }
 
 
@@ -345,7 +379,7 @@ HOSTILE_DOCUMENTS = {
 def test_hostile_config_documents_exit_2(capsys, tmp_path, response_bundle, name):
     kind, document = HOSTILE_DOCUMENTS[name]
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps(document).replace(f'"{OVERFLOW}"', "1e400"))
     if kind == "ett":
         commands = [["ett", "validate", "--ett", str(path)],
                     score_args(response_bundle, "--ett", str(path))]
@@ -357,6 +391,8 @@ def test_hostile_config_documents_exit_2(capsys, tmp_path, response_bundle, name
         assert code == 2, (argv, err)
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if "overflow" in name:
+            assert err.startswith(f"error: {path}: malformed JSON document: number ")
 
 
 def test_survey_rank_matches_brute_force(capsys, tmp_path):
@@ -390,6 +426,33 @@ def test_survey_compare_lists_five_methods(capsys, tmp_path):
     assert len(lines) == 5
     assert any("exponential" in line for line in lines)
     assert any("linear-like" in line for line in lines)
+
+
+def run_to_exit(capsys, *argv):
+    """``run``, where argparse's exit counts as the exit code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--d", "nan"], ["--d", "inf"], ["--d", "-inf"], ["--d", "1"],
+    ["--method", "rank-exponent", "--p", "nan"], ["--method", "rank-exponent", "--p", "inf"],
+    ["--method", "rank-exponent", "--p", "0"],
+])
+def test_survey_rank_bad_method_parameter_exits_2(capsys, tmp_path, flags):
+    path = tmp_path / "survey.csv"
+    path.write_text("item,rank,fraction\na,1,0.8\na,2,0.2\nb,1,0.2\nb,2,0.8\n", encoding="utf-8")
+    code, out, _ = run_to_exit(capsys, "survey", "rank", str(path), *flags)
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-5", "1.5", "half"])
+def test_language_compare_partial_weight_outside_unit_interval_exits_2(capsys, weight):
+    code, out, _ = run_to_exit(capsys, "language", "compare", f"--partial-weight={weight}")
+    assert (code, out) == (2, "")
 
 
 def test_language_compare(capsys):
@@ -438,6 +501,24 @@ def test_init_writes_files_and_refuses_overwrite(capsys, tmp_path):
 
     code, _, _ = run(capsys, "init", str(target), "--force")
     assert code == 0
+
+
+def test_init_files_load_back_to_the_defaults(capsys, tmp_path):
+    from operator import attrgetter
+
+    from procomp import defaults
+    from procomp.ett import load_ett_file
+    from procomp.languages import load_descriptor_file
+    from procomp.questionnaire import load_schema_file
+    assert run(capsys, "init", str(tmp_path))[0] == 0
+    assert load_ett_file(tmp_path / "ett.json") == defaults.default_ett()
+    assert load_schema_file(tmp_path / "questionnaire_modeler.json") == \
+        defaults.default_modeler_schema()
+    assert load_schema_file(tmp_path / "questionnaire_reader.json") == \
+        defaults.default_reader_schema()
+    registry = [load_descriptor_file(p) for p in (tmp_path / "languages").glob("*.json")]
+    by_name = attrgetter("name")
+    assert sorted(registry, key=by_name) == sorted(defaults.builtin_language_registry(), key=by_name)
 
 
 def test_env_config_dir_used_for_defaults(capsys, tmp_path, monkeypatch, response_bundle):

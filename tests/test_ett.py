@@ -8,8 +8,8 @@ from procomp.ett import (
     Perspective,
     assign_weights,
     build_ett,
+    ensure_weighted,
     load_ett,
-    serialize_ett,
     validate_ett,
 )
 from procomp.defaults import default_ett, default_ett_document
@@ -82,15 +82,22 @@ def test_missing_field_reports_path():
         load_ett(document)
 
 
-def test_roundtrip_is_semantically_identical():
-    tree = default_ett()
-    assert load_ett(serialize_ett(tree)) == tree
-    weighted = assign_weights(tree, 10.0)
-    assert load_ett(serialize_ett(weighted)) == weighted
+def test_document_with_every_weight_pinned_loads_to_the_assigned_tree():
+    weighted = assign_weights(default_ett())
+    criteria = {c.id: c for c in weighted.criteria}
+    metrics = {m.id: m for m in weighted.all_metrics()}
+    document = default_ett_document()
+    for cdoc in document["criteria"]:
+        cdoc["weight"] = criteria[cdoc["id"]].weight
+        for mdoc in cdoc["metrics"]:
+            mdoc["weight"] = metrics[mdoc["id"]].weight
+    pinned = load_ett(document)
+    assert pinned == weighted
+    assert ensure_weighted(pinned) is pinned
 
 
 def test_serialization_is_canonically_ordered():
-    document = serialize_ett(default_ett())
+    document = default_ett_document()  # what `procomp init` writes
     perspectives = [c["perspective"] for c in document["criteria"]]
     assert perspectives == sorted(perspectives)
     for criterion in document["criteria"]:
@@ -142,13 +149,6 @@ def test_weight_monotonicity_and_geometric_spacing():
         assert all(a > b > 0 for a, b in zip(weights, weights[1:]))
         ratios = [a / b for a, b in zip(weights, weights[1:])]
         assert max(ratios) - min(ratios) <= 1e-9 * max(ratios)
-
-
-def test_metric_level_weighting_can_be_disabled():
-    tree = load_ett(minimal_document(metric_ranks=(1, 2, 3)))
-    weighted = assign_weights(tree, 10.0, metric_level=False)
-    assert {m.weight for m in weighted.criteria[0].metrics} == {1.0}
-    assert weighted.criteria[0].weight == 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_prefixed_namespace_parses_too():
 
 def test_subprocess_children_carry_parent():
     graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
-    by_id = graph.node_map()
+    by_id = {n.id: n for n in graph.nodes}
     assert by_id["t4"].parent == "sub1"
     assert by_id["t1"].parent is None
     assert by_id["sub1"].kind is NodeKind.SUB_PROCESS
@@ -202,8 +202,25 @@ def test_data_association_on_subprocess_is_an_edge_not_a_node():
 def test_deeply_nested_sub_processes_parse():
     graph = parse_model(nested_subprocess_document(1100))
     assert [n.id for n in graph.nodes] == [f"sp{i}" for i in range(1100)] + ["t"]
-    assert graph.node_map()["t"].parent == "sp1099"
+    assert graph.nodes[-1].parent == "sp1099"
     assert EXTRACTORS["nesting-depth"](graph) == 1100.0
+
+
+def test_nesting_depth_matches_naive_count_on_random_containment_trees():
+    # sibling sub-processes at different depths, nodes in shuffled order, and
+    # parents that are no flow node (a lane) or absent from the graph
+    rng = random.Random(1100)
+    for _ in range(200):
+        nodes, parents = [], [None, "absent"]
+        for i in range(rng.randint(1, 40)):
+            kind = rng.choice((NodeKind.SUB_PROCESS, NodeKind.SUB_PROCESS, NodeKind.TASK,
+                               NodeKind.LANE))
+            nodes.append(Node(f"n{i}", kind, parent=rng.choice(parents)))
+            if kind is not NodeKind.TASK:
+                parents.append(f"n{i}")
+        rng.shuffle(nodes)
+        graph = ProcessModelGraph(tuple(nodes), ())
+        assert EXTRACTORS["nesting-depth"](graph) == naive_counts(graph)["nesting-depth"], graph
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +530,7 @@ def test_graph_index_is_built_once_per_graph(ett, monkeypatch):
 
 def test_extract_covers_every_model_derived_metric(ett):
     graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
-    values = {rv.metric_id: rv.value for rv in extract_metrics(graph, ett)}
+    values = extract_metrics(graph, ett)
     model_derived = [
         m for m in ett.all_metrics() if m.source.value == "model-derived"
     ]
@@ -533,11 +550,11 @@ def test_extract_calls_each_binding_once(ett, monkeypatch):
     graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
     values = extract_metrics(graph, ett)
     model_derived = [m for m in ett.all_metrics() if m.source.value == "model-derived"]
-    assert [rv.metric_id for rv in values] == [m.id for m in model_derived]
+    assert list(values) == [m.id for m in model_derived]
     assert len(calls) == len(set(calls)) == len({m.binding_key for m in model_derived})
     assert len(values) > len(calls)
-    for rv, metric in zip(values, model_derived):
-        assert rv.value == EXTRACTORS[metric.binding_key](graph)
+    for metric in model_derived:
+        assert values[metric.id] == EXTRACTORS[metric.binding_key](graph)
 
 
 def test_unextractable_metric_is_reported():

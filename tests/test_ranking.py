@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -35,7 +36,8 @@ def random_dataset(rng, max_items=8, max_ranks=6):
             fractions.append(cut - previous)
             previous = cut
         placements[item] = tuple(fractions)
-    return SurveyDataset(tuple(items), n, placements, respondent_count=rng.randint(1, 200))
+    rng.randint(1, 200)  # the draw of the dropped respondent count, kept so the datasets stay the same
+    return SurveyDataset(tuple(items), n, placements)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +65,12 @@ def test_rank_exponent_default_power():
     assert method_weight(RankMethod(MethodKind.RANK_EXPONENT), 5, 2) == 16.0
 
 
+def test_rank_exponent_parameter_validation():
+    for p in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RankMethod(MethodKind.RANK_EXPONENT, p)
+
+
 def test_weight_out_of_range_rejected():
     for k in (0, 6):
         with pytest.raises(ValueError):
@@ -78,8 +86,9 @@ def test_every_method_is_positive_and_non_increasing():
 
 
 def test_dnlog_parameter_validation():
-    with pytest.raises(ValueError):
-        RankMethod(MethodKind.DNLOG, 1.0)
+    for d in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RankMethod(MethodKind.DNLOG, d)
     with pytest.raises(ValueError):
         dnlog_weight(5, 1, 0.9)
 
@@ -213,10 +222,9 @@ def test_csv_roundtrip(tmp_path):
         "person,1,0.13\nperson,2,0.25\nperson,3,0.62\n",
         encoding="utf-8",
     )
-    dataset = load_survey_csv(path, respondent_count=131)
+    dataset = load_survey_csv(path)
     assert dataset.items == ("information", "errors", "person")
     assert dataset.n == 3
-    assert dataset.respondent_count == 131
     assert dataset.placements["errors"] == (0.25, 0.5, 0.25)
 
 
