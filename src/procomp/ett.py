@@ -145,13 +145,26 @@ def _parse_enum(enum_cls, value: str, path: str):
         raise ConfigError(f"unknown value {value!r}, expected one of: {allowed}", path=path) from None
 
 
+def _number(value: Any, path: str, message: str = "") -> float:
+    """``value`` as a float if it is a finite int or float: not a bool or a string."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(message or f"expected a finite number, got {value!r}", path=path)
+    return number
+
+
 def _parse_normalization(document: dict | None, path: str) -> NormalizationSpec:
     if document is None:
         return IDENTITY
     kind = _parse_enum(NormalizationKind, _require(document, "kind", path), f"{path}.kind")
+    lo, hi = (None if document.get(key) is None else _number(document[key], f"{path}.{key}")
+              for key in ("lo", "hi"))
     try:
-        return NormalizationSpec(kind=kind, lo=document.get("lo"), hi=document.get("hi"))
-    except (ConfigError, TypeError) as exc:
+        return NormalizationSpec(kind=kind, lo=lo, hi=hi)
+    except ConfigError as exc:
         raise ConfigError(str(exc), path=path) from None
 
 
@@ -202,25 +215,21 @@ def build_ett(document: dict) -> EvaluationTheoryTree:
     validate_ett, so that validate_ett can report every violation.
     """
     version = str(_require(document, "version", ""))
+    weights = document.get("interaction_weights", {"modeler": 0.156, "reader": 0.844})
+    w_m, w_r = (_number(weights.get(key) if isinstance(weights, dict) else None, "interaction_weights",
+                        "interaction_weights must map 'modeler' and 'reader' to finite numbers")
+                for key in ("modeler", "reader"))
+    survey_d = document.get("survey_d", 10.0)
+    if type(survey_d) is not float:  # validate_ett reports a float out of range, NaN included
+        survey_d = _number(survey_d, "survey_d")
     try:
-        raw_weights = document.get("interaction_weights", {"modeler": 0.156, "reader": 0.844})
-        interaction = tuple(raw_weights[key] for key in ("modeler", "reader"))
-        # bool is an int subclass; float() of a huge int overflows
-        if not all(type(w) in (int, float) and math.isfinite(float(w)) for w in interaction):
-            raise ValueError
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ConfigError("interaction_weights must map 'modeler' and 'reader' to finite numbers",
-                          path="interaction_weights") from None
-    interaction = (float(interaction[0]), float(interaction[1]))
-    try:
-        survey_d = float(document.get("survey_d", 10.0))
         criteria = [_parse_criterion(cdoc, f"criteria[{ci}]")
                     for ci, cdoc in enumerate(_require(document, "criteria", ""))]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad tree document: {exc}") from exc
     criteria.sort(key=lambda c: (c.perspective.value, c.rank))
     return EvaluationTheoryTree(version=version, criteria=tuple(criteria), survey_d=survey_d,
-                                interaction_weights=interaction)
+                                interaction_weights=(w_m, w_r))
 
 
 def _tree_violations(tree: EvaluationTheoryTree):

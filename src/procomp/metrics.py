@@ -45,8 +45,13 @@ from .ett import (
 )
 
 
-def _count_kind(graph: ProcessModelGraph, kind: NodeKind) -> float:
-    return float(graph.index.kind_counts.get(kind, 0))
+def _kind_count(kind: NodeKind) -> Callable[[ProcessModelGraph], float]:
+    """The extractor that counts the nodes of one kind."""
+
+    def count(graph: ProcessModelGraph) -> float:
+        return float(graph.index.kind_counts.get(kind, 0))
+
+    return count
 
 
 def node_count(graph: ProcessModelGraph) -> float:
@@ -59,18 +64,6 @@ def edge_count(graph: ProcessModelGraph) -> float:
 
 def gateway_count(graph: ProcessModelGraph) -> float:
     return float(len(graph.index.gateways))
-
-
-def or_gateway_count(graph: ProcessModelGraph) -> float:
-    return _count_kind(graph, NodeKind.GATEWAY_OR)
-
-
-def start_event_count(graph: ProcessModelGraph) -> float:
-    return _count_kind(graph, NodeKind.START_EVENT)
-
-
-def end_event_count(graph: ProcessModelGraph) -> float:
-    return _count_kind(graph, NodeKind.END_EVENT)
 
 
 def max_degree(graph: ProcessModelGraph) -> float:
@@ -105,22 +98,6 @@ def unlabeled_ratio(graph: ProcessModelGraph) -> float:
     if not activities:
         return 0.0
     return sum(1 for n in activities if not n.label) / len(activities)
-
-
-def subprocess_count(graph: ProcessModelGraph) -> float:
-    return _count_kind(graph, NodeKind.SUB_PROCESS)
-
-
-def data_object_count(graph: ProcessModelGraph) -> float:
-    return _count_kind(graph, NodeKind.DATA_OBJECT)
-
-
-def lane_count(graph: ProcessModelGraph) -> float:
-    return _count_kind(graph, NodeKind.LANE)
-
-
-def pool_count(graph: ProcessModelGraph) -> float:
-    return _count_kind(graph, NodeKind.POOL)
 
 
 def distinct_kind_count(graph: ProcessModelGraph) -> float:
@@ -224,18 +201,18 @@ EXTRACTORS: dict[str, Callable[[ProcessModelGraph], float]] = {
     "node-count": node_count,
     "edge-count": edge_count,
     "gateway-count": gateway_count,
-    "or-gateway-count": or_gateway_count,
-    "start-event-count": start_event_count,
-    "end-event-count": end_event_count,
+    "or-gateway-count": _kind_count(NodeKind.GATEWAY_OR),
+    "start-event-count": _kind_count(NodeKind.START_EVENT),
+    "end-event-count": _kind_count(NodeKind.END_EVENT),
     "max-degree": max_degree,
     "average-connector-degree": average_connector_degree,
     "nesting-depth": nesting_depth,
     "unlabeled-ratio": unlabeled_ratio,
     "block-structuredness": block_structuredness,
-    "subprocess-count": subprocess_count,
-    "data-object-count": data_object_count,
-    "lane-count": lane_count,
-    "pool-count": pool_count,
+    "subprocess-count": _kind_count(NodeKind.SUB_PROCESS),
+    "data-object-count": _kind_count(NodeKind.DATA_OBJECT),
+    "lane-count": _kind_count(NodeKind.LANE),
+    "pool-count": _kind_count(NodeKind.POOL),
     "distinct-kind-count": distinct_kind_count,
     "gateway-mismatch-count": gateway_mismatch_count,
     "density": density,

@@ -88,34 +88,22 @@ class ScoringPlan:
     language: str | None
 
     def evaluate(self, graph: ProcessModelGraph, *, model_id: str = "model") -> ComprehensionEvaluation:
-        """Extract, normalize, aggregate and flag one model."""
-        tree = self.tree
-        # Raw values per metric id, from each non-questionnaire source.
-        raw_values = extract_metrics(graph, tree)
+        """Extract, normalize, aggregate and flag one model; ``compile_plan``
+        has proved that every metric has a value."""
+        raw_values = extract_metrics(graph, self.tree)
         registry_values = language_metric_values(self.registry, self.language or graph.language)
-        for metric in tree.all_metrics():
-            if metric.source is MetricSource.LANGUAGE_REGISTRY:
-                raw_values[metric.id] = registry_values[metric.binding_key]
-
-        questionnaire_scores = self.questionnaire_scores
         criteria_results: list[CriterionResult] = []
-        for criterion in tree.criteria:
+        for criterion in self.tree.criteria:
             metric_results: list[MetricResult] = []
-            missing: list[str] = []
             for metric in criterion.metrics:
-                if metric.source in (MetricSource.MODELER_QUESTIONNAIRE,
-                                     MetricSource.READER_QUESTIONNAIRE):
-                    if metric.id not in questionnaire_scores:
-                        missing.append(metric.id)
-                        continue
-                    raw = None
-                    score = questionnaire_scores[metric.id]
-                else:
-                    if metric.id not in raw_values:
-                        missing.append(metric.id)
-                        continue
+                if metric.source is MetricSource.MODEL_DERIVED:
                     raw = raw_values[metric.id]
-                    score = normalize_metric(raw, metric.normalization, metric.polarity)
+                elif metric.source is MetricSource.LANGUAGE_REGISTRY:
+                    raw = registry_values[metric.binding_key]
+                else:  # a questionnaire metric, scored by compile_plan
+                    raw = None
+                score = (self.questionnaire_scores[metric.id] if raw is None
+                         else normalize_metric(raw, metric.normalization, metric.polarity))
                 metric_results.append(MetricResult(
                     id=metric.id,
                     name=metric.name,
@@ -124,11 +112,6 @@ class ScoringPlan:
                     weight=metric.weight,
                     raw=raw,
                 ))
-            if missing:
-                raise ScoringError(
-                    f"criterion unscored: {criterion.id!r} is missing scores for "
-                    + ", ".join(missing)
-                )
             q_c = aggregate_criterion(
                 [m.score for m in metric_results],
                 [m.weight for m in metric_results],
@@ -144,8 +127,6 @@ class ScoringPlan:
 
         def _perspective(perspective: Perspective) -> float:
             group = [c for c in criteria_results if c.perspective is perspective]
-            if not group:
-                raise ScoringError(f"perspective incomplete: no {perspective.value} criteria")
             return perspective_score([c.score for c in group], [c.weight for c in group])
 
         s_m = _perspective(Perspective.MODELER)
@@ -180,7 +161,8 @@ def compile_plan(
 ) -> ScoringPlan:
     """Weight the tree, check both schemas and every metric binding against
     it and score every response set, once for all the models the plan will
-    evaluate."""
+    evaluate. This proves that every metric of the tree has a value and every
+    perspective a criterion, so that ``ScoringPlan.evaluate`` checks neither."""
     if not reader_responses:
         raise ResponseError("at least one reader response set is required")
     tree = ensure_weighted(tree)
@@ -206,6 +188,9 @@ def compile_plan(
                 and metric.binding_key not in _REGISTRY_BINDINGS):
             raise ConfigError(f"metric {metric.id!r} binds to unknown registry value "
                               f"{metric.binding_key!r} (known: {', '.join(_REGISTRY_BINDINGS)})")
+    for perspective in Perspective:
+        if not tree.criteria_for(perspective):
+            raise ScoringError(f"perspective incomplete: no {perspective.value} criteria")
     return ScoringPlan(
         tree=tree,
         registry=tuple(registry),

@@ -147,8 +147,8 @@ def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> 
     """Cross-check question bindings against the evaluation tree.
 
     Every question must target an existing metric whose source matches the
-    schema's perspective; every questionnaire-sourced metric of that
-    perspective must be covered by at least one question.
+    schema's perspective; every metric with that source must be covered by
+    at least one question, whichever perspective's criterion holds it.
     """
     issues: list[ResponseIssue] = []
     covered: set[str] = set()
@@ -165,11 +165,10 @@ def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> 
                 f"metric {metric.id!r} has source {metric.source.value}, "
                 f"expected {schema.expected_source.value}"))
         covered.add(question.metric_id)
-    for criterion in tree.criteria_for(schema.perspective):
-        for metric in criterion.metrics:
-            if metric.source is schema.expected_source and metric.id not in covered:
-                issues.append(ResponseIssue("uncovered-metric", "",
-                                            f"no question covers metric {metric.id!r}"))
+    for metric in tree.all_metrics():
+        if metric.source is schema.expected_source and metric.id not in covered:
+            issues.append(ResponseIssue("uncovered-metric", "",
+                                        f"no question covers metric {metric.id!r}"))
     return issues
 
 

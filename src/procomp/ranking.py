@@ -217,21 +217,17 @@ class MethodComparison:
     method: str
     growth: str
     ordering: tuple[str, ...]
-    scores: tuple[tuple[str, float], ...]
 
 
-def compare_methods(dataset: SurveyDataset,
-                    methods: tuple[RankMethod, ...] | None = None) -> list[MethodComparison]:
-    """Rank the dataset under each method and classify its weight growth."""
+def compare_methods(dataset: SurveyDataset) -> list[MethodComparison]:
+    """Rank the dataset under each default method and classify its weight growth."""
     rows = []
-    for method in methods or default_methods():
-        scored = rank_items(dataset, method)
+    for method in default_methods():
         rows.append(
             MethodComparison(
                 method=method.label,
                 growth=classify_growth(method, dataset.n),
-                ordering=tuple(item for item, _ in scored),
-                scores=tuple(scored),
+                ordering=tuple(item for item, _ in rank_items(dataset, method)),
             )
         )
     return rows

@@ -279,6 +279,25 @@ def test_config_errors_come_before_any_model_is_parsed(capsys, response_bundle, 
         assert err.startswith("validation failure: response set 'm-1'")
 
 
+def test_uncovered_questionnaire_metric_is_reported_before_any_model_is_parsed(
+        capsys, response_bundle, tmp_path):
+    # a modeler questionnaire metric under a reader criterion, which no modeler question covers
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    criterion = next(c for c in document["criteria"] if c["perspective"] == "reader")
+    criterion["metrics"].append({"id": "x-modeler-view", "source": "modeler-questionnaire",
+                                 "rank": len(criterion["metrics"]) + 1})
+    tree = tmp_path / "ett.json"
+    tree.write_text(json.dumps(document))
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    models = [broken, FIXTURE_MODELS[0]]
+    for code, out, err in run_at_jobs(capsys, batch_args(response_bundle, models, "--ett", str(tree))):
+        assert (code, out) == (1, "")
+        assert err.startswith("validation failure: modeler questionnaire does not fit the tree")
+        assert "uncovered-metric: no question covers metric 'x-modeler-view'" in err
+
+
 def test_score_compiles_the_config_once(capsys, response_bundle, monkeypatch):
     from procomp import pipeline
     calls = []
@@ -346,9 +365,12 @@ HOSTILE_DOCUMENTS = {
         lambda d: d["criteria"][0]["metrics"][0].update(weight="x"))),
     "lo-string": ("ett", _hostile_tree(lambda d: d["criteria"][0]["metrics"][1].update(
         normalization={"kind": "linear-clamp", "lo": "a", "hi": 1.0}))),
+    "lo-hi-strings": ("ett", _hostile_tree(lambda d: d["criteria"][0]["metrics"][1].update(
+        normalization={"kind": "linear-clamp", "lo": "0", "hi": "1"}))),
     "metrics-null": ("ett", _hostile_tree(lambda d: d["criteria"][0].update(metrics=None))),
     "survey-d-null": ("ett", _hostile_tree(lambda d: d.update(survey_d=None))),
     "survey-d-nan": ("ett", _hostile_tree(lambda d: d.update(survey_d=float("nan")))),
+    "survey-d-string-inf": ("ett", _hostile_tree(lambda d: d.update(survey_d="inf"))),
     "metric-id-list": ("ett", _hostile_tree(
         lambda d: d["criteria"][0]["metrics"][0].update(id=["m"]))),
     "criterion-rank-bool": ("ett", _hostile_tree(lambda d: d["criteria"][0].update(rank=True))),
@@ -374,6 +396,13 @@ HOSTILE_DOCUMENTS = {
         "name": "x", "elements": OVERFLOW, "characteristics": 1, "relations": 1}),
 }
 
+# where a number that is not a finite int or float is reported
+HOSTILE_NUMBER_PATHS = {
+    "lo-string": "criteria[0].metrics[1].normalization.lo",
+    "lo-hi-strings": "criteria[0].metrics[1].normalization.lo",
+    "survey-d-string-inf": "survey_d",
+}
+
 
 @pytest.mark.parametrize("name", HOSTILE_DOCUMENTS)
 def test_hostile_config_documents_exit_2(capsys, tmp_path, response_bundle, name):
@@ -393,6 +422,8 @@ def test_hostile_config_documents_exit_2(capsys, tmp_path, response_bundle, name
         assert "Traceback" not in err
         if "overflow" in name:
             assert err.startswith(f"error: {path}: malformed JSON document: number ")
+        if name in HOSTILE_NUMBER_PATHS:
+            assert err.startswith(f"error: {HOSTILE_NUMBER_PATHS[name]}: expected a finite number")
 
 
 def test_survey_rank_matches_brute_force(capsys, tmp_path):

@@ -1,11 +1,12 @@
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
 from procomp.bpmn import parse_model_file
-from procomp.defaults import builtin_language_registry
+from procomp.defaults import builtin_language_registry, default_ett_document
 from procomp.errors import (
     ConfigError,
     ExtractionError,
@@ -13,8 +14,15 @@ from procomp.errors import (
     ResponseError,
     ScoringError,
 )
+from procomp.ett import Perspective, load_ett
 from procomp.pipeline import compile_plan
-from procomp.questionnaire import ResponseIssue
+from procomp.questionnaire import (
+    Question,
+    QuestionKind,
+    ResponseIssue,
+    ResponseSet,
+    score_responses,
+)
 from procomp.report import export
 
 from conftest import FIXTURES, make_responses
@@ -60,6 +68,32 @@ def test_pool_workers_start_under_spawn(config):
 def test_plan_needs_a_reader(config):
     with pytest.raises(ResponseError, match="at least one reader"):
         compile_plan(*config[:3], [], *config[4:])
+
+
+def test_modeler_question_scores_its_metric_under_a_reader_criterion(config):
+    _, registry, _, readers, modeler_schema, reader_schema = config
+    document = default_ett_document()
+    criterion = next(c for c in document["criteria"] if c["perspective"] == "reader")
+    criterion["metrics"].append({"id": "x-modeler-view", "source": "modeler-questionnaire",
+                                 "rank": len(criterion["metrics"]) + 1})
+    question = Question(id="qx", text="?", kind=QuestionKind.LIKERT, metric_id="x-modeler-view",
+                        levels=5)
+    schema = replace(modeler_schema, questions=(*modeler_schema.questions, question))
+    modeler = make_responses(schema, "m-1", 1)
+    plan = compile_plan(load_ett(document), registry, modeler, readers, schema, reader_schema)
+    evaluation = plan.evaluate(parse_model_file(FIXTURES / "sequence.bpmn"))
+    results = {m.id: (c.id, m.score) for c in evaluation.criteria for m in c.metrics}
+    assert results["x-modeler-view"] == (criterion["id"],
+                                         score_responses(schema, modeler)["x-modeler-view"])
+
+
+def test_a_perspective_without_criteria_is_reported_by_compile_plan(config):
+    tree, registry, modeler, _, modeler_schema, reader_schema = config
+    modeler_only = replace(tree, criteria=tree.criteria_for(Perspective.MODELER))
+    no_questions = replace(reader_schema, questions=())
+    reader = ResponseSet(respondent="r-1", schema_version=reader_schema.version, answers={})
+    with pytest.raises(ScoringError, match="perspective incomplete: no reader criteria"):
+        compile_plan(modeler_only, registry, modeler, [reader], modeler_schema, no_questions)
 
 
 ERRORS = [
