@@ -11,14 +11,7 @@ from pathlib import Path
 
 from . import defaults
 from .bpmn import parse_model_file
-from .errors import (
-    ConfigError,
-    ExtractionError,
-    ModelParseError,
-    ProcompError,
-    ResponseError,
-    ScoringError,
-)
+from .errors import ExtractionError, ProcompError, ResponseError, ScoringError
 from .documents import read_json_object
 from .ett import build_ett, load_ett_file, validate_ett
 from .languages import (
@@ -45,6 +38,7 @@ from .ranking import (
     rank_items,
 )
 from .report import ReportFormat, batch_entry, export, frame_batch
+from .scoring import DEFAULT_NOISE_THRESHOLD
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -372,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--format", default="text",
                        choices=[f.value for f in ReportFormat])
     score.add_argument("--output", help="write the report here instead of stdout")
-    score.add_argument("--threshold", type=_finite_float, default=4.0,
-                       help="noise threshold (default 4.0)")
+    score.add_argument("--threshold", type=_finite_float, default=DEFAULT_NOISE_THRESHOLD,
+                       help=f"noise threshold (default {DEFAULT_NOISE_THRESHOLD})")
     score.add_argument("--weights", type=_parse_weights,
                        help="override interaction weights, e.g. 0.156,0.844")
     score.add_argument("--jobs", type=_positive_int, default=1,
@@ -453,10 +447,7 @@ def main(argv: list[str] | None = None) -> int:
             for issue in report:
                 print(f"  {issue.code}: {issue.message}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConfigError, ModelParseError, ProcompError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ProcompError, ValueError, OSError) as exc:  # config and model errors among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

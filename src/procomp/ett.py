@@ -279,7 +279,8 @@ def load_ett_file(path: str | Path) -> EvaluationTheoryTree:
 
 
 def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> EvaluationTheoryTree:
-    """Derive rank weights for every sibling group; returns a new tree.
+    """Derive the absent rank weights of every sibling group, keeping the
+    pinned ones; returns a new tree.
 
     Within each group of n ranked siblings, rank 1 gets weight d, rank n
     gets weight 1, with a constant ratio in between; a singleton group gets
@@ -290,24 +291,25 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
     if not d > 1:
         raise ValueError(f"weighting requires d > 1, got {d}")
 
+    def weighted(node, n_siblings: int):
+        if node.weight is not None:  # pinned
+            return node
+        return replace(node, weight=dnlog_weight(n_siblings, node.rank, d))
+
     new_criteria: list[QualityCriterion] = []
     for perspective in Perspective:
         group = tree.criteria_for(perspective)
-        n_criteria = len(group)
         for criterion in group:
             if not criterion.metrics:
                 raise ConfigError(f"criterion {criterion.id!r} has no metrics to weight")
-            n_metrics = len(criterion.metrics)
-            new_metrics = tuple(replace(m, weight=dnlog_weight(n_metrics, m.rank, d))
-                                for m in criterion.metrics)
-            new_criteria.append(replace(criterion, weight=dnlog_weight(n_criteria, criterion.rank, d),
-                                        metrics=new_metrics))
+            new_metrics = tuple(weighted(m, len(criterion.metrics)) for m in criterion.metrics)
+            new_criteria.append(replace(weighted(criterion, len(group)), metrics=new_metrics))
     new_criteria.sort(key=lambda c: (c.perspective.value, c.rank))
     return replace(tree, criteria=tuple(new_criteria))
 
 
 def ensure_weighted(tree: EvaluationTheoryTree) -> EvaluationTheoryTree:
-    """Assign weights with the tree's own d unless every weight is present."""
+    """Assign the absent weights with the tree's own d; the tree itself if none is absent."""
     have_all = all(c.weight is not None for c in tree.criteria) and all(
         m.weight is not None for m in tree.all_metrics()
     )

@@ -169,12 +169,10 @@ def pattern_score(
 
 def control_flow_percentage(descriptor: LanguageDescriptor) -> float:
     """Share of the control-flow catalog the language supports, in [0, 1]."""
-    size = descriptor.patterns.catalog_sizes.get(PatternType.CONTROL_FLOW, 0)
-    if size <= 0:
-        raise ConfigError(
-            f"descriptor {descriptor.name!r} has no control-flow pattern catalog"
-        )
-    return descriptor.patterns.counts(PatternType.CONTROL_FLOW) / size
+    share = pattern_score(descriptor)[1].get(PatternType.CONTROL_FLOW)
+    if share is None:
+        raise ConfigError(f"descriptor {descriptor.name!r} has no control-flow pattern catalog")
+    return share
 
 
 # ---------------------------------------------------------------------------

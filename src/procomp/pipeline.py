@@ -35,15 +35,16 @@ from .metrics import check_extractor_bindings, extract_metrics, normalize_metric
 from .questionnaire import (
     QuestionnaireSchema,
     ResponseSet,
-    average_scores,
     score_responses,
     validate_schema,
 )
 from .scoring import (
+    DEFAULT_NOISE_THRESHOLD,
     ComprehensionEvaluation,
     CriterionResult,
     MetricResult,
     aggregate_criterion,
+    check_interaction_weights,
     combined_score,
     detect_noise,
     perspective_score,
@@ -73,17 +74,16 @@ def language_metric_values(
 class ScoringPlan:
     """The part of scoring that depends only on the config, compiled once.
 
-    ``tree`` is weighted and both questionnaire schemas have been checked
-    against it; ``questionnaire_scores`` holds the modeler scores and the
-    reader scores averaged across respondents. The plan is plain data, so
-    it can be pickled into worker processes and evaluate any number of
-    models.
+    ``tree`` is weighted, holds the interaction weights in effect and fits
+    both questionnaire schemas; ``questionnaire_scores`` holds the modeler
+    scores and the reader scores averaged across respondents. The plan is
+    plain data, so it can be pickled into worker processes and evaluate any
+    number of models.
     """
 
     tree: EvaluationTheoryTree
     registry: tuple[LanguageDescriptor, ...]
     questionnaire_scores: dict[str, float]
-    interaction_weights: tuple[float, float]
     noise_threshold: float
     language: str | None
 
@@ -131,7 +131,7 @@ class ScoringPlan:
 
         s_m = _perspective(Perspective.MODELER)
         s_r = _perspective(Perspective.READER)
-        w_m, w_r = self.interaction_weights
+        w_m, w_r = self.tree.interaction_weights
         s_b = combined_score(s_m, s_r, w_m, w_r)
 
         evaluation = ComprehensionEvaluation(
@@ -155,17 +155,26 @@ def compile_plan(
     modeler_schema: QuestionnaireSchema,
     reader_schema: QuestionnaireSchema,
     *,
-    noise_threshold: float = 4.0,
+    noise_threshold: float = DEFAULT_NOISE_THRESHOLD,
     interaction_weights: tuple[float, float] | None = None,
     language: str | None = None,
 ) -> ScoringPlan:
     """Weight the tree, check both schemas and every metric binding against
     it and score every response set, once for all the models the plan will
-    evaluate. This proves that every metric of the tree has a value and every
-    perspective a criterion, so that ``ScoringPlan.evaluate`` checks neither."""
+    evaluate, so that every config error is found before a model is parsed.
+    ``interaction_weights``, if given, replace the tree's."""
     if not reader_responses:
         raise ResponseError("at least one reader response set is required")
+    for perspective in Perspective:
+        if not tree.criteria_for(perspective):
+            raise ScoringError(f"perspective incomplete: no {perspective.value} criteria")
+    for criterion in tree.criteria:
+        if not criterion.metrics:
+            raise ScoringError(f"criterion unscored: {criterion.id!r} holds no metrics")
     tree = ensure_weighted(tree)
+    if interaction_weights is not None:
+        tree = replace(tree, interaction_weights=interaction_weights)
+    check_interaction_weights(*tree.interaction_weights)
 
     for schema in (modeler_schema, reader_schema):
         issues = validate_schema(schema, tree)
@@ -176,27 +185,20 @@ def compile_plan(
                 report=issues,
             )
 
-    questionnaire_scores: dict[str, float] = dict(
-        score_responses(modeler_schema, modeler_responses)
-    )
-    questionnaire_scores.update(
-        average_scores([score_responses(reader_schema, r) for r in reader_responses])
-    )
+    questionnaire_scores = score_responses(modeler_schema, modeler_responses)
+    reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
+    questionnaire_scores.update({key: sum(s[key] for s in reader_scores) / len(reader_scores)
+                                 for key in reader_scores[0]})
     check_extractor_bindings(tree)
     for metric in tree.all_metrics():
         if (metric.source is MetricSource.LANGUAGE_REGISTRY
                 and metric.binding_key not in _REGISTRY_BINDINGS):
             raise ConfigError(f"metric {metric.id!r} binds to unknown registry value "
                               f"{metric.binding_key!r} (known: {', '.join(_REGISTRY_BINDINGS)})")
-    for perspective in Perspective:
-        if not tree.criteria_for(perspective):
-            raise ScoringError(f"perspective incomplete: no {perspective.value} criteria")
     return ScoringPlan(
         tree=tree,
         registry=tuple(registry),
         questionnaire_scores=questionnaire_scores,
-        interaction_weights=interaction_weights if interaction_weights is not None
-        else tree.interaction_weights,
         noise_threshold=noise_threshold,
         language=language,
     )
@@ -212,7 +214,7 @@ def evaluate_model(
     reader_schema: QuestionnaireSchema,
     *,
     model_id: str = "model",
-    noise_threshold: float = 4.0,
+    noise_threshold: float = DEFAULT_NOISE_THRESHOLD,
     interaction_weights: tuple[float, float] | None = None,
     language: str | None = None,
 ) -> ComprehensionEvaluation:

@@ -135,14 +135,6 @@ def score_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> dict
     return {metric: sum(scores) / len(scores) for metric, scores in per_metric.items()}
 
 
-def average_scores(score_maps: list[dict[str, float]]) -> dict[str, float]:
-    """Average per-metric scores across respondents (all maps share keys)."""
-    if not score_maps:
-        return {}
-    keys = score_maps[0].keys()
-    return {key: sum(m[key] for m in score_maps) / len(score_maps) for key in keys}
-
-
 def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> list[ResponseIssue]:
     """Cross-check question bindings against the evaluation tree.
 

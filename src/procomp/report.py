@@ -157,25 +157,10 @@ def _evaluation_document(evaluation: ComprehensionEvaluation) -> dict:
 def parse_evaluation(body: str) -> ComprehensionEvaluation:
     """Inverse of the JSON export."""
     document = json.loads(body)
+    # criterion and metric keys are the result field names; only the enums need converting
     criteria = tuple(
-        CriterionResult(
-            id=c["id"],
-            name=c["name"],
-            perspective=Perspective(c["perspective"]),
-            weight=c["weight"],
-            score=c["score"],
-            metrics=tuple(
-                MetricResult(
-                    id=m["id"],
-                    name=m["name"],
-                    source=MetricSource(m["source"]),
-                    raw=m["raw"],
-                    score=m["score"],
-                    weight=m["weight"],
-                )
-                for m in c["metrics"]
-            ),
-        )
+        CriterionResult(**{**c, "perspective": Perspective(c["perspective"]), "metrics": tuple(
+            MetricResult(**{**m, "source": MetricSource(m["source"])}) for m in c["metrics"])})
         for c in document["criteria"]
     )
     flags = tuple(

@@ -40,11 +40,16 @@ def perspective_score(criterion_scores: Sequence[float], criterion_weights: Sequ
     return aggregate_criterion(criterion_scores, criterion_weights)
 
 
-def combined_score(s_m: float, s_r: float, w_m: float, w_r: float) -> float:
-    """Convex combination of the two perspective scores."""
+def check_interaction_weights(w_m: float, w_r: float) -> None:
+    """Raise ScoringError unless both weights are >= 0 and they sum to 1."""
     # written so that a NaN weight fails every comparison and is rejected
     if not (w_m >= 0 and w_r >= 0 and abs(w_m + w_r - 1.0) <= COMBINED_CONSISTENCY_TOL):
         raise ScoringError(f"interaction weights ({w_m}, {w_r}) must be >= 0 and sum to 1")
+
+
+def combined_score(s_m: float, s_r: float, w_m: float, w_r: float) -> float:
+    """Convex combination of the two perspective scores."""
+    check_interaction_weights(w_m, w_r)
     combined = w_m * s_m + w_r * s_r
     return min(max(combined, min(s_m, s_r)), max(s_m, s_r))
 
@@ -134,28 +139,13 @@ def detect_noise(
     threshold: float = DEFAULT_NOISE_THRESHOLD,
 ) -> list[NoiseFlag]:
     """Every metric and criterion scoring below the threshold, worst first."""
-    flags: list[NoiseFlag] = []
-    for criterion in evaluation.criteria:
-        if criterion.score < threshold:
-            flags.append(NoiseFlag(
-                kind="criterion",
-                id=criterion.id,
-                name=criterion.name,
-                score=criterion.score,
-                threshold=threshold,
-                perspective=criterion.perspective,
-                criterion_id=criterion.id,
-            ))
-        for metric in criterion.metrics:
-            if metric.score < threshold:
-                flags.append(NoiseFlag(
-                    kind="metric",
-                    id=metric.id,
-                    name=metric.name,
-                    score=metric.score,
-                    threshold=threshold,
-                    perspective=criterion.perspective,
-                    criterion_id=criterion.id,
-                ))
+    flags = [
+        NoiseFlag(kind=kind, id=item.id, name=item.name, score=item.score, threshold=threshold,
+                  perspective=criterion.perspective, criterion_id=criterion.id)
+        for criterion in evaluation.criteria
+        for kind, items in (("criterion", (criterion,)), ("metric", criterion.metrics))
+        for item in items
+        if item.score < threshold
+    ]
     flags.sort(key=lambda flag: (flag.score, flag.id))
     return flags

@@ -8,9 +8,11 @@ import pytest
 
 from procomp.defaults import (
     default_ett,
+    default_ett_document,
     default_modeler_schema,
     default_reader_schema,
 )
+from procomp.ett import assign_weights
 from procomp.questionnaire import QuestionKind, ResponseSet, serialize_responses
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -29,6 +31,19 @@ def modeler_schema():
 @pytest.fixture(scope="session")
 def reader_schema():
     return default_reader_schema()
+
+
+def pinned_ett_document() -> dict:
+    """The default tree document with every weight pinned to the value it derives."""
+    weighted = assign_weights(default_ett())
+    criteria = {c.id: c for c in weighted.criteria}
+    metrics = {m.id: m for m in weighted.all_metrics()}
+    document = default_ett_document()
+    for cdoc in document["criteria"]:
+        cdoc["weight"] = criteria[cdoc["id"]].weight
+        for mdoc in cdoc["metrics"]:
+            mdoc["weight"] = metrics[mdoc["id"]].weight
+    return document
 
 
 def make_answers(schema, seed: int) -> dict[str, bool | int]:

@@ -8,7 +8,7 @@ from procomp.cli import main
 from procomp.questionnaire import load_responses_file
 from procomp.report import export, parse_evaluation
 
-from conftest import FIXTURES, make_answers, nested_subprocess_document
+from conftest import FIXTURES, make_answers, nested_subprocess_document, pinned_ett_document
 from oracles import brute_force_ordering, normalized_weighted_sum
 
 
@@ -296,6 +296,56 @@ def test_uncovered_questionnaire_metric_is_reported_before_any_model_is_parsed(
         assert (code, out) == (1, "")
         assert err.startswith("validation failure: modeler questionnaire does not fit the tree")
         assert "uncovered-metric: no question covers metric 'x-modeler-view'" in err
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "derived"])
+def test_empty_criterion_is_reported_before_any_model_is_parsed(capsys, response_bundle, tmp_path,
+                                                               pinned):
+    # pinned: no weighting pass meets the criterion; derived: it is rejected before weighting
+    from procomp.defaults import default_ett_document
+    document = pinned_ett_document() if pinned else default_ett_document()
+    next(c for c in document["criteria"] if c["id"] == "r-representation")["metrics"] = []
+    tree = tmp_path / "ett.json"
+    tree.write_text(json.dumps(document))
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    models = [broken, FIXTURE_MODELS[0]]
+    for result in run_at_jobs(capsys, batch_args(response_bundle, models, "--ett", str(tree))):
+        assert result == (1, "", "validation failure: criterion unscored: "
+                                 "'r-representation' holds no metrics\n")
+
+
+@pytest.mark.parametrize("source", ["ett", "flag"])
+def test_interaction_weights_not_summing_to_1_are_reported_before_any_model_is_parsed(
+        capsys, response_bundle, tmp_path, source):
+    from procomp.defaults import default_ett_document
+    if source == "ett":
+        document = default_ett_document()
+        document["interaction_weights"] = {"modeler": 0.9, "reader": 0.9}
+        tree = tmp_path / "ett.json"
+        tree.write_text(json.dumps(document))
+        extra = ["--ett", str(tree)]
+    else:
+        extra = ["--weights", "0.9,0.9"]
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    for models in ([broken, FIXTURE_MODELS[0]], [FIXTURE_MODELS[0], broken]):
+        for result in run_at_jobs(capsys, batch_args(response_bundle, models, *extra)):
+            assert result == (1, "", "validation failure: interaction weights (0.9, 0.9) "
+                                     "must be >= 0 and sum to 1\n")
+
+
+def test_weights_flag_replaces_the_tree_interaction_weights(capsys, response_bundle, tmp_path):
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    document["interaction_weights"] = {"modeler": 0.9, "reader": 0.9}
+    tree = tmp_path / "ett.json"
+    tree.write_text(json.dumps(document))
+    code, out, err = run(capsys, *score_args(response_bundle, "--ett", str(tree),
+                                             "--weights", "0.5,0.5", "--format", "json"))
+    assert code == 0, err
+    evaluation = parse_evaluation(out)
+    assert (evaluation.w_m, evaluation.w_r) == (0.5, 0.5)
 
 
 def test_score_compiles_the_config_once(capsys, response_bundle, monkeypatch):

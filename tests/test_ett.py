@@ -14,6 +14,8 @@ from procomp.ett import (
 )
 from procomp.defaults import default_ett, default_ett_document
 
+from conftest import pinned_ett_document
+
 
 def minimal_document(metric_ranks=(1,)):
     return {
@@ -83,17 +85,23 @@ def test_missing_field_reports_path():
 
 
 def test_document_with_every_weight_pinned_loads_to_the_assigned_tree():
-    weighted = assign_weights(default_ett())
-    criteria = {c.id: c for c in weighted.criteria}
-    metrics = {m.id: m for m in weighted.all_metrics()}
-    document = default_ett_document()
-    for cdoc in document["criteria"]:
-        cdoc["weight"] = criteria[cdoc["id"]].weight
-        for mdoc in cdoc["metrics"]:
-            mdoc["weight"] = metrics[mdoc["id"]].weight
-    pinned = load_ett(document)
-    assert pinned == weighted
+    pinned = load_ett(pinned_ett_document())
+    assert pinned == assign_weights(default_ett())
     assert ensure_weighted(pinned) is pinned
+
+
+def test_partially_pinned_weights_are_kept_and_the_rest_derived():
+    document = default_ett_document()
+    criterion = next(c for c in document["criteria"] if c["id"] == "m-language")
+    criterion["weight"] = 2.0
+    criterion["metrics"][0]["weight"] = 0.5
+    pinned_metric = criterion["metrics"][0]["id"]
+    weighted = ensure_weighted(load_ett(document))
+    derived = assign_weights(default_ett())
+    for ours, theirs in zip(weighted.criteria, derived.criteria, strict=True):
+        assert ours.weight == (2.0 if ours.id == "m-language" else theirs.weight)
+        for metric, reference in zip(ours.metrics, theirs.metrics, strict=True):
+            assert metric.weight == (0.5 if metric.id == pinned_metric else reference.weight)
 
 
 def test_serialization_is_canonically_ordered():

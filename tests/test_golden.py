@@ -9,6 +9,7 @@ what users see and must say so; regenerate a file by running the same
 import pytest
 
 from procomp.cli import main
+from procomp.report import export, parse_evaluation
 
 from conftest import FIXTURES
 
@@ -30,3 +31,10 @@ def test_score_export_matches_golden(capsys, response_bundle, model, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{model}.{FORMATS[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_parsed_golden_json_exports_every_golden_file(model):
+    evaluation = parse_evaluation((GOLDEN / f"{model}.json").read_text(encoding="utf-8"))
+    for fmt, suffix in FORMATS.items():
+        assert export(evaluation, fmt).body.encode("utf-8") == (GOLDEN / f"{model}.{suffix}").read_bytes()
