@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any
 
 from .documents import read_json_object
-from .errors import ConfigError
+from .errors import ConfigError, ScoringError
 from .ranking import dnlog_weight
 
 INTERACTION_SUM_TOL = 1e-9
@@ -168,25 +168,28 @@ def _parse_normalization(document: dict | None, path: str) -> NormalizationSpec:
         raise ConfigError(str(exc), path=path) from None
 
 
-def _parse_ranked(document: dict, path: str) -> tuple[str, int, float | None]:
-    """The id, rank and optional weight that criteria and metrics share."""
+def _parse_ranked(document: dict, path: str) -> tuple[str, str, int, float | None]:
+    """The id, name, rank and optional weight that criteria and metrics share."""
     node_id = _require(document, "id", path)
     if not isinstance(node_id, str):
         raise ConfigError(f"id must be a string, got {node_id!r}", path=f"{path}.id")
+    name = document.get("name", node_id)
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}", path=f"{path}.name")
     rank = _require(document, "rank", path)
     if type(rank) is not int or rank < 1:  # bool is an int subclass
         raise ConfigError(f"rank must be a positive integer, got {rank!r}", path=f"{path}.rank")
     weight = document.get("weight")
     if weight is not None and type(weight) not in (int, float):
         raise ConfigError(f"weight must be a number, got {weight!r}", path=f"{path}.weight")
-    return node_id, rank, weight
+    return node_id, name, rank, weight
 
 
 def _parse_metric(document: dict, path: str) -> QualityMetric:
-    metric_id, rank, weight = _parse_ranked(document, path)
+    metric_id, name, rank, weight = _parse_ranked(document, path)
     return QualityMetric(
         id=metric_id,
-        name=document.get("name", metric_id),
+        name=name,
         description=document.get("description", ""),
         source=_parse_enum(MetricSource, _require(document, "source", path), f"{path}.source"),
         rank=rank,
@@ -198,11 +201,11 @@ def _parse_metric(document: dict, path: str) -> QualityMetric:
 
 
 def _parse_criterion(document: dict, path: str) -> QualityCriterion:
-    criterion_id, rank, weight = _parse_ranked(document, path)
+    criterion_id, name, rank, weight = _parse_ranked(document, path)
     perspective = _parse_enum(Perspective, _require(document, "perspective", path), f"{path}.perspective")
     metrics = [_parse_metric(mdoc, f"{path}.metrics[{mi}]")
                for mi, mdoc in enumerate(document.get("metrics", []))]
-    return QualityCriterion(id=criterion_id, name=document.get("name", criterion_id),
+    return QualityCriterion(id=criterion_id, name=name,
                             perspective=perspective, rank=rank,
                             metrics=tuple(sorted(metrics, key=lambda m: m.rank)), weight=weight)
 
@@ -291,19 +294,25 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
     if not d > 1:
         raise ValueError(f"weighting requires d > 1, got {d}")
 
-    def weighted(node, n_siblings: int):
-        if node.weight is not None:  # pinned
-            return node
-        return replace(node, weight=dnlog_weight(n_siblings, node.rank, d))
+    def weight(node, n_siblings: int) -> float:
+        return node.weight if node.weight is not None else dnlog_weight(n_siblings, node.rank, d)
 
+    # one constructor call per node, which costs about half a dataclasses.replace
     new_criteria: list[QualityCriterion] = []
     for perspective in Perspective:
         group = tree.criteria_for(perspective)
         for criterion in group:
             if not criterion.metrics:
                 raise ConfigError(f"criterion {criterion.id!r} has no metrics to weight")
-            new_metrics = tuple(weighted(m, len(criterion.metrics)) for m in criterion.metrics)
-            new_criteria.append(replace(weighted(criterion, len(group)), metrics=new_metrics))
+            n_metrics = len(criterion.metrics)
+            metrics = tuple(
+                QualityMetric(id=m.id, name=m.name, description=m.description, source=m.source,
+                              rank=m.rank, normalization=m.normalization, polarity=m.polarity,
+                              weight=weight(m, n_metrics), binding=m.binding)
+                for m in criterion.metrics)
+            new_criteria.append(QualityCriterion(
+                id=criterion.id, name=criterion.name, perspective=criterion.perspective,
+                rank=criterion.rank, metrics=metrics, weight=weight(criterion, len(group))))
     new_criteria.sort(key=lambda c: (c.perspective.value, c.rank))
     return replace(tree, criteria=tuple(new_criteria))
 
@@ -318,6 +327,26 @@ def ensure_weighted(tree: EvaluationTheoryTree) -> EvaluationTheoryTree:
 
 # ---------------------------------------------------------------------------
 # Validation
+
+
+def interaction_weight_violations(w_m: float, w_r: float) -> list[tuple[str, str]]:
+    """How a (modeler, reader) pair of interaction weights breaks the rule
+    that both are >= 0 and sum to 1, as (code, message) pairs."""
+    violations = []
+    # written so that a NaN weight fails every comparison and is reported
+    if not abs(w_m + w_r - 1.0) <= INTERACTION_SUM_TOL:
+        violations.append(("interaction-weights-sum",
+                           f"interaction weights must sum to 1, got {w_m} + {w_r}"))
+    if not (w_m >= 0 and w_r >= 0):
+        violations.append(("interaction-weights-range",
+                           f"interaction weights must be >= 0, got ({w_m}, {w_r})"))
+    return violations
+
+
+def check_interaction_weights(w_m: float, w_r: float) -> None:
+    """Raise ScoringError unless both weights are >= 0 and they sum to 1."""
+    if interaction_weight_violations(w_m, w_r):
+        raise ScoringError(f"interaction weights ({w_m}, {w_r}) must be >= 0 and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -358,13 +387,8 @@ def validate_ett(tree: EvaluationTheoryTree) -> ValidationReport:
     catalog is meant to be extended.
     """
     errors: list[tuple[str, str, str]] = []
-    w_m, w_r = tree.interaction_weights
-    if abs(w_m + w_r - 1.0) > INTERACTION_SUM_TOL:
-        errors.append(("interaction-weights-sum", "interaction_weights",
-                       f"interaction weights must sum to 1, got {w_m} + {w_r}"))
-    if not (0.0 <= w_m <= 1.0 and 0.0 <= w_r <= 1.0):
-        errors.append(("interaction-weights-range", "interaction_weights",
-                       f"interaction weights must lie in [0, 1], got ({w_m}, {w_r})"))
+    errors += [(code, "interaction_weights", message)
+               for code, message in interaction_weight_violations(*tree.interaction_weights)]
     if not tree.survey_d > 1:
         errors.append(("survey-d-range", "survey_d", f"survey_d must be > 1, got {tree.survey_d}"))
     errors += [("empty-criterion", f"criteria[{c.id}]", "criterion holds no metrics")

@@ -7,8 +7,11 @@ scores are averaged per metric across respondents before aggregation,
 which (all aggregation being linear) equals averaging the per-respondent
 perspective scores.
 
-``compile_plan`` does the work that depends only on the config, once;
-``ScoringPlan.evaluate`` then scores one model at a time. Both look up
+``compile_plan`` does the work that depends only on the config, once: it
+scores the questionnaire metrics, the criteria that hold only those, and
+the registry values of every language. ``ScoringPlan.evaluate`` then
+scores the model-derived and registry metrics of one model at a time,
+and aggregates the criteria that hold them. Both look up
 the functions they call in this module's namespace at call time, so that a
 tracer can wrap them from outside, as ``perfbench/worker.py`` does.
 """
@@ -24,6 +27,9 @@ from .ett import (
     EvaluationTheoryTree,
     MetricSource,
     Perspective,
+    QualityCriterion,
+    QualityMetric,
+    check_interaction_weights,
     ensure_weighted,
 )
 from .languages import (
@@ -44,30 +50,45 @@ from .scoring import (
     CriterionResult,
     MetricResult,
     aggregate_criterion,
-    check_interaction_weights,
     combined_score,
     detect_noise,
     perspective_score,
 )
 
 _REGISTRY_BINDINGS = ("complexity", "control-flow-pattern-support")
+# the metrics ScoringPlan.evaluate scores for each model; compile_plan scores the rest
+_PER_MODEL_SOURCES = (MetricSource.MODEL_DERIVED, MetricSource.LANGUAGE_REGISTRY)
 
 
 def language_metric_values(
     registry: Sequence[LanguageDescriptor],
-    language: str,
-) -> dict[str, float]:
-    """Raw registry values for one language, keyed by binding name."""
-    by_name = {d.name: d for d in registry}
-    if language not in by_name:
-        known = ", ".join(sorted(by_name))
-        raise ConfigError(f"language {language!r} not registered (known: {known})")
-    complexity = normalize_complexity(registry)[language]
-    pattern_pct = control_flow_percentage(by_name[language])
-    return {
-        "complexity": complexity,
-        "control-flow-pattern-support": pattern_pct,
-    }
+) -> dict[str, dict[str, float] | str]:
+    """Raw registry values of every registered language, keyed by language
+    and then by binding name; for a language whose values cannot be
+    computed, the reason, which is an error only for a model in it."""
+    complexity = normalize_complexity(registry)
+    values: dict[str, dict[str, float] | str] = {}
+    for descriptor in registry:
+        try:
+            values[descriptor.name] = {"complexity": complexity[descriptor.name],
+                                       "control-flow-pattern-support":
+                                           control_flow_percentage(descriptor)}
+        except ConfigError as exc:
+            values[descriptor.name] = str(exc)
+    return values
+
+
+def _metric_result(metric: QualityMetric, score: float, raw: float | None) -> MetricResult:
+    return MetricResult(id=metric.id, name=metric.name, source=metric.source, score=score,
+                        weight=metric.weight, raw=raw)
+
+
+def _criterion_result(criterion: QualityCriterion,
+                      metric_results: tuple[MetricResult, ...]) -> CriterionResult:
+    score = aggregate_criterion([m.score for m in metric_results],
+                                [m.weight for m in metric_results])
+    return CriterionResult(id=criterion.id, name=criterion.name, perspective=criterion.perspective,
+                           score=score, weight=criterion.weight, metrics=metric_results)
 
 
 @dataclass(frozen=True)
@@ -75,55 +96,47 @@ class ScoringPlan:
     """The part of scoring that depends only on the config, compiled once.
 
     ``tree`` is weighted, holds the interaction weights in effect and fits
-    both questionnaire schemas; ``questionnaire_scores`` holds the modeler
-    scores and the reader scores averaged across respondents. The plan is
-    plain data, so it can be pickled into worker processes and evaluate any
-    number of models.
+    both questionnaire schemas. ``criteria`` follows ``tree.criteria``: a
+    criterion that holds only questionnaire metrics is already a result;
+    any other is its metrics, the questionnaire ones already results (reader
+    scores averaged across respondents) and the model-derived and registry
+    ones still to score. ``registry_values`` is ``language_metric_values``
+    of the registry. The plan is plain data, so it can be pickled into
+    worker processes and evaluate any number of models.
     """
 
     tree: EvaluationTheoryTree
-    registry: tuple[LanguageDescriptor, ...]
-    questionnaire_scores: dict[str, float]
+    criteria: tuple[CriterionResult | tuple[MetricResult | QualityMetric, ...], ...]
+    registry_values: dict[str, dict[str, float] | str]
     noise_threshold: float
     language: str | None
 
     def evaluate(self, graph: ProcessModelGraph, *, model_id: str = "model") -> ComprehensionEvaluation:
-        """Extract, normalize, aggregate and flag one model; ``compile_plan``
-        has proved that every metric has a value."""
+        """Extract, normalize and aggregate what depends on one model, then
+        combine and flag; ``compile_plan`` has scored the rest and proved
+        that every metric has a value."""
         raw_values = extract_metrics(graph, self.tree)
-        registry_values = language_metric_values(self.registry, self.language or graph.language)
+        language = self.language or graph.language
+        registry_values = self.registry_values.get(language)
+        if registry_values is None:
+            known = ", ".join(sorted(self.registry_values))
+            raise ConfigError(f"language {language!r} not registered (known: {known})")
+        if isinstance(registry_values, str):
+            raise ConfigError(registry_values)
         criteria_results: list[CriterionResult] = []
-        for criterion in self.tree.criteria:
-            metric_results: list[MetricResult] = []
-            for metric in criterion.metrics:
-                if metric.source is MetricSource.MODEL_DERIVED:
-                    raw = raw_values[metric.id]
-                elif metric.source is MetricSource.LANGUAGE_REGISTRY:
-                    raw = registry_values[metric.binding_key]
-                else:  # a questionnaire metric, scored by compile_plan
-                    raw = None
-                score = (self.questionnaire_scores[metric.id] if raw is None
-                         else normalize_metric(raw, metric.normalization, metric.polarity))
-                metric_results.append(MetricResult(
-                    id=metric.id,
-                    name=metric.name,
-                    source=metric.source,
-                    score=score,
-                    weight=metric.weight,
-                    raw=raw,
-                ))
-            q_c = aggregate_criterion(
-                [m.score for m in metric_results],
-                [m.weight for m in metric_results],
-            )
-            criteria_results.append(CriterionResult(
-                id=criterion.id,
-                name=criterion.name,
-                perspective=criterion.perspective,
-                score=q_c,
-                weight=criterion.weight,
-                metrics=tuple(metric_results),
-            ))
+        for criterion, planned in zip(self.tree.criteria, self.criteria):
+            if isinstance(planned, CriterionResult):
+                criteria_results.append(planned)
+                continue
+            metric_results = []
+            for metric in planned:
+                if not isinstance(metric, MetricResult):
+                    raw = (raw_values[metric.id] if metric.source is MetricSource.MODEL_DERIVED
+                           else registry_values[metric.binding_key])
+                    metric = _metric_result(
+                        metric, normalize_metric(raw, metric.normalization, metric.polarity), raw)
+                metric_results.append(metric)
+            criteria_results.append(_criterion_result(criterion, tuple(metric_results)))
 
         def _perspective(perspective: Perspective) -> float:
             group = [c for c in criteria_results if c.perspective is perspective]
@@ -195,10 +208,18 @@ def compile_plan(
                 and metric.binding_key not in _REGISTRY_BINDINGS):
             raise ConfigError(f"metric {metric.id!r} binds to unknown registry value "
                               f"{metric.binding_key!r} (known: {', '.join(_REGISTRY_BINDINGS)})")
+
+    criteria: list[CriterionResult | tuple[MetricResult | QualityMetric, ...]] = []
+    for criterion in tree.criteria:
+        planned = tuple(metric if metric.source in _PER_MODEL_SOURCES
+                        else _metric_result(metric, questionnaire_scores[metric.id], None)
+                        for metric in criterion.metrics)
+        criteria.append(planned if any(isinstance(m, QualityMetric) for m in planned)
+                        else _criterion_result(criterion, planned))
     return ScoringPlan(
         tree=tree,
-        registry=tuple(registry),
-        questionnaire_scores=questionnaire_scores,
+        criteria=tuple(criteria),
+        registry_values=language_metric_values(tuple(registry)),
         noise_threshold=noise_threshold,
         language=language,
     )

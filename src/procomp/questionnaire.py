@@ -144,21 +144,23 @@ def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> 
     """
     issues: list[ResponseIssue] = []
     covered: set[str] = set()
-    metrics = {m.id: m for m in reversed(tree.all_metrics())}  # the first of a duplicate id wins
+    expected_source = schema.expected_source
+    all_metrics = tree.all_metrics()
+    metrics = {m.id: m for m in reversed(all_metrics)}  # the first of a duplicate id wins
     for question in schema.questions:
         metric = metrics.get(question.metric_id)
         if metric is None:
             issues.append(ResponseIssue("unknown-metric", question.id,
                                         f"question targets unknown metric {question.metric_id!r}"))
             continue
-        if metric.source is not schema.expected_source:
+        if metric.source is not expected_source:
             issues.append(ResponseIssue(
                 "source-mismatch", question.id,
                 f"metric {metric.id!r} has source {metric.source.value}, "
-                f"expected {schema.expected_source.value}"))
+                f"expected {expected_source.value}"))
         covered.add(question.metric_id)
-    for metric in tree.all_metrics():
-        if metric.source is schema.expected_source and metric.id not in covered:
+    for metric in all_metrics:
+        if metric.source is expected_source and metric.id not in covered:
             issues.append(ResponseIssue("uncovered-metric", "",
                                         f"no question covers metric {metric.id!r}"))
     return issues

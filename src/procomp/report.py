@@ -10,8 +10,10 @@ import csv
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring_ascii
 
 from .errors import ProcompError
 from .ett import MetricSource, Perspective
@@ -107,51 +109,70 @@ def _render_markdown(evaluation: ComprehensionEvaluation) -> str:
     return "\n".join(lines)
 
 
-def _evaluation_document(evaluation: ComprehensionEvaluation) -> dict:
-    return {
-        "version": "1",
-        "model": evaluation.model_id,
-        "scores": {
-            "modeler": evaluation.s_m,
-            "reader": evaluation.s_r,
-            "combined": evaluation.s_b,
-        },
-        "interaction_weights": {"modeler": evaluation.w_m, "reader": evaluation.w_r},
-        "noise_threshold": evaluation.noise_threshold,
-        "criteria": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "perspective": c.perspective.value,
-                "weight": c.weight,
-                "score": c.score,
-                "metrics": [
-                    {
-                        "id": m.id,
-                        "name": m.name,
-                        "source": m.source.value,
-                        "raw": m.raw,
-                        "score": m.score,
-                        "weight": m.weight,
-                    }
-                    for m in c.metrics
-                ],
-            }
-            for c in evaluation.criteria
-        ],
-        "noise_flags": [
-            {
-                "kind": f.kind,
-                "id": f.id,
-                "name": f.name,
-                "score": f.score,
-                "threshold": f.threshold,
-                "perspective": f.perspective.value,
-                "criterion": f.criterion_id,
-            }
-            for f in evaluation.flags
-        ],
-    }
+def _json_number(value: float | None) -> str:
+    """A number, or None, as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)  # an int, or NaN or an infinity by name
+
+
+def _json_object(fields: dict[str, str], pad: str) -> str:
+    """An object of already-written values, laid out as ``json.dumps(indent=2)``
+    lays it out at the indentation ``pad``."""
+    lines = ",\n".join(f'{pad}  "{key}": {value}' for key, value in fields.items())
+    return f"{{\n{lines}\n{pad}}}"
+
+
+def _json_array(elements: list[str], pad: str) -> str:
+    """An array of already-written elements, laid out like ``_json_object``."""
+    lines = ",\n".join(f"{pad}  {element}" for element in elements)
+    return f"[\n{lines}\n{pad}]" if elements else "[]"
+
+
+def _json_evaluation(evaluation: ComprehensionEvaluation) -> str:
+    """The JSON export, written directly: ``json.dumps(..., indent=2)`` would
+    use the stdlib's pure-Python encoder, which takes about twice as long."""
+    s, n = encode_basestring_ascii, _json_number
+    criteria = [_json_object({
+        "id": s(c.id),
+        "name": s(c.name),
+        "perspective": s(c.perspective.value),
+        "weight": n(c.weight),
+        "score": n(c.score),
+        "metrics": _json_array([_json_object({
+            "id": s(m.id),
+            "name": s(m.name),
+            "source": s(m.source.value),
+            "raw": n(m.raw),
+            "score": n(m.score),
+            "weight": n(m.weight),
+        }, "        ") for m in c.metrics], "      "),
+    }, "    ") for c in evaluation.criteria]
+    flags = [_json_object({
+        "kind": s(f.kind),
+        "id": s(f.id),
+        "name": s(f.name),
+        "score": n(f.score),
+        "threshold": n(f.threshold),
+        "perspective": s(f.perspective.value),
+        "criterion": s(f.criterion_id),
+    }, "    ") for f in evaluation.flags]
+    return _json_object({
+        "version": s("1"),
+        "model": s(evaluation.model_id),
+        "scores": _json_object({
+            "modeler": n(evaluation.s_m),
+            "reader": n(evaluation.s_r),
+            "combined": n(evaluation.s_b),
+        }, "  "),
+        "interaction_weights": _json_object({"modeler": n(evaluation.w_m),
+                                             "reader": n(evaluation.w_r)}, "  "),
+        "noise_threshold": n(evaluation.noise_threshold),
+        "criteria": _json_array(criteria, "  "),
+        "noise_flags": _json_array(flags, "  "),
+    }, "")
 
 
 def parse_evaluation(body: str) -> ComprehensionEvaluation:
@@ -214,8 +235,7 @@ def export(evaluation: ComprehensionEvaluation, format: ReportFormat | str) -> R
     if fmt is ReportFormat.MARKDOWN:
         return ReportDocument(fmt, _render_markdown(evaluation))
     if fmt is ReportFormat.JSON:
-        body = json.dumps(_evaluation_document(evaluation), indent=2) + "\n"
-        return ReportDocument(fmt, body)
+        return ReportDocument(fmt, _json_evaluation(evaluation) + "\n")
     return ReportDocument(fmt, _csv_text([CSV_HEADER, *_csv_rows(evaluation)]))
 
 

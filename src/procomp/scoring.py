@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ScoringError
-from .ett import MetricSource, Perspective
+from .ett import MetricSource, Perspective, check_interaction_weights
 
 COMBINED_CONSISTENCY_TOL = 1e-9
 DEFAULT_NOISE_THRESHOLD = 4.0
@@ -38,13 +38,6 @@ def perspective_score(criterion_scores: Sequence[float], criterion_weights: Sequ
     if not criterion_scores:
         raise ScoringError("perspective incomplete: no criterion scores")
     return aggregate_criterion(criterion_scores, criterion_weights)
-
-
-def check_interaction_weights(w_m: float, w_r: float) -> None:
-    """Raise ScoringError unless both weights are >= 0 and they sum to 1."""
-    # written so that a NaN weight fails every comparison and is rejected
-    if not (w_m >= 0 and w_r >= 0 and abs(w_m + w_r - 1.0) <= COMBINED_CONSISTENCY_TOL):
-        raise ScoringError(f"interaction weights ({w_m}, {w_r}) must be >= 0 and sum to 1")
 
 
 def combined_score(s_m: float, s_r: float, w_m: float, w_r: float) -> float:
@@ -119,9 +112,8 @@ class ComprehensionEvaluation:
             for metric in criterion.metrics:
                 if not 1.0 <= metric.score <= 10.0:
                     raise ScoringError(f"metric {metric.id!r} score {metric.score} outside [1, 10]")
-        if abs(self.w_m + self.w_r - 1.0) > COMBINED_CONSISTENCY_TOL:
-            raise ScoringError(f"interaction weights ({self.w_m}, {self.w_r}) do not sum to 1")
-        expected = self.w_m * self.s_m + self.w_r * self.s_r
+        # the weights are checked, and the combination clamped, as scoring does it
+        expected = combined_score(self.s_m, self.s_r, self.w_m, self.w_r)
         if abs(self.s_b - expected) > COMBINED_CONSISTENCY_TOL:
             raise ScoringError(
                 f"combined score {self.s_b} inconsistent with components ({expected})"

@@ -2,10 +2,16 @@
 
 Everything here is deliberately written as plain loops over the raw graph
 fields / input numbers, sharing no code with the implementations under
-test.
+test. The exceptions are the two references at the end, which keep a
+former implementation to check a restructured one against: they share
+the arithmetic, which must stay the same to the last bit, and not the
+structure under test.
 """
 
 from __future__ import annotations
+
+import json
+from dataclasses import replace
 
 _FLOW_KINDS = {
     "start-event", "end-event", "intermediate-event", "task", "sub-process",
@@ -172,3 +178,125 @@ def naive_block_structuredness(graph, rng=None) -> float:
         if kind[node] in _GATEWAY_KINDS and len(outgoing(node)) >= 2:
             return 0.0
     return 1.0
+
+
+# ---------------------------------------------------------------------------
+# Former implementations, kept as references
+
+
+def per_model_evaluation(graph, tree, registry, modeler_responses, reader_responses,
+                         modeler_schema, reader_schema, *, noise_threshold=4.0,
+                         interaction_weights=None, language=None, model_id="model"):
+    """Score one model by normalizing and aggregating every metric of the
+    tree, with the registry values of its language computed afresh, as
+    ``ScoringPlan.evaluate`` did before ``compile_plan`` pre-scored the
+    config-only parts. Config errors are left to ``compile_plan``."""
+    from procomp.errors import ConfigError
+    from procomp.ett import MetricSource, Perspective, ensure_weighted
+    from procomp.languages import control_flow_percentage, normalize_complexity
+    from procomp.metrics import extract_metrics, normalize_metric
+    from procomp.questionnaire import score_responses
+    from procomp.scoring import (ComprehensionEvaluation, CriterionResult, MetricResult,
+                                 aggregate_criterion, combined_score, detect_noise,
+                                 perspective_score)
+
+    tree = ensure_weighted(tree)
+    if interaction_weights is not None:
+        tree = replace(tree, interaction_weights=interaction_weights)
+    questionnaire_scores = score_responses(modeler_schema, modeler_responses)
+    reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
+    questionnaire_scores.update({key: sum(s[key] for s in reader_scores) / len(reader_scores)
+                                 for key in reader_scores[0]})
+
+    raw_values = extract_metrics(graph, tree)
+    language = language or graph.language
+    by_name = {d.name: d for d in registry}
+    if language not in by_name:
+        raise ConfigError(f"language {language!r} not registered (known: {', '.join(sorted(by_name))})")
+    registry_values = {
+        "complexity": normalize_complexity(registry)[language],
+        "control-flow-pattern-support": control_flow_percentage(by_name[language]),
+    }
+    criteria_results = []
+    for criterion in tree.criteria:
+        metric_results = []
+        for metric in criterion.metrics:
+            if metric.source is MetricSource.MODEL_DERIVED:
+                raw = raw_values[metric.id]
+            elif metric.source is MetricSource.LANGUAGE_REGISTRY:
+                raw = registry_values[metric.binding_key]
+            else:
+                raw = None
+            score = (questionnaire_scores[metric.id] if raw is None
+                     else normalize_metric(raw, metric.normalization, metric.polarity))
+            metric_results.append(MetricResult(id=metric.id, name=metric.name, source=metric.source,
+                                               score=score, weight=metric.weight, raw=raw))
+        q_c = aggregate_criterion([m.score for m in metric_results],
+                                  [m.weight for m in metric_results])
+        criteria_results.append(CriterionResult(
+            id=criterion.id, name=criterion.name, perspective=criterion.perspective, score=q_c,
+            weight=criterion.weight, metrics=tuple(metric_results)))
+
+    def perspective(which):
+        group = [c for c in criteria_results if c.perspective is which]
+        return perspective_score([c.score for c in group], [c.weight for c in group])
+
+    s_m, s_r = perspective(Perspective.MODELER), perspective(Perspective.READER)
+    w_m, w_r = tree.interaction_weights
+    evaluation = ComprehensionEvaluation(
+        model_id=model_id, criteria=tuple(criteria_results), s_m=s_m, s_r=s_r,
+        s_b=combined_score(s_m, s_r, w_m, w_r), w_m=w_m, w_r=w_r, noise_threshold=noise_threshold)
+    return replace(evaluation, flags=tuple(detect_noise(evaluation, noise_threshold)))
+
+
+def evaluation_document(evaluation) -> dict:
+    """The JSON export as a document, in its key order."""
+    return {
+        "version": "1",
+        "model": evaluation.model_id,
+        "scores": {
+            "modeler": evaluation.s_m,
+            "reader": evaluation.s_r,
+            "combined": evaluation.s_b,
+        },
+        "interaction_weights": {"modeler": evaluation.w_m, "reader": evaluation.w_r},
+        "noise_threshold": evaluation.noise_threshold,
+        "criteria": [
+            {
+                "id": c.id,
+                "name": c.name,
+                "perspective": c.perspective.value,
+                "weight": c.weight,
+                "score": c.score,
+                "metrics": [
+                    {
+                        "id": m.id,
+                        "name": m.name,
+                        "source": m.source.value,
+                        "raw": m.raw,
+                        "score": m.score,
+                        "weight": m.weight,
+                    }
+                    for m in c.metrics
+                ],
+            }
+            for c in evaluation.criteria
+        ],
+        "noise_flags": [
+            {
+                "kind": f.kind,
+                "id": f.id,
+                "name": f.name,
+                "score": f.score,
+                "threshold": f.threshold,
+                "perspective": f.perspective.value,
+                "criterion": f.criterion_id,
+            }
+            for f in evaluation.flags
+        ],
+    }
+
+
+def json_export(evaluation) -> str:
+    """The JSON export as the stdlib encoder writes it."""
+    return json.dumps(evaluation_document(evaluation), indent=2) + "\n"

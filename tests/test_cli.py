@@ -380,6 +380,21 @@ def test_ett_validate_bad_tree_exits_1(capsys, tmp_path):
     assert "interaction-weights-sum" in out
 
 
+@pytest.mark.parametrize("weights, code", [
+    ((1 + 5e-10, 0.0), 0), ((0.0, 1 + 5e-10), 0), ((0.9, 0.9), 1), ((-0.1, 1.1), 1),
+])
+def test_ett_validate_and_score_agree_on_interaction_weights(capsys, tmp_path, response_bundle,
+                                                              weights, code):
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    document["interaction_weights"] = dict(zip(("modeler", "reader"), weights))
+    path = tmp_path / "ett.json"
+    path.write_text(json.dumps(document))
+    validated = run(capsys, "ett", "validate", "--ett", str(path))
+    scored = run(capsys, *score_args(response_bundle, "--ett", str(path)))
+    assert (validated[0], scored[0]) == (code, code), (validated, scored)
+
+
 def test_ett_validate_lists_every_structural_violation(capsys, tmp_path):
     from procomp.defaults import default_ett_document
     document = default_ett_document()
@@ -423,6 +438,9 @@ HOSTILE_DOCUMENTS = {
     "survey-d-string-inf": ("ett", _hostile_tree(lambda d: d.update(survey_d="inf"))),
     "metric-id-list": ("ett", _hostile_tree(
         lambda d: d["criteria"][0]["metrics"][0].update(id=["m"]))),
+    "metric-name-int": ("ett", _hostile_tree(
+        lambda d: d["criteria"][0]["metrics"][0].update(name=7))),
+    "criterion-name-list": ("ett", _hostile_tree(lambda d: d["criteria"][0].update(name=["c"]))),
     "criterion-rank-bool": ("ett", _hostile_tree(lambda d: d["criteria"][0].update(rank=True))),
     "metric-weight-bool": ("ett", _hostile_tree(
         lambda d: d["criteria"][0]["metrics"][0].update(weight=True))),

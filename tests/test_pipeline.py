@@ -1,11 +1,12 @@
 import multiprocessing
 import pickle
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
 
-from procomp.bpmn import parse_model_file
+from procomp.bpmn import parse_model, parse_model_file
 from procomp.defaults import builtin_language_registry, default_ett_document
 from procomp.errors import (
     ConfigError,
@@ -14,18 +15,23 @@ from procomp.errors import (
     ResponseError,
     ScoringError,
 )
-from procomp.ett import Perspective, load_ett
+from procomp.ett import MetricSource, Perspective, load_ett
+from procomp.languages import LanguageDescriptor, PatternSupportTable
+from procomp.metrics import EXTRACTORS
 from procomp.pipeline import compile_plan
 from procomp.questionnaire import (
     Question,
     QuestionKind,
+    QuestionnaireSchema,
+    QuestionPolarity,
     ResponseIssue,
     ResponseSet,
     score_responses,
 )
 from procomp.report import export
 
-from conftest import FIXTURES, make_responses
+from conftest import FIXTURES, make_responses, pinned_ett_document, random_bpmn_document
+from oracles import per_model_evaluation
 
 MODELS = ("sequence", "xor_loop", "and_parallel", "order_fulfillment")
 
@@ -94,6 +100,130 @@ def test_a_perspective_without_criteria_is_reported_by_compile_plan(config):
     reader = ResponseSet(respondent="r-1", schema_version=reader_schema.version, answers={})
     with pytest.raises(ScoringError, match="perspective incomplete: no reader criteria"):
         compile_plan(modeler_only, registry, modeler, [reader], modeler_schema, no_questions)
+
+
+# ---------------------------------------------------------------------------
+# The pre-scored plan against scoring every metric per model
+
+GRAPHS = [parse_model_file(FIXTURES / f"{model}.bpmn") for model in MODELS]
+QUESTIONNAIRE_SOURCES = {MetricSource.MODELER_QUESTIONNAIRE: Perspective.MODELER,
+                         MetricSource.READER_QUESTIONNAIRE: Perspective.READER}
+NORMALIZATIONS = [None, {"kind": "identity"}, {"kind": "boolean"},
+                  {"kind": "linear-clamp", "lo": 0, "hi": 1}, {"kind": "linear-clamp", "lo": 0.5, "hi": 40}]
+
+
+def _weight(rng):
+    return rng.choice([rng.randint(1, 6), rng.uniform(0.5, 9.0)])
+
+
+def random_config(rng: random.Random):
+    """A random tree whose criteria draw metrics from every source, with
+    questionnaire schemas that cover it and responses to them."""
+    questions = {perspective: [] for perspective in Perspective}
+    criteria = []
+    pin_all = rng.random() < 0.25
+    for perspective in Perspective:
+        for rank in range(1, rng.randint(1, 4) + 1):
+            metrics = []
+            for metric_rank in range(1, rng.randint(1, 5) + 1):
+                source = rng.choice(list(MetricSource))
+                metric = {"id": f"x{len(criteria)}-{metric_rank}", "source": source.value,
+                          "rank": metric_rank, "polarity": rng.choice(["higher-is-better",
+                                                                       "lower-is-better"])}
+                if source is MetricSource.MODEL_DERIVED:
+                    metric["binding"] = rng.choice(sorted(EXTRACTORS))
+                elif source is MetricSource.LANGUAGE_REGISTRY:
+                    metric["binding"] = rng.choice(["complexity", "control-flow-pattern-support"])
+                else:
+                    levels = rng.choice([None, 3, 5, 7])
+                    questions[QUESTIONNAIRE_SOURCES[source]] += [Question(
+                        id=f"q-{metric['id']}-{i}", text="?", metric_id=metric["id"],
+                        kind=QuestionKind.TRUE_FALSE if levels is None else QuestionKind.LIKERT,
+                        levels=levels, polarity=rng.choice(list(QuestionPolarity)))
+                        for i in range(rng.randint(1, 2))]
+                if source in (MetricSource.MODEL_DERIVED, MetricSource.LANGUAGE_REGISTRY):
+                    normalization = rng.choice(NORMALIZATIONS)
+                    if normalization is not None:
+                        metric["normalization"] = normalization
+                if pin_all or rng.random() < 0.3:
+                    metric["weight"] = _weight(rng)
+                metrics.append(metric)
+            criterion = {"id": f"c{len(criteria)}", "perspective": perspective.value, "rank": rank,
+                         "metrics": metrics}
+            if pin_all or rng.random() < 0.3:
+                criterion["weight"] = _weight(rng)
+            criteria.append(criterion)
+    w_m = rng.choice([0.156, 0.5, rng.random()])
+    tree = load_ett({"version": "1", "criteria": criteria, "survey_d": rng.choice([10.0, 4, 2.5]),
+                     "interaction_weights": {"modeler": w_m, "reader": 1 - w_m}})
+    modeler_schema, reader_schema = (QuestionnaireSchema("1", p, tuple(questions[p]))
+                                     for p in Perspective)
+    modeler = make_responses(modeler_schema, "m-1", rng.randint(0, 9))
+    readers = [make_responses(reader_schema, f"r-{i}", rng.randint(0, 9))
+               for i in range(rng.randint(1, 3))]
+    return tree, builtin_language_registry(), modeler, readers, modeler_schema, reader_schema
+
+
+def _assert_plan_matches_per_model_scoring(config, graphs, **options):
+    plan = compile_plan(*config, **options)
+    for index, graph in enumerate(graphs):
+        expected = per_model_evaluation(graph, *config, model_id=f"m{index}", **options)
+        assert plan.evaluate(graph, model_id=f"m{index}") == expected
+
+
+@pytest.mark.parametrize("language", [None, "EPC"])
+@pytest.mark.parametrize("document", ["default", "pinned"])
+def test_plan_on_the_default_tree_matches_per_model_scoring(config, document, language):
+    tree = load_ett(pinned_ett_document()) if document == "pinned" else config[0]
+    _assert_plan_matches_per_model_scoring((tree, *config[1:]), GRAPHS, language=language)
+
+
+def test_plan_on_random_trees_matches_per_model_scoring():
+    rng = random.Random(909)
+    seen = set()
+    for _ in range(60):
+        config = random_config(rng)
+        for criterion in config[0].criteria:
+            sources = {m.source for m in criterion.metrics}
+            if MetricSource.LANGUAGE_REGISTRY in sources:
+                seen.add(criterion.perspective)
+            if len(sources) == len(MetricSource):
+                seen.add("all sources in one criterion")
+        seen.add("all pinned" if all(c.weight is not None for c in config[0].criteria)
+                 and all(m.weight is not None for m in config[0].all_metrics()) else "derived")
+        graphs = [rng.choice(GRAPHS), parse_model(random_bpmn_document(rng).encode())]
+        language = rng.choice([None, "BPMN 2.0", "EPC", "UML Activity Diagram"])
+        weights = rng.choice([None, (0.3, 0.7)])
+        _assert_plan_matches_per_model_scoring(
+            config, graphs, language=language, interaction_weights=weights,
+            noise_threshold=rng.choice([4.0, 6.5, 10.0]))
+    assert seen == {*Perspective, "all sources in one criterion", "all pinned", "derived"}
+
+
+@pytest.mark.parametrize("language, graph_language", [("Petri nets", "BPMN 2.0"),
+                                                      (None, "Petri nets")])
+def test_an_unregistered_language_fails_as_in_per_model_scoring(config, language, graph_language):
+    graph = replace(GRAPHS[0], language=graph_language)
+    plan = compile_plan(*config, language=language)
+    with pytest.raises(ConfigError) as expected:
+        per_model_evaluation(graph, *config, language=language)
+    with pytest.raises(ConfigError) as actual:
+        plan.evaluate(graph)
+    assert str(actual.value) == str(expected.value) == (
+        "language 'Petri nets' not registered (known: BPMN 2.0, EPC, UML Activity Diagram)")
+
+
+def test_a_language_without_a_control_flow_catalog_fails_only_its_own_models(config):
+    sketch = LanguageDescriptor("Sketch", 3, 1, 2, PatternSupportTable((), {}))
+    config = (config[0], (*config[1], sketch), *config[2:])
+    _assert_plan_matches_per_model_scoring(config, GRAPHS[:1])
+    plan = compile_plan(*config, language="Sketch")
+    with pytest.raises(ConfigError) as expected:
+        per_model_evaluation(GRAPHS[0], *config, language="Sketch")
+    with pytest.raises(ConfigError) as actual:
+        plan.evaluate(GRAPHS[0])
+    assert str(actual.value) == str(expected.value) == (
+        "descriptor 'Sketch' has no control-flow pattern catalog")
 
 
 ERRORS = [

@@ -1,14 +1,22 @@
+import json
+import math
+import random
+from dataclasses import replace
+
 import pytest
 
 from procomp.defaults import builtin_language_registry
 from procomp.bpmn import parse_model_file
 from procomp.errors import ProcompError
 from procomp.ett import MetricSource, Perspective
-from procomp.pipeline import evaluate_model
-from procomp.report import export, fmt2, parse_evaluation, render_summary
-from procomp.scoring import ComprehensionEvaluation, CriterionResult, MetricResult
+from procomp.pipeline import compile_plan, evaluate_model
+from procomp.report import (batch_entry, export, fmt2, frame_batch, parse_evaluation,
+                            render_summary)
+from procomp.scoring import (ComprehensionEvaluation, CriterionResult, MetricResult,
+                             combined_score, detect_noise)
 
 from conftest import FIXTURES, make_responses
+from oracles import evaluation_document, json_export
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +128,64 @@ def test_markdown_contains_score_table(evaluation):
 def test_unsupported_format_rejected(evaluation):
     with pytest.raises(ProcompError, match="unsupported format"):
         export(evaluation, "xlsx")
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against the stdlib encoder
+
+NAMES = ["Plain", "", 'say "hi"', "back\\slash", "tab\there\nnewline", "\x00\x1f\x7f controls",
+         "Größe – naïve", "模型", "emoji \U0001f642", "slash / and \u2028"]
+RAWS = [None, 0.0, -0.0, 1e-7, 1e16, 3, 2.5e-310, math.inf, -math.inf, math.nan]
+
+
+def _number(rng):
+    """A score or weight: a float, or an int as a pinned weight in a tree document is."""
+    return rng.choice([rng.uniform(1.0, 10.0), rng.randint(1, 10), 10.0, 1.0])
+
+
+def random_evaluation(rng: random.Random) -> ComprehensionEvaluation:
+    criteria = tuple(
+        CriterionResult(
+            id=f"c{ci}", name=rng.choice(NAMES), perspective=rng.choice(list(Perspective)),
+            score=_number(rng), weight=_number(rng),
+            metrics=tuple(
+                MetricResult(id=f"c{ci}-m{mi}", name=rng.choice(NAMES),
+                             source=rng.choice(list(MetricSource)), score=_number(rng),
+                             weight=_number(rng), raw=rng.choice(RAWS + [rng.uniform(-1e3, 1e3)]))
+                for mi in range(rng.randint(0, 4))))
+        for ci in range(rng.randint(0, 4)))
+    s_m, s_r = _number(rng), _number(rng)
+    w_m = rng.choice([0.156, rng.random(), 0, 1])
+    evaluation = ComprehensionEvaluation(
+        model_id=rng.choice(["model", "modèle-ü", "模型", 'a"b\\c', "line\nbreak"]),
+        criteria=criteria, s_m=s_m, s_r=s_r, s_b=combined_score(s_m, s_r, w_m, 1 - w_m),
+        w_m=w_m, w_r=1 - w_m, noise_threshold=rng.choice([4.0, 4, 7.5]))
+    if rng.random() < 0.5:
+        evaluation = replace(evaluation, flags=tuple(detect_noise(evaluation,
+                                                                  evaluation.noise_threshold)))
+    return evaluation
+
+
+def _assert_json_matches_the_stdlib_encoder(evaluations):
+    for evaluation in evaluations:
+        expected = json_export(evaluation)
+        assert export(evaluation, "json").body == expected
+        assert batch_entry(evaluation, "json") == "  " + expected.rstrip("\n").replace("\n", "\n  ")
+    framed = "".join(frame_batch([batch_entry(e, "json") for e in evaluations], "json"))
+    assert framed == json.dumps([evaluation_document(e) for e in evaluations], indent=2) + "\n"
+
+
+def test_json_of_the_fixtures_matches_the_stdlib_encoder(ett, modeler_schema, reader_schema):
+    plan = compile_plan(ett, builtin_language_registry(), make_responses(modeler_schema, "m-1", 1),
+                        [make_responses(reader_schema, "r-1", 0)], modeler_schema, reader_schema)
+    _assert_json_matches_the_stdlib_encoder([
+        plan.evaluate(parse_model_file(FIXTURES / f"{model}.bpmn"), model_id=model)
+        for model in ("sequence", "xor_loop", "and_parallel", "order_fulfillment")])
+
+
+def test_json_of_random_evaluations_matches_the_stdlib_encoder():
+    rng = random.Random(2024)
+    evaluations = [random_evaluation(rng) for _ in range(300)]
+    assert any(not e.flags for e in evaluations) and any(e.flags for e in evaluations)
+    assert any(not e.criteria for e in evaluations)
+    _assert_json_matches_the_stdlib_encoder(evaluations)
