@@ -72,18 +72,6 @@ def _resolve_registry(paths: list[str] | None):
     return tuple(load_descriptor_file(p) for p in paths) or defaults.builtin_language_registry()
 
 
-def _parse_weights(value: str) -> tuple[float, float]:
-    try:
-        w_m, w_r = (float(part) for part in value.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"weights must look like '0.156,0.844', got {value!r}"
-        ) from None
-    if not (math.isfinite(w_m) and math.isfinite(w_r)):
-        raise argparse.ArgumentTypeError(f"weights must be finite numbers, got {value!r}")
-    return (w_m, w_r)
-
-
 def _finite_float(value: str) -> float:
     try:
         number = float(value)
@@ -94,11 +82,13 @@ def _finite_float(value: str) -> float:
     return number
 
 
-def _unit_float(value: str) -> float:
-    number = _finite_float(value)
-    if not 0.0 <= number <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {value!r}")
-    return number
+def _parse_weights(value: str) -> tuple[float, float]:
+    parts = value.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(
+            f"weights must look like '0.156,0.844', got {value!r}"
+        )
+    return tuple(_finite_float(part) for part in parts)
 
 
 def _positive_int(value: str) -> int:
@@ -276,14 +266,8 @@ def _cmd_questionnaire_fill(args) -> int:
     answers: dict[str, bool | int] = {}
     print(f"{schema.perspective.value} questionnaire, {len(schema.questions)} questions")
     for index, question in enumerate(schema.questions, start=1):
-        if question.kind is QuestionKind.TRUE_FALSE:
-            prompt = f"[{index}/{len(schema.questions)}] {question.text} (y/n): "
-        else:
-            prompt = (
-                f"[{index}/{len(schema.questions)}] {question.text} "
-                f"(1-{question.levels}): "
-            )
-        sys.stdout.write(prompt)
+        scale = "y/n" if question.kind is QuestionKind.TRUE_FALSE else f"1-{question.levels}"
+        sys.stdout.write(f"[{index}/{len(schema.questions)}] {question.text} ({scale}): ")
         sys.stdout.flush()
         line = sys.stdin.readline()
         if not line:
@@ -401,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     language_compare = language_sub.add_parser("compare", help="compare registered languages")
     language_compare.add_argument("--languages", nargs="+",
                                   help="descriptor file(s) (default: built-in registry)")
-    language_compare.add_argument("--partial-weight", type=_unit_float, default=1.0,
+    language_compare.add_argument("--partial-weight", type=_finite_float, default=1.0,
                                   help="what a partially supported pattern counts, in [0, 1] "
                                        "(default 1); changes this table only")
     language_compare.add_argument("--full-range", action="store_true",

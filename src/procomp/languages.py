@@ -55,15 +55,12 @@ class PatternSupportTable:
                 raise ConfigError(f"duplicate pattern {entry.id!r} of type {entry.type.value}")
             seen.add(key)
         for ptype in PatternType:
-            supported = sum(
-                1 for e in self.entries
-                if e.type is ptype and e.support is not Support.NONE
-            )
+            supported = self.counts(ptype)
             size = self.catalog_sizes.get(ptype, 0)
             if supported > size:
                 raise ConfigError(
                     f"{ptype.value} catalog size {size} is smaller than "
-                    f"{supported} supported patterns"
+                    f"{supported:g} supported patterns"
                 )
 
     def counts(self, ptype: PatternType, partial_weight: float = 1.0) -> float:
@@ -129,9 +126,7 @@ def normalize_complexity(
     if not registry:
         raise ConfigError("cannot normalize an empty language registry")
     norms = {d.name: complexity_score(d) for d in registry}
-    max_norm = max(norms.values())
-    if max_norm <= 0:
-        raise ConfigError("registry maximum complexity must be > 0")
+    max_norm = max(norms.values())  # > 0: every descriptor has a count > 0
     if full_range:
         min_norm = min(norms.values())
         spread = max_norm - min_norm

@@ -235,13 +235,14 @@ def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> dic
     without a matching extractor makes the whole extraction fail. Each
     binding key is extracted once, however many metrics share it.
     """
-    check_extractor_bindings(tree)
     values: dict[str, float] = {}
     raw: dict[str, float] = {}
     for metric in tree.all_metrics():
         if metric.source is MetricSource.MODEL_DERIVED:
             key = metric.binding_key
             if key not in values:
+                if key not in EXTRACTORS:
+                    check_extractor_bindings(tree)  # raises, naming every unbound metric
                 values[key] = EXTRACTORS[key](graph)
             raw[metric.id] = values[key]
     return raw

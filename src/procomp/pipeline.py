@@ -44,6 +44,7 @@ from .questionnaire import (
     score_responses,
     validate_schema,
 )
+from .ranking import left_sum
 from .scoring import (
     DEFAULT_NOISE_THRESHOLD,
     ComprehensionEvaluation,
@@ -70,9 +71,8 @@ def language_metric_values(
     values: dict[str, dict[str, float] | str] = {}
     for descriptor in registry:
         try:
-            values[descriptor.name] = {"complexity": complexity[descriptor.name],
-                                       "control-flow-pattern-support":
-                                           control_flow_percentage(descriptor)}
+            values[descriptor.name] = dict(zip(_REGISTRY_BINDINGS, (
+                complexity[descriptor.name], control_flow_percentage(descriptor))))
         except ConfigError as exc:
             values[descriptor.name] = str(exc)
     return values
@@ -200,7 +200,7 @@ def compile_plan(
 
     questionnaire_scores = score_responses(modeler_schema, modeler_responses)
     reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
-    questionnaire_scores.update({key: sum(s[key] for s in reader_scores) / len(reader_scores)
+    questionnaire_scores.update({key: left_sum(s[key] for s in reader_scores) / len(reader_scores)
                                  for key in reader_scores[0]})
     check_extractor_bindings(tree)
     for metric in tree.all_metrics():

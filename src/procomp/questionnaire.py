@@ -14,6 +14,7 @@ from pathlib import Path
 from .documents import read_json_object
 from .errors import ConfigError, ResponseError
 from .ett import EvaluationTheoryTree, MetricSource, Perspective
+from .ranking import left_sum
 
 
 class QuestionKind(str, enum.Enum):
@@ -132,7 +133,7 @@ def score_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> dict
     for question in schema.questions:
         score = question_score(question, responses.answers[question.id])
         per_metric.setdefault(question.metric_id, []).append(score)
-    return {metric: sum(scores) / len(scores) for metric, scores in per_metric.items()}
+    return {metric: left_sum(scores) / len(scores) for metric, scores in per_metric.items()}
 
 
 def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> list[ResponseIssue]:

@@ -13,7 +13,10 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ConfigError
 
@@ -65,13 +68,14 @@ class RankMethod:
 
 def default_methods() -> tuple[RankMethod, ...]:
     """The five methods with their default parameters, in comparison order."""
-    return (
-        RankMethod(MethodKind.RANK_SUM),
-        RankMethod(MethodKind.RECIPROCAL_RANK),
-        RankMethod(MethodKind.RANK_EXPONENT),
-        RankMethod(MethodKind.DCG),
-        RankMethod(MethodKind.DNLOG),
-    )
+    return tuple(RankMethod(kind) for kind in MethodKind)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The floats added one by one from the left, the order ``sum()`` used
+    before Python 3.12, which rounds differently; every score is summed this
+    way, so that it is the same to the last bit on every Python."""
+    return reduce(add, values, 0.0)
 
 
 def dnlog_weight(n: int, k: int, d: float) -> float:
@@ -130,9 +134,10 @@ class SurveyDataset:
                 )
             if any(p < 0 for p in ps):
                 raise ConfigError(f"negative placement fraction for item {item!r}")
-            if abs(sum(ps) - 1.0) > PLACEMENT_SUM_TOL:
+            total = left_sum(ps)
+            if abs(total - 1.0) > PLACEMENT_SUM_TOL:
                 raise ConfigError(
-                    f"placements for item {item!r} sum to {sum(ps)!r}, expected 1"
+                    f"placements for item {item!r} sum to {total!r}, expected 1"
                 )
 
 
@@ -170,13 +175,13 @@ def load_survey_csv(path: str | Path) -> SurveyDataset:
 
 def weighted_mean_rank(placements: tuple[float, ...] | list[float],
                        weights: tuple[float, ...] | list[float]) -> float:
-    """Weighted arithmetic mean of placement fractions: sum(w*p) / sum(w)."""
+    """Weighted arithmetic mean of placement fractions: sum(w*p) / sum(w).
+    It is also the mean that aggregates metric and criterion scores."""
     if len(placements) != len(weights):
         raise ValueError(
             f"{len(placements)} placements vs {len(weights)} weights"
         )
-    total = sum(weights)
-    return sum(w * p for w, p in zip(weights, placements)) / total
+    return left_sum(map(mul, weights, placements)) / left_sum(weights)
 
 
 def rank_items(dataset: SurveyDataset, method: RankMethod) -> list[tuple[str, float]]:

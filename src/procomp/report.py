@@ -131,10 +131,11 @@ def _json_array(elements: list[str], pad: str) -> str:
     return f"[\n{lines}\n{pad}]" if elements else "[]"
 
 
-def _json_evaluation(evaluation: ComprehensionEvaluation) -> str:
-    """The JSON export, written directly: ``json.dumps(..., indent=2)`` would
-    use the stdlib's pure-Python encoder, which takes about twice as long."""
+def _json_evaluation(evaluation: ComprehensionEvaluation, pad: str) -> str:
+    """The JSON export at the indentation ``pad``, written directly: ``json.dumps``
+    with an ``indent`` uses the stdlib's pure-Python encoder, about twice as slow."""
     s, n = encode_basestring_ascii, _json_number
+    pad1, pad2, pad3, pad4 = (pad + "  " * depth for depth in range(1, 5))
     criteria = [_json_object({
         "id": s(c.id),
         "name": s(c.name),
@@ -148,8 +149,8 @@ def _json_evaluation(evaluation: ComprehensionEvaluation) -> str:
             "raw": n(m.raw),
             "score": n(m.score),
             "weight": n(m.weight),
-        }, "        ") for m in c.metrics], "      "),
-    }, "    ") for c in evaluation.criteria]
+        }, pad4) for m in c.metrics], pad3),
+    }, pad2) for c in evaluation.criteria]
     flags = [_json_object({
         "kind": s(f.kind),
         "id": s(f.id),
@@ -158,7 +159,7 @@ def _json_evaluation(evaluation: ComprehensionEvaluation) -> str:
         "threshold": n(f.threshold),
         "perspective": s(f.perspective.value),
         "criterion": s(f.criterion_id),
-    }, "    ") for f in evaluation.flags]
+    }, pad2) for f in evaluation.flags]
     return _json_object({
         "version": s("1"),
         "model": s(evaluation.model_id),
@@ -166,13 +167,13 @@ def _json_evaluation(evaluation: ComprehensionEvaluation) -> str:
             "modeler": n(evaluation.s_m),
             "reader": n(evaluation.s_r),
             "combined": n(evaluation.s_b),
-        }, "  "),
+        }, pad1),
         "interaction_weights": _json_object({"modeler": n(evaluation.w_m),
-                                             "reader": n(evaluation.w_r)}, "  "),
+                                             "reader": n(evaluation.w_r)}, pad1),
         "noise_threshold": n(evaluation.noise_threshold),
-        "criteria": _json_array(criteria, "  "),
-        "noise_flags": _json_array(flags, "  "),
-    }, "")
+        "criteria": _json_array(criteria, pad1),
+        "noise_flags": _json_array(flags, pad1),
+    }, pad)
 
 
 def parse_evaluation(body: str) -> ComprehensionEvaluation:
@@ -235,7 +236,7 @@ def export(evaluation: ComprehensionEvaluation, format: ReportFormat | str) -> R
     if fmt is ReportFormat.MARKDOWN:
         return ReportDocument(fmt, _render_markdown(evaluation))
     if fmt is ReportFormat.JSON:
-        return ReportDocument(fmt, _json_evaluation(evaluation) + "\n")
+        return ReportDocument(fmt, _json_evaluation(evaluation, "") + "\n")
     return ReportDocument(fmt, _csv_text([CSV_HEADER, *_csv_rows(evaluation)]))
 
 
@@ -244,9 +245,9 @@ def batch_entry(evaluation: ComprehensionEvaluation, format: ReportFormat | str)
     fmt = ReportFormat(format)
     if fmt is ReportFormat.CSV:
         return _csv_text([evaluation.model_id, *row] for row in _csv_rows(evaluation))
-    body = export(evaluation, fmt).body
-    # a JSON part is an element of the report's array, so it is indented one level
-    return "  " + body.rstrip("\n").replace("\n", "\n  ") if fmt is ReportFormat.JSON else body
+    if fmt is ReportFormat.JSON:  # an element of the report's array, one level in
+        return "  " + _json_evaluation(evaluation, "  ")
+    return export(evaluation, fmt).body
 
 
 def frame_batch(parts: list[str], format: ReportFormat | str) -> list[str]:

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .errors import ScoringError
 from .ett import MetricSource, Perspective, check_interaction_weights
+from .ranking import weighted_mean_rank
 
 COMBINED_CONSISTENCY_TOL = 1e-9
 DEFAULT_NOISE_THRESHOLD = 4.0
@@ -29,7 +30,7 @@ def aggregate_criterion(scores: Sequence[float], weights: Sequence[float]) -> fl
         raise ScoringError(f"{len(scores)} scores vs {len(weights)} weights")
     if any(w <= 0 for w in weights):
         raise ScoringError("metric weights must be > 0")
-    mean = sum(w * s for w, s in zip(weights, scores)) / sum(weights)
+    mean = weighted_mean_rank(scores, weights)
     return min(max(mean, min(scores)), max(scores))
 
 

@@ -196,6 +196,7 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
     from procomp.languages import control_flow_percentage, normalize_complexity
     from procomp.metrics import extract_metrics, normalize_metric
     from procomp.questionnaire import score_responses
+    from procomp.ranking import left_sum
     from procomp.scoring import (ComprehensionEvaluation, CriterionResult, MetricResult,
                                  aggregate_criterion, combined_score, detect_noise,
                                  perspective_score)
@@ -205,7 +206,7 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
         tree = replace(tree, interaction_weights=interaction_weights)
     questionnaire_scores = score_responses(modeler_schema, modeler_responses)
     reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
-    questionnaire_scores.update({key: sum(s[key] for s in reader_scores) / len(reader_scores)
+    questionnaire_scores.update({key: left_sum(s[key] for s in reader_scores) / len(reader_scores)
                                  for key in reader_scores[0]})
 
     raw_values = extract_metrics(graph, tree)

@@ -144,10 +144,13 @@ def test_malformed_weights_flag_exits_2(response_bundle):
 
 
 @pytest.mark.parametrize("weights", ["nan,0.5", "inf,0.5", "0.5,-inf"])
-def test_non_finite_weights_flag_exits_2(response_bundle, weights):
+def test_non_finite_weights_flag_exits_2(capsys, response_bundle, weights):
     with pytest.raises(SystemExit) as exc:
         main(score_args(response_bundle, "--weights", weights))
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --weights: expected a finite number, got '" in captured.err
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "four"])
@@ -513,6 +516,18 @@ def test_survey_rank_matches_brute_force(capsys, tmp_path):
     assert listed == expected
 
 
+def test_survey_compare_output(capsys, tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_text("item,rank,fraction\na,1,0.5\na,2,0.3\na,3,0.2\nb,1,0.2\nb,2,0.5\nb,3,0.3\n"
+                    "c,1,0.3\nc,2,0.2\nc,3,0.5\nd,1,0.34\nd,2,0.33\nd,3,0.33\n", encoding="utf-8")
+    assert run(capsys, "survey", "rank", str(path), "--compare") == (0, (
+        "rank-sum               linear-like  a > d > b > c\n"
+        "reciprocal-rank        polynomial   a > d > c > b\n"
+        "rank-exponent(p=2)     polynomial   a > d > b > c\n"
+        "dcg                    polynomial   a > d > c > b\n"
+        "dnlog(d=10)            exponential  a > d > c > b\n"), "")
+
+
 def test_survey_compare_lists_five_methods(capsys, tmp_path):
     path = tmp_path / "survey.csv"
     path.write_text(
@@ -552,6 +567,20 @@ def test_survey_rank_bad_method_parameter_exits_2(capsys, tmp_path, flags):
 def test_language_compare_partial_weight_outside_unit_interval_exits_2(capsys, weight):
     code, out, _ = run_to_exit(capsys, "language", "compare", f"--partial-weight={weight}")
     assert (code, out) == (2, "")
+
+
+def test_language_compare_partial_weight_outside_unit_interval_names_it(capsys):
+    assert run(capsys, "language", "compare", "--partial-weight=1.5") == (
+        2, "", "error: partial weight must lie in [0, 1], got 1.5\n")
+
+
+def test_language_compare_output(capsys):
+    assert run(capsys, "language", "compare") == (0, (
+        "language                     norm  score patterns  support per type\n"
+        "BPMN 2.0                    44.96   9.10       37  control-flow=90%  data=35%  resource=12%\n"
+        "EPC                         15.17   9.70       11  control-flow=45%  data=5%  resource=0%\n"
+        "UML Activity Diagram        25.02   9.50       24  control-flow=70%  data=20%  resource=5%\n"
+    ), "")
 
 
 def test_language_compare(capsys):
@@ -651,6 +680,22 @@ def test_questionnaire_fill_roundtrip(capsys, tmp_path, monkeypatch, reader_sche
     written = load_responses_file(output)
     assert written.respondent == "r-77"
     assert written.answers == answers
+
+
+def test_questionnaire_fill_prompts(capsys, tmp_path, monkeypatch):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"version": "1", "perspective": "reader", "questions": [
+        {"id": "q1", "text": "Is it clear?", "kind": "true-false", "metric": "r-x"},
+        {"id": "q2", "text": "How clear is it?", "kind": "likert", "levels": 7, "metric": "r-x"},
+    ]}), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("y\n3\n"))
+    output = tmp_path / "responses.json"
+    assert run(capsys, "questionnaire", "fill", "--schema", str(schema), "--respondent", "r",
+               "--output", str(output)) == (0, (
+        "reader questionnaire, 2 questions\n"
+        "[1/2] Is it clear? (y/n): [2/2] How clear is it? (1-7): "
+        f"wrote {output}\n"), "")
+    assert load_responses_file(output).answers == {"q1": True, "q2": 3}
 
 
 def test_questionnaire_fill_bad_input_exits_2(capsys, tmp_path, monkeypatch):

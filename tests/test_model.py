@@ -14,6 +14,7 @@ from procomp.bpmn import (
     parse_model,
     parse_model_file,
 )
+from procomp.defaults import default_ett_document
 from procomp.errors import ExtractionError, ModelParseError
 from procomp.ett import (
     NormalizationKind,
@@ -572,6 +573,18 @@ def test_unextractable_metric_is_reported():
     graph = parse_model_file(FIXTURES / "sequence.bpmn")
     with pytest.raises(ExtractionError, match="strange-metric"):
         extract_metrics(graph, tree)
+
+
+def test_every_unbound_metric_is_named_however_far_the_walk_got():
+    document = default_ett_document()
+    unbound = {"m-err-labeling": "no-such-extractor", "r-rep-density": "nor-this-one"}
+    for criterion in document["criteria"]:
+        for metric in criterion["metrics"]:
+            if metric["id"] in unbound:
+                metric["binding"] = unbound[metric["id"]]
+    with pytest.raises(ExtractionError) as exc:
+        extract_metrics(parse_model_file(FIXTURES / "sequence.bpmn"), load_ett(document))
+    assert exc.value.metric_ids == ["m-err-labeling", "r-rep-density"]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,28 @@ def config(ett, modeler_schema, reader_schema):
     )
 
 
+def test_reader_scores_average_left_to_right(config):
+    # six-level answers (1, 2.8, 4.6, ...) that sum() from Python 3.12 on
+    # averages differently for 10 of the 24 reader metrics
+    tree, registry, modeler, _, modeler_schema, reader_schema = config
+    reader_schema = replace(reader_schema, questions=tuple(
+        replace(q, levels=6) if q.kind is QuestionKind.LIKERT else q
+        for q in reader_schema.questions))
+    readers = [make_responses(reader_schema, f"r-{seed}", seed) for seed in range(5)]
+    per_reader = [score_responses(reader_schema, r) for r in readers]
+    evaluation = compile_plan(tree, registry, modeler, readers, modeler_schema,
+                              reader_schema).evaluate(parse_model_file(FIXTURES / "sequence.bpmn"))
+    averaged = 0
+    for _, metric in evaluation.metric_results():
+        if metric.source is MetricSource.READER_QUESTIONNAIRE:
+            total = 0.0
+            for scores in per_reader:
+                total += scores[metric.id]
+            assert metric.score == total / len(per_reader)
+            averaged += 1
+    assert averaged == 24
+
+
 def test_unpickled_plan_exports_the_same_bytes(config):
     plan = compile_plan(*config)
     clone = pickle.loads(pickle.dumps(plan))

@@ -115,6 +115,16 @@ def test_hand_computed_mean():
     assert score == pytest.approx(0.43076923076923085, abs=1e-15)
 
 
+def test_weighted_mean_rank_adds_left_to_right_on_every_python():
+    assert weighted_mean_rank([1.88, 7.41, 6.08], [1.0, 1.0, 1.0]) == 5.123333333333333
+    rng = random.Random(13)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        placements = [rng.random() for _ in range(n)]
+        weights = [rng.uniform(1.0, 10.0) for _ in range(n)]
+        assert weighted_mean_rank(placements, weights) == brute_force_weighted_mean(placements, weights)
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         weighted_mean_rank([0.5, 0.5], [1.0])
@@ -173,6 +183,12 @@ def test_dataset_invariants_enforced():
         SurveyDataset(("a",), 2, {"a": (-0.1, 1.1)})
     with pytest.raises(ConfigError):
         SurveyDataset(("a",), 0, {"a": ()})
+
+
+def test_placement_sum_is_reported_as_added_left_to_right():
+    # sum() from Python 3.12 on gives 0.6 here
+    with pytest.raises(ConfigError, match=r"sum to 0\.6000000000000001, expected 1"):
+        SurveyDataset(("a",), 3, {"a": (0.1, 0.2, 0.3)})
 
 
 # ---------------------------------------------------------------------------

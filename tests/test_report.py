@@ -125,6 +125,14 @@ def test_markdown_contains_score_table(evaluation):
     assert "| Representation Factors |" in body
 
 
+def test_markdown_without_flags_ends_with_the_no_noise_line(evaluation):
+    unflagged = replace(evaluation, noise_threshold=1.0, flags=())
+    golden = (FIXTURES / "golden" / "order_fulfillment.md").read_text(encoding="utf-8")
+    noise = golden.index("## Noise\n\n") + len("## Noise\n\n")
+    assert export(unflagged, "markdown").body == (
+        golden[:noise] + "No noise detected (no score below threshold 1.00).\n")
+
+
 def test_unsupported_format_rejected(evaluation):
     with pytest.raises(ProcompError, match="unsupported format"):
         export(evaluation, "xlsx")

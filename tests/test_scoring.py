@@ -77,6 +77,20 @@ def test_hand_computed_weighted_mean():
     assert aggregate_criterion([10.0, 1.0], [9.0, 1.0]) == pytest.approx(9.1)
 
 
+def test_weighted_mean_adds_left_to_right_on_every_python():
+    # sum() from Python 3.12 on gives a mean of 5.123333333333334 here
+    scores, weights = [1.88, 7.41, 6.08], [1.0, 1.0, 1.0]
+    assert aggregate_criterion(scores, weights) == normalized_weighted_sum(scores, weights)
+    assert aggregate_criterion(scores, weights) == 5.123333333333333
+    rng = random.Random(12)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        scores = [rng.uniform(1.0, 10.0) for _ in range(n)]
+        weights = [rng.uniform(0.01, 5.0) for _ in range(n)]
+        expected = min(max(normalized_weighted_sum(scores, weights), min(scores)), max(scores))
+        assert aggregate_criterion(scores, weights) == expected
+
+
 def test_singleton_criterion_passes_through():
     assert aggregate_criterion([7.3], [123.0]) == 7.3
 
