@@ -84,6 +84,7 @@ from .ranking import (
     rank_items,
     weighted_mean_rank,
 )
+from .records import replace
 from .report import ReportDocument, ReportFormat, export, parse_evaluation, render_summary
 from .scoring import (
     ComprehensionEvaluation,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import xml.etree.ElementTree as ElementTree
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from .errors import ModelParseError
+from .records import field, record
 
 
 class NodeKind(str, enum.Enum):
@@ -63,7 +63,7 @@ class EdgeKind(str, enum.Enum):
     DATA = "data"
 
 
-@dataclass(frozen=True)
+@record
 class Node:
     id: str
     kind: NodeKind
@@ -71,7 +71,7 @@ class Node:
     parent: str | None = None  # enclosing sub-process id, if nested
 
 
-@dataclass(frozen=True)
+@record
 class Edge:
     id: str
     source: str
@@ -79,7 +79,7 @@ class Edge:
     kind: EdgeKind
 
 
-@dataclass(frozen=True, eq=False)  # compared by identity: one index per graph
+@record(eq=False)  # compared by identity: one index per graph
 class GraphIndex:
     """What the structural metrics share, built in one pass over the nodes
     and one over the edges.
@@ -129,7 +129,7 @@ class GraphIndex:
                    tuple(in_degree), tuple(out_degree), kind_counts)
 
 
-@dataclass(frozen=True)
+@record
 class ProcessModelGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 from .documents import read_json_object
 from .errors import ConfigError, ScoringError
 from .ranking import dnlog_weight
+from .records import record, replace
 
 INTERACTION_SUM_TOL = 1e-9
 CANONICAL_TOTAL = 96
@@ -45,7 +45,7 @@ class NormalizationKind(str, enum.Enum):
     BOOLEAN = "boolean"
 
 
-@dataclass(frozen=True)
+@record
 class NormalizationSpec:
     """How a raw metric value maps into the universal [1, 10] scale."""
 
@@ -64,7 +64,7 @@ class NormalizationSpec:
 IDENTITY = NormalizationSpec(NormalizationKind.IDENTITY)
 
 
-@dataclass(frozen=True)
+@record
 class QualityMetric:
     """One measurable aspect under a criterion.
 
@@ -89,7 +89,7 @@ class QualityMetric:
         return self.binding if self.binding is not None else self.id
 
 
-@dataclass(frozen=True)
+@record
 class QualityCriterion:
     id: str
     name: str
@@ -99,7 +99,7 @@ class QualityCriterion:
     weight: float | None = None
 
 
-@dataclass(frozen=True)
+@record
 class EvaluationTheoryTree:
     """Criteria for both perspectives plus the global weighting parameters.
 
@@ -297,7 +297,7 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
     def weight(node, n_siblings: int) -> float:
         return node.weight if node.weight is not None else dnlog_weight(n_siblings, node.rank, d)
 
-    # one constructor call per node, which costs about half a dataclasses.replace
+    # one constructor call per node: half the cost of a replace, which reads every field back first
     new_criteria: list[QualityCriterion] = []
     for perspective in Perspective:
         group = tree.criteria_for(perspective)
@@ -349,7 +349,7 @@ def check_interaction_weights(w_m: float, w_r: float) -> None:
         raise ScoringError(f"interaction weights ({w_m}, {w_r}) must be >= 0 and sum to 1")
 
 
-@dataclass(frozen=True)
+@record
 class ValidationEntry:
     severity: str  # "error" | "warning"
     code: str
@@ -357,7 +357,7 @@ class ValidationEntry:
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     entries: tuple[ValidationEntry, ...]
 

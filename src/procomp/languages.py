@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .documents import read_json_object
 from .errors import ConfigError
+from .records import record
 
 
 class PatternType(str, enum.Enum):
@@ -28,7 +28,7 @@ class Support(str, enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@record
 class PatternEntry:
     id: str
     type: PatternType
@@ -36,7 +36,7 @@ class PatternEntry:
     name: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class PatternSupportTable:
     """Support entries plus the catalog size per pattern type.
 
@@ -76,7 +76,7 @@ class PatternSupportTable:
         return total
 
 
-@dataclass(frozen=True)
+@record
 class LanguageDescriptor:
     """Counts and pattern table for one modeling language.
 

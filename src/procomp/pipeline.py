@@ -18,7 +18,6 @@ tracer can wrap them from outside, as ``perfbench/worker.py`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .bpmn import ProcessModelGraph
@@ -45,6 +44,7 @@ from .questionnaire import (
     validate_schema,
 )
 from .ranking import left_sum
+from .records import record, replace
 from .scoring import (
     DEFAULT_NOISE_THRESHOLD,
     ComprehensionEvaluation,
@@ -91,7 +91,7 @@ def _criterion_result(criterion: QualityCriterion,
                            score=score, weight=criterion.weight, metrics=metric_results)
 
 
-@dataclass(frozen=True)
+@record
 class ScoringPlan:
     """The part of scoring that depends only on the config, compiled once.
 

@@ -8,13 +8,13 @@ questions feed one metric, the metric score is their arithmetic mean.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from pathlib import Path
 
 from .documents import read_json_object
 from .errors import ConfigError, ResponseError
 from .ett import EvaluationTheoryTree, MetricSource, Perspective
 from .ranking import left_sum
+from .records import record
 
 
 class QuestionKind(str, enum.Enum):
@@ -27,7 +27,7 @@ class QuestionPolarity(str, enum.Enum):
     REVERSED = "reversed"
 
 
-@dataclass(frozen=True)
+@record
 class Question:
     id: str
     text: str
@@ -44,7 +44,7 @@ class Question:
             raise ConfigError(f"question {self.id!r}: true/false takes no levels")
 
 
-@dataclass(frozen=True)
+@record
 class QuestionnaireSchema:
     version: str
     perspective: Perspective
@@ -64,14 +64,14 @@ class QuestionnaireSchema:
         return MetricSource.READER_QUESTIONNAIRE
 
 
-@dataclass(frozen=True)
+@record
 class ResponseSet:
     respondent: str
     schema_version: str
     answers: dict[str, bool | int]
 
 
-@dataclass(frozen=True)
+@record
 class ResponseIssue:
     code: str  # missing-answer | out-of-range | unknown-question | wrong-type
     question_id: str

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
+from .records import field, record
 
 PLACEMENT_SUM_TOL = 1e-9
 _GROWTH_TOL = 1e-9
@@ -32,7 +32,7 @@ class MethodKind(str, enum.Enum):
     DNLOG = "dnlog"
 
 
-@dataclass(frozen=True)
+@record
 class RankMethod:
     """A weighting method plus its parameter, if it takes one.
 
@@ -108,7 +108,7 @@ def method_weight(method: RankMethod, n: int, k: int) -> float:
     return dnlog_weight(n, k, method.param)
 
 
-@dataclass(frozen=True)
+@record
 class SurveyDataset:
     """Aggregated placements: fraction of respondents per (item, rank).
 
@@ -217,7 +217,7 @@ def classify_growth(method: RankMethod, n: int) -> str:
     return "polynomial"
 
 
-@dataclass(frozen=True)
+@record
 class MethodComparison:
     method: str
     growth: str

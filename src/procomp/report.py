@@ -11,12 +11,11 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii
 
 from .errors import ProcompError
 from .ett import MetricSource, Perspective
+from .records import record
 from .scoring import (
     ComprehensionEvaluation,
     CriterionResult,
@@ -32,7 +31,7 @@ class ReportFormat(str, enum.Enum):
     CSV = "csv"
 
 
-@dataclass(frozen=True)
+@record
 class ReportDocument:
     format: ReportFormat
     body: str
@@ -40,6 +39,8 @@ class ReportDocument:
 
 def fmt2(value: float) -> str:
     """Two-decimal, half-up display form of a score."""
+    from decimal import ROUND_HALF_UP, Decimal  # only text and markdown need it: import on first use
+
     return str(Decimal(str(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 

@@ -7,12 +7,12 @@ of the two perspective scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ScoringError
 from .ett import MetricSource, Perspective, check_interaction_weights
 from .ranking import weighted_mean_rank
+from .records import field, record
 
 COMBINED_CONSISTENCY_TOL = 1e-9
 DEFAULT_NOISE_THRESHOLD = 4.0
@@ -48,7 +48,7 @@ def combined_score(s_m: float, s_r: float, w_m: float, w_r: float) -> float:
     return min(max(combined, min(s_m, s_r)), max(s_m, s_r))
 
 
-@dataclass(frozen=True)
+@record
 class MetricResult:
     id: str
     name: str
@@ -58,7 +58,7 @@ class MetricResult:
     raw: float | None = None
 
 
-@dataclass(frozen=True)
+@record
 class CriterionResult:
     id: str
     name: str
@@ -68,7 +68,7 @@ class CriterionResult:
     metrics: tuple[MetricResult, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class NoiseFlag:
     kind: str  # "metric" | "criterion"
     id: str
@@ -85,7 +85,7 @@ class NoiseFlag:
         return f"{self.perspective.value}/{self.criterion_id}/{self.id}"
 
 
-@dataclass(frozen=True)
+@record
 class ComprehensionEvaluation:
     """Assembled result of one model evaluation.
 

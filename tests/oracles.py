@@ -11,7 +11,6 @@ structure under test.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 _FLOW_KINDS = {
     "start-event", "end-event", "intermediate-event", "task", "sub-process",
@@ -191,6 +190,7 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
     tree, with the registry values of its language computed afresh, as
     ``ScoringPlan.evaluate`` did before ``compile_plan`` pre-scored the
     config-only parts. Config errors are left to ``compile_plan``."""
+    from procomp import replace
     from procomp.errors import ConfigError
     from procomp.ett import MetricSource, Perspective, ensure_weighted
     from procomp.languages import control_flow_percentage, normalize_complexity

@@ -2,10 +2,10 @@ import multiprocessing
 import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import pytest
 
+from procomp import replace
 from procomp.bpmn import parse_model, parse_model_file
 from procomp.defaults import builtin_language_registry, default_ett_document
 from procomp.errors import (

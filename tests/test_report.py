@@ -1,10 +1,10 @@
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
+from procomp import replace
 from procomp.defaults import builtin_language_registry
 from procomp.bpmn import parse_model_file
 from procomp.errors import ProcompError
