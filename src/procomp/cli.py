@@ -7,7 +7,9 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import defaults
 from .bpmn import parse_model_file
@@ -101,13 +103,36 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _emit(pieces: list[str], output: str | None) -> None:
-    """Write the pieces one after another, so that no joined copy is made."""
+def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to the ``output`` file, or to standard output."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            fh.write(text)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.write(text)
+
+
+def _write_batch(pieces: Iterable[str], output: str | None) -> None:
+    """Write a multi-model report as ``pieces`` yields it, so that a failure
+    part-way leaves the destination as it was.
+
+    The pieces go to an anonymous spool file in the system temp directory,
+    which is copied to the ``output`` file, or to standard output, once the
+    report is complete.
+    """
+    # imported here, like the pool, so that scoring one model imports neither
+    import shutil
+    import tempfile
+
+    # newline="": the spool gives back exactly the text written to it
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        spool.writelines(pieces)
+        spool.seek(0)
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                shutil.copyfileobj(spool, fh)
+        else:
+            shutil.copyfileobj(spool, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +154,29 @@ def _init_worker(plan: ScoringPlan, fmt: str) -> None:
     _worker_state = (plan, fmt)
 
 
-def _worker_entry(model_path: str) -> str:
-    return _score_entry(*_worker_state, model_path)
+def _worker_entries(model_paths: list[str]) -> list[str]:
+    return [_score_entry(*_worker_state, model_path) for model_path in model_paths]
+
+
+# the most models a worker is handed at once; the parts of at most 2 * jobs such chunks
+# wait in the main process, however long the batch
+_CHUNK_CAP = 8
+
+
+def _pooled_entries(pool, models: list[str], workers: int) -> Iterator[str]:
+    """Each model's entry, in order, scored by ``workers`` pooled processes."""
+    size = min(_CHUNK_CAP, -(-len(models) // (4 * workers)))
+    window = deque()
+    try:
+        for start in range(0, len(models), size):
+            window.append(pool.submit(_worker_entries, models[start:start + size]))
+            if len(window) == 2 * workers:
+                yield from window.popleft().result()
+        while window:
+            yield from window.popleft().result()
+    finally:
+        for future in window:  # what a failure leaves unstarted
+            future.cancel()
 
 
 def _cmd_score(args) -> int:
@@ -157,21 +203,21 @@ def _cmd_score(args) -> int:
     if len(models) == 1:
         graph = parse_model_file(models[0])
         evaluation = plan.evaluate(graph, model_id=Path(models[0]).stem)
-        _emit([export(evaluation, args.format).body], args.output)
+        _emit(export(evaluation, args.format).body, args.output)
         return EXIT_OK
     workers = min(args.jobs, len(models), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here, so that scoring one model imports no pool machinery
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        entries = (_score_entry(plan, args.format, m) for m in models)
+        _write_batch(frame_batch(entries, args.format), args.output)
+        return EXIT_OK
+    # imported here, so that scoring one model imports no pool machinery
+    from concurrent.futures import ProcessPoolExecutor
 
-        # the platform's default start method: the plan pickles for spawn and forkserver
-        with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(plan, args.format)) as pool:
-            chunksize = -(-len(models) // (4 * workers))
-            parts = list(pool.map(_worker_entry, models, chunksize=chunksize))
-    else:
-        parts = [_score_entry(plan, args.format, m) for m in models]
-    _emit(frame_batch(parts, args.format), args.output)
+    # the platform's default start method: the plan pickles for spawn and forkserver
+    with ProcessPoolExecutor(workers, initializer=_init_worker,
+                             initargs=(plan, args.format)) as pool:
+        entries = _pooled_entries(pool, models, workers)
+        _write_batch(frame_batch(entries, args.format), args.output)
     return EXIT_OK
 
 
@@ -191,7 +237,7 @@ def _cmd_survey_rank(args) -> int:
         for row in compare_methods(dataset):
             ordering = " > ".join(row.ordering)
             lines.append(f"{row.method:<22} {row.growth:<12} {ordering}")
-        _emit(["\n".join(lines) + "\n"], args.output)
+        _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
     kind = MethodKind(args.method)
     param = {MethodKind.DNLOG: args.d, MethodKind.RANK_EXPONENT: args.p}.get(kind)
@@ -199,7 +245,7 @@ def _cmd_survey_rank(args) -> int:
     lines = [f"rank  score       item   (method: {method.label})"]
     for position, (item, score) in enumerate(rank_items(dataset, method), start=1):
         lines.append(f"{position:>4}  {score:.6f}  {item}")
-    _emit(["\n".join(lines) + "\n"], args.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -218,7 +264,7 @@ def _cmd_language_compare(args) -> int:
             f"{descriptor.name:<24} {complexity_score(descriptor):>8.2f} "
             f"{normalized[descriptor.name]:>6.2f} {total:>8g}  {shares}"
         )
-    _emit(["\n".join(lines) + "\n"], args.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -238,7 +284,7 @@ def _cmd_model_inspect(args) -> int:
             "warnings": list(graph.warnings),
             "metrics": {key: fn(graph) for key, fn in sorted(EXTRACTORS.items())},
         }
-        _emit([json.dumps(document, indent=2) + "\n"], args.output)
+        _emit(json.dumps(document, indent=2) + "\n", args.output)
         return EXIT_OK
     lines = [f"model: {args.model} ({graph.language})", "", "nodes:"]
     for node in graph.nodes:
@@ -254,7 +300,7 @@ def _cmd_model_inspect(args) -> int:
     lines.append("metrics:")
     for key, fn in sorted(EXTRACTORS.items()):
         lines.append(f"  {key:<26} {fn(graph):g}")
-    _emit(["\n".join(lines) + "\n"], args.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 

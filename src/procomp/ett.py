@@ -262,6 +262,22 @@ def _tree_violations(tree: EvaluationTheoryTree):
                 yield "nonpositive-weight", f"{path}.weight", f"weight must be > 0, got {node.weight!r}"
 
 
+def completeness_violations(tree: EvaluationTheoryTree):
+    """Why a tree, however well formed, cannot be scored, as (code, path, message):
+    a perspective without criteria, or a criterion without metrics.
+
+    compile_plan raises the first of them; validate_ett reports them all.
+    """
+    for perspective in Perspective:
+        if not tree.criteria_for(perspective):
+            yield ("perspective-incomplete", f"criteria({perspective.value})",
+                   f"perspective incomplete: no {perspective.value} criteria")
+    for criterion in tree.criteria:
+        if not criterion.metrics:
+            yield ("empty-criterion", f"criteria[{criterion.id}]",
+                   f"criterion unscored: {criterion.id!r} holds no metrics")
+
+
 def load_ett(document: dict) -> EvaluationTheoryTree:
     """build_ett, raising ConfigError on the first broken structural invariant.
 
@@ -381,8 +397,8 @@ class ValidationReport:
 def validate_ett(tree: EvaluationTheoryTree) -> ValidationReport:
     """Every invariant violation of an already-constructed tree.
 
-    Structural violations, bad interaction weights or survey_d and empty
-    criteria are errors; non-canonical catalog shapes (metric counts
+    Structural violations, bad interaction weights or survey_d and
+    completeness_violations are errors; non-canonical catalog shapes (metric counts
     differing from the shipped 96 = 54 + 42) are warnings only, since the
     catalog is meant to be extended.
     """
@@ -391,8 +407,7 @@ def validate_ett(tree: EvaluationTheoryTree) -> ValidationReport:
                for code, message in interaction_weight_violations(*tree.interaction_weights)]
     if not tree.survey_d > 1:
         errors.append(("survey-d-range", "survey_d", f"survey_d must be > 1, got {tree.survey_d}"))
-    errors += [("empty-criterion", f"criteria[{c.id}]", "criterion holds no metrics")
-               for c in tree.criteria if not c.metrics]
+    errors += completeness_violations(tree)
     errors += _tree_violations(tree)
     entries = [ValidationEntry("error", *error) for error in errors]
 

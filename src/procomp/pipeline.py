@@ -29,6 +29,7 @@ from .ett import (
     QualityCriterion,
     QualityMetric,
     check_interaction_weights,
+    completeness_violations,
     ensure_weighted,
 )
 from .languages import (
@@ -178,12 +179,8 @@ def compile_plan(
     ``interaction_weights``, if given, replace the tree's."""
     if not reader_responses:
         raise ResponseError("at least one reader response set is required")
-    for perspective in Perspective:
-        if not tree.criteria_for(perspective):
-            raise ScoringError(f"perspective incomplete: no {perspective.value} criteria")
-    for criterion in tree.criteria:
-        if not criterion.metrics:
-            raise ScoringError(f"criterion unscored: {criterion.id!r} holds no metrics")
+    for _code, _path, message in completeness_violations(tree):
+        raise ScoringError(message)
     tree = ensure_weighted(tree)
     if interaction_weights is not None:
         tree = replace(tree, interaction_weights=interaction_weights)

@@ -12,6 +12,7 @@ import io
 import json
 import math
 from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from .errors import ProcompError
 from .ett import MetricSource, Perspective
@@ -251,8 +252,9 @@ def batch_entry(evaluation: ComprehensionEvaluation, format: ReportFormat | str)
     return export(evaluation, fmt).body
 
 
-def frame_batch(parts: list[str], format: ReportFormat | str) -> list[str]:
-    """Pieces that concatenate the models' batch_entry parts into one report.
+def frame_batch(parts: Iterable[str], format: ReportFormat | str) -> Iterator[str]:
+    """Pieces that concatenate the models' batch_entry parts into one report,
+    each part passed on as soon as ``parts`` yields it.
 
     JSON gives one array, byte-equal to ``json.dumps(documents, indent=2)``;
     CSV one table whose first column is ``model``; text and markdown the
@@ -262,8 +264,9 @@ def frame_batch(parts: list[str], format: ReportFormat | str) -> list[str]:
         ReportFormat.JSON: ("[\n", ",\n", "\n]\n"),
         ReportFormat.CSV: (",".join(("model", *CSV_HEADER)) + "\n", "", ""),
     }.get(ReportFormat(format), ("", "\n", ""))
-    pieces = [head]
-    for part in parts:
-        pieces += (part, separator)
-    pieces[-1] = tail
-    return pieces
+    yield head
+    for index, part in enumerate(parts):
+        if index:
+            yield separator
+        yield part
+    yield tail

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import stat
+import threading
+import tracemalloc
 
 import pytest
 
+from procomp import cli
 from procomp.cli import main
 from procomp.questionnaire import load_responses_file
-from procomp.report import export, parse_evaluation
+from procomp.report import batch_entry, export, frame_batch, parse_evaluation
 
 from conftest import FIXTURES, make_answers, nested_subprocess_document, pinned_ett_document
 from oracles import brute_force_ordering, normalized_weighted_sum
@@ -192,12 +197,153 @@ def run_at_jobs(capsys, argv):
     return [run(capsys, *argv, "--jobs", jobs) for jobs in ("1", "2")]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text", "markdown"])
 def test_jobs_2_output_matches_jobs_1(capsys, response_bundle, fmt):
     serial, pooled = run_at_jobs(capsys, batch_args(response_bundle, FIXTURE_MODELS,
                                                     "--format", fmt))
     assert serial[0] == 0, serial[2]
     assert pooled == serial
+    evaluations = [parse_evaluation(run(capsys, *batch_args(response_bundle, [model],
+                                                            "--format", "json"))[1])
+                   for model in FIXTURE_MODELS]
+    assert serial[1] == "".join(frame_batch([batch_entry(e, fmt) for e in evaluations], fmt))
+
+
+def _broken_batch(tmp_path):
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    return [FIXTURE_MODELS[0], broken, *FIXTURE_MODELS[1:]]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+def test_failed_batch_leaves_the_output_as_it_was(capsys, response_bundle, tmp_path, existing):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    output = out_dir / "report.json"
+    if existing:
+        output.write_bytes(b"an earlier report\n")
+    argv = batch_args(response_bundle, _broken_batch(tmp_path), "--format", "json",
+                      "--output", str(output))
+    for code, out, err in run_at_jobs(capsys, argv):
+        assert (code, out) == (2, "") and err.startswith("error: "), err
+        # no temporary file is left beside it either
+        assert list(out_dir.iterdir()) == ([output] if existing else [])
+        if existing:
+            assert output.read_bytes() == b"an earlier report\n"
+
+
+def test_batch_output_is_written_through_a_symlink_in_place(capsys, response_bundle, tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target, link = out_dir / "target.json", out_dir / "link.json"
+    target.touch()
+    target.chmod(0o640)
+    link.symlink_to(target)
+    inode = target.stat().st_ino
+    argv = batch_args(response_bundle, FIXTURE_MODELS[:2], "--format", "json")
+    code, expected, err = run(capsys, *argv)
+    assert code == 0, err
+    for jobs in ("1", "2"):
+        target.write_text(f"an earlier report at --jobs {jobs}\n")
+        assert run(capsys, *argv, "--jobs", jobs, "--output", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == expected
+        # the same file, rewritten as a single-model report is, not a new one renamed onto it
+        assert (target.stat().st_ino, stat.S_IMODE(target.stat().st_mode)) == (inode, 0o640)
+    assert sorted(p.name for p in out_dir.iterdir()) == ["link.json", "target.json"]
+
+
+def test_read_only_batch_output_fails_as_a_single_model_does(capsys, response_bundle, tmp_path):
+    output = tmp_path / "out" / "report.json"
+    output.parent.mkdir()
+    output.write_bytes(b"an earlier report\n")
+    output.chmod(0o444)
+    single = run(capsys, *score_args(response_bundle, "--output", str(output)))
+    if single[0] == 0:  # a user who may write any file, such as root
+        output.chmod(0o644)
+        output.write_bytes(b"an earlier report\n")
+        output.chmod(0o444)
+    else:
+        assert single[1:] == ("", f"error: [Errno 13] Permission denied: '{output}'\n")
+    argv = batch_args(response_bundle, FIXTURE_MODELS[:2], "--output", str(output))
+    for code, out, err in run_at_jobs(capsys, argv):
+        assert (code == 0, err) == (single[0] == 0, single[2])
+        if code:
+            assert out == "" and output.read_bytes() == b"an earlier report\n"
+        assert stat.S_IMODE(output.stat().st_mode) == 0o444
+    assert list(output.parent.iterdir()) == [output]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_batch_output_to_a_fifo_is_written_once_complete(capsys, response_bundle, tmp_path):
+    fifo = tmp_path / "out" / "fifo"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    argv = batch_args(response_bundle, FIXTURE_MODELS[:2], "--format", "csv", "--jobs", "2")
+    code, expected, err = run(capsys, *argv)
+    assert code == 0, err
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(capsys, *argv, "--output", str(fifo))[0] == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert received == [expected]
+    assert list(fifo.parent.iterdir()) == [fifo]
+
+
+def test_pooled_entries_bound_what_waits_in_the_main_process():
+    from concurrent.futures import Future
+
+    submitted = []
+
+    class InlinePool:
+        """Scores each chunk as it is submitted, so that only the window holds results back."""
+
+        def submit(self, fn, chunk):
+            submitted.extend(chunk)
+            future = Future()
+            future.set_result(list(chunk))
+            return future
+
+    models = [f"m{i}" for i in range(1000)]
+    entries, waiting = [], []
+    for entry in cli._pooled_entries(InlinePool(), models, 2):
+        waiting.append(len(submitted) - len(entries))
+        entries.append(entry)
+    assert entries == models
+    assert max(waiting) <= 2 * 2 * cli._CHUNK_CAP
+
+
+def test_batch_output_in_a_missing_directory_is_reported_by_its_name(capsys, response_bundle,
+                                                                     tmp_path):
+    output = tmp_path / "absent" / "report.json"
+    argv = batch_args(response_bundle, FIXTURE_MODELS[:2], "--output", str(output))
+    for result in run_at_jobs(capsys, argv):
+        assert result == (2, "", f"error: [Errno 2] No such file or directory: '{output}'\n")
+
+
+def test_batch_memory_does_not_grow_with_the_batch(capsys, response_bundle, tmp_path):
+    # each entry holds tens of KB: a batch that kept them all would grow by about 1 MB
+    copies = [tmp_path / f"copy-{i}.bpmn" for i in range(40)]
+    for copy in copies:
+        copy.write_bytes(FIXTURE_MODELS[3].read_bytes())
+
+    def peak(count: int) -> int:
+        argv = batch_args(response_bundle, copies[:count], "--format", "json", "--jobs", "1",
+                          "--output", str(tmp_path / "report.json"))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        return traced
+
+    peak(2)  # first-use imports and caches
+    few, many = peak(4), peak(40)
+    assert many - few < 256 * 1024, (few, many)
 
 
 def test_jobs_beyond_models_and_cpus_matches_jobs_1(capsys, response_bundle, tmp_path):
@@ -396,6 +542,26 @@ def test_ett_validate_and_score_agree_on_interaction_weights(capsys, tmp_path, r
     validated = run(capsys, "ett", "validate", "--ett", str(path))
     scored = run(capsys, *score_args(response_bundle, "--ett", str(path)))
     assert (validated[0], scored[0]) == (code, code), (validated, scored)
+
+
+@pytest.mark.parametrize("code, message", [
+    ("perspective-incomplete", "perspective incomplete: no reader criteria"),
+    ("empty-criterion", "criterion unscored: 'r-representation' holds no metrics"),
+], ids=["no-reader-criteria", "empty-criterion"])
+def test_ett_validate_and_score_agree_on_an_incomplete_tree(capsys, tmp_path, response_bundle,
+                                                            code, message):
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    if code == "perspective-incomplete":
+        document["criteria"] = [c for c in document["criteria"] if c["perspective"] != "reader"]
+    else:
+        next(c for c in document["criteria"] if c["id"] == "r-representation")["metrics"] = []
+    path = tmp_path / "ett.json"
+    path.write_text(json.dumps(document))
+    validated, out, _ = run(capsys, "ett", "validate", "--ett", str(path))
+    assert validated == 1 and f"[{code}]" in out and message in out, out
+    assert run(capsys, *score_args(response_bundle, "--ett", str(path))) == (
+        1, "", f"validation failure: {message}\n")
 
 
 def test_ett_validate_lists_every_structural_violation(capsys, tmp_path):

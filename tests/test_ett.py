@@ -218,7 +218,7 @@ def test_validate_reports_every_structural_violation():
     report = validate_ett(build_ett(document))
     assert not report.ok
     assert [e.code for e in report if e.severity == "error"] == [
-        "rank-permutation", "rank-permutation", "nonpositive-weight",
+        "perspective-incomplete", "rank-permutation", "rank-permutation", "nonpositive-weight",
         "duplicate-criterion-id", "duplicate-metric-id", "duplicate-metric-id",
         "nonpositive-weight",
     ]
@@ -243,4 +243,15 @@ def test_validate_rejects_nan_survey_d_and_weights():
     with pytest.raises(ConfigError, match="weight must be > 0"):
         load_ett(document)
     codes = [e.code for e in validate_ett(build_ett(document)) if e.severity == "error"]
-    assert codes == ["survey-d-range", "nonpositive-weight"]
+    assert codes == ["survey-d-range", "perspective-incomplete", "nonpositive-weight"]
+
+
+def test_validate_reports_what_scoring_needs_of_a_tree():
+    # the minimal tree has no reader criteria; give it an empty modeler criterion too
+    document = minimal_document()
+    document["criteria"].append({"id": "c2", "perspective": "modeler", "rank": 2, "metrics": []})
+    report = validate_ett(load_ett(document))
+    assert [(e.severity, e.code, e.path) for e in report][:2] == [
+        ("error", "perspective-incomplete", "criteria(reader)"),
+        ("error", "empty-criterion", "criteria[c2]"),
+    ]

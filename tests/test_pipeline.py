@@ -89,7 +89,7 @@ def test_pool_workers_start_under_spawn(config):
     paths = [str(FIXTURES / f"{model}.bpmn") for model in MODELS]
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"),
                              initializer=cli._init_worker, initargs=(plan, "json")) as pool:
-        parts = list(pool.map(cli._worker_entry, paths, timeout=60))
+        parts = pool.submit(cli._worker_entries, paths).result(timeout=60)
     assert parts == [cli._score_entry(plan, "json", path) for path in paths]
 
 
