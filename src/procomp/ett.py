@@ -12,11 +12,12 @@ from pathlib import Path
 from typing import Any
 
 from .documents import read_json_object
-from .errors import ConfigError, ScoringError
+from .errors import ConfigError
 from .ranking import dnlog_weight
 from .records import record, replace
 
 INTERACTION_SUM_TOL = 1e-9
+REGISTRY_BINDINGS = ("complexity", "control-flow-pattern-support")
 CANONICAL_TOTAL = 96
 CANONICAL_MODELER = 54
 CANONICAL_READER = 42
@@ -123,6 +124,11 @@ class EvaluationTheoryTree:
 
     def all_metrics(self) -> tuple[QualityMetric, ...]:
         return tuple(m for c in self.criteria for m in c.metrics)
+
+    def fully_weighted(self) -> bool:
+        """Whether every criterion and metric weight is already present."""
+        return all(c.weight is not None and all(m.weight is not None for m in c.metrics)
+                   for c in self.criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +268,20 @@ def _tree_violations(tree: EvaluationTheoryTree):
                 yield "nonpositive-weight", f"{path}.weight", f"weight must be > 0, got {node.weight!r}"
 
 
-def completeness_violations(tree: EvaluationTheoryTree):
+def scoring_violations(tree: EvaluationTheoryTree):
     """Why a tree, however well formed, cannot be scored, as (code, path, message):
-    a perspective without criteria, or a criterion without metrics.
+    interaction weights that are negative or do not sum to 1, a survey_d of at
+    most 1 while some weight is still to be derived, a perspective without
+    criteria, a criterion without metrics, and a binding to an unknown
+    extractor or registry value.
 
     compile_plan raises the first of them; validate_ett reports them all.
     """
+    from .metrics import EXTRACTORS  # metrics imports this module
+
+    yield from interaction_weight_violations(*tree.interaction_weights)
+    if not tree.survey_d > 1 and not tree.fully_weighted():
+        yield "survey-d-range", "survey_d", f"survey_d must be > 1, got {tree.survey_d}"
     for perspective in Perspective:
         if not tree.criteria_for(perspective):
             yield ("perspective-incomplete", f"criteria({perspective.value})",
@@ -276,6 +290,15 @@ def completeness_violations(tree: EvaluationTheoryTree):
         if not criterion.metrics:
             yield ("empty-criterion", f"criteria[{criterion.id}]",
                    f"criterion unscored: {criterion.id!r} holds no metrics")
+    bindings = ((MetricSource.MODEL_DERIVED, EXTRACTORS, "unknown-extractor", "extractor {!r}"),
+                (MetricSource.LANGUAGE_REGISTRY, REGISTRY_BINDINGS, "unknown-registry-value",
+                 "registry value {!r} (known: " + ", ".join(REGISTRY_BINDINGS) + ")"))
+    for source, known, code, unknown in bindings:
+        for criterion in tree.criteria:
+            for metric in criterion.metrics:
+                if metric.source is source and metric.binding_key not in known:
+                    yield (code, f"criteria[{criterion.id}].metrics[{metric.id}].binding",
+                           f"metric {metric.id!r} binds to unknown " + unknown.format(metric.binding_key))
 
 
 def load_ett(document: dict) -> EvaluationTheoryTree:
@@ -335,34 +358,23 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
 
 def ensure_weighted(tree: EvaluationTheoryTree) -> EvaluationTheoryTree:
     """Assign the absent weights with the tree's own d; the tree itself if none is absent."""
-    have_all = all(c.weight is not None for c in tree.criteria) and all(
-        m.weight is not None for m in tree.all_metrics()
-    )
-    return tree if have_all else assign_weights(tree)
+    return tree if tree.fully_weighted() else assign_weights(tree)
 
 
 # ---------------------------------------------------------------------------
 # Validation
 
 
-def interaction_weight_violations(w_m: float, w_r: float) -> list[tuple[str, str]]:
+def interaction_weight_violations(w_m: float, w_r: float):
     """How a (modeler, reader) pair of interaction weights breaks the rule
-    that both are >= 0 and sum to 1, as (code, message) pairs."""
-    violations = []
+    that both are >= 0 and sum to 1, as (code, path, message)."""
     # written so that a NaN weight fails every comparison and is reported
     if not abs(w_m + w_r - 1.0) <= INTERACTION_SUM_TOL:
-        violations.append(("interaction-weights-sum",
-                           f"interaction weights must sum to 1, got {w_m} + {w_r}"))
+        yield ("interaction-weights-sum", "interaction_weights",
+               f"interaction weights must sum to 1, got {w_m} + {w_r}")
     if not (w_m >= 0 and w_r >= 0):
-        violations.append(("interaction-weights-range",
-                           f"interaction weights must be >= 0, got ({w_m}, {w_r})"))
-    return violations
-
-
-def check_interaction_weights(w_m: float, w_r: float) -> None:
-    """Raise ScoringError unless both weights are >= 0 and they sum to 1."""
-    if interaction_weight_violations(w_m, w_r):
-        raise ScoringError(f"interaction weights ({w_m}, {w_r}) must be >= 0 and sum to 1")
+        yield ("interaction-weights-range", "interaction_weights",
+               f"interaction weights must be >= 0, got ({w_m}, {w_r})")
 
 
 @record
@@ -397,19 +409,12 @@ class ValidationReport:
 def validate_ett(tree: EvaluationTheoryTree) -> ValidationReport:
     """Every invariant violation of an already-constructed tree.
 
-    Structural violations, bad interaction weights or survey_d and
-    completeness_violations are errors; non-canonical catalog shapes (metric counts
-    differing from the shipped 96 = 54 + 42) are warnings only, since the
-    catalog is meant to be extended.
+    scoring_violations and structural violations are errors; non-canonical
+    catalog shapes (metric counts differing from the shipped 96 = 54 + 42)
+    are warnings only, since the catalog is meant to be extended.
     """
-    errors: list[tuple[str, str, str]] = []
-    errors += [(code, "interaction_weights", message)
-               for code, message in interaction_weight_violations(*tree.interaction_weights)]
-    if not tree.survey_d > 1:
-        errors.append(("survey-d-range", "survey_d", f"survey_d must be > 1, got {tree.survey_d}"))
-    errors += completeness_violations(tree)
-    errors += _tree_violations(tree)
-    entries = [ValidationEntry("error", *error) for error in errors]
+    entries = [ValidationEntry("error", *error)
+               for error in (*scoring_violations(tree), *_tree_violations(tree))]
 
     total = tree.metric_count()
     modeler = tree.metric_count(Perspective.MODELER)

@@ -122,10 +122,15 @@ def normalize_complexity(
     complex language lands exactly on 9.1 and all others above it. With
     ``full_range`` the scores instead spread linearly over the whole [1, 10]
     interval, for registries where the narrow default band is too compressed.
+    Two descriptors with one name are a ConfigError.
     """
     if not registry:
         raise ConfigError("cannot normalize an empty language registry")
-    norms = {d.name: complexity_score(d) for d in registry}
+    norms: dict[str, float] = {}
+    for descriptor in registry:
+        if descriptor.name in norms:
+            raise ConfigError(f"duplicate language name {descriptor.name!r} in the registry")
+        norms[descriptor.name] = complexity_score(descriptor)
     max_norm = max(norms.values())  # > 0: every descriptor has a count > 0
     if full_range:
         min_norm = min(norms.values())

@@ -219,15 +219,6 @@ EXTRACTORS: dict[str, Callable[[ProcessModelGraph], float]] = {
 }
 
 
-def check_extractor_bindings(tree: EvaluationTheoryTree) -> None:
-    """Raise ExtractionError naming every model-derived metric whose binding
-    key names no extractor."""
-    missing = [m.id for m in tree.all_metrics()
-               if m.source is MetricSource.MODEL_DERIVED and m.binding_key not in EXTRACTORS]
-    if missing:
-        raise ExtractionError(missing)
-
-
 def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> dict[str, float]:
     """The raw value of every model-derived metric in the tree, by metric id.
 
@@ -241,8 +232,10 @@ def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> dic
         if metric.source is MetricSource.MODEL_DERIVED:
             key = metric.binding_key
             if key not in values:
-                if key not in EXTRACTORS:
-                    check_extractor_bindings(tree)  # raises, naming every unbound metric
+                if key not in EXTRACTORS:  # name every unbound metric
+                    raise ExtractionError([m.id for m in tree.all_metrics()
+                                           if m.source is MetricSource.MODEL_DERIVED
+                                           and m.binding_key not in EXTRACTORS])
                 values[key] = EXTRACTORS[key](graph)
             raw[metric.id] = values[key]
     return raw

@@ -23,21 +23,21 @@ from typing import Sequence
 from .bpmn import ProcessModelGraph
 from .errors import ConfigError, ResponseError, ScoringError
 from .ett import (
+    REGISTRY_BINDINGS,
     EvaluationTheoryTree,
     MetricSource,
     Perspective,
     QualityCriterion,
     QualityMetric,
-    check_interaction_weights,
-    completeness_violations,
     ensure_weighted,
+    scoring_violations,
 )
 from .languages import (
     LanguageDescriptor,
     control_flow_percentage,
     normalize_complexity,
 )
-from .metrics import check_extractor_bindings, extract_metrics, normalize_metric
+from .metrics import extract_metrics, normalize_metric
 from .questionnaire import (
     QuestionnaireSchema,
     ResponseSet,
@@ -57,7 +57,6 @@ from .scoring import (
     perspective_score,
 )
 
-_REGISTRY_BINDINGS = ("complexity", "control-flow-pattern-support")
 # the metrics ScoringPlan.evaluate scores for each model; compile_plan scores the rest
 _PER_MODEL_SOURCES = (MetricSource.MODEL_DERIVED, MetricSource.LANGUAGE_REGISTRY)
 
@@ -72,7 +71,7 @@ def language_metric_values(
     values: dict[str, dict[str, float] | str] = {}
     for descriptor in registry:
         try:
-            values[descriptor.name] = dict(zip(_REGISTRY_BINDINGS, (
+            values[descriptor.name] = dict(zip(REGISTRY_BINDINGS, (
                 complexity[descriptor.name], control_flow_percentage(descriptor))))
         except ConfigError as exc:
             values[descriptor.name] = str(exc)
@@ -173,18 +172,18 @@ def compile_plan(
     interaction_weights: tuple[float, float] | None = None,
     language: str | None = None,
 ) -> ScoringPlan:
-    """Weight the tree, check both schemas and every metric binding against
-    it and score every response set, once for all the models the plan will
-    evaluate, so that every config error is found before a model is parsed.
-    ``interaction_weights``, if given, replace the tree's."""
-    if not reader_responses:
-        raise ResponseError("at least one reader response set is required")
-    for _code, _path, message in completeness_violations(tree):
-        raise ScoringError(message)
-    tree = ensure_weighted(tree)
+    """Check the tree (its first scoring_violations entry is raised), weight
+    it, check both schemas against it and score every response set, once for
+    all the models the plan will evaluate, so that every config error is
+    found before a model is parsed. ``interaction_weights``, if given,
+    replace the tree's."""
     if interaction_weights is not None:
         tree = replace(tree, interaction_weights=interaction_weights)
-    check_interaction_weights(*tree.interaction_weights)
+    for _code, _path, message in scoring_violations(tree):
+        raise ScoringError(message)
+    if not reader_responses:
+        raise ResponseError("at least one reader response set is required")
+    tree = ensure_weighted(tree)
 
     for schema in (modeler_schema, reader_schema):
         issues = validate_schema(schema, tree)
@@ -199,12 +198,6 @@ def compile_plan(
     reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
     questionnaire_scores.update({key: left_sum(s[key] for s in reader_scores) / len(reader_scores)
                                  for key in reader_scores[0]})
-    check_extractor_bindings(tree)
-    for metric in tree.all_metrics():
-        if (metric.source is MetricSource.LANGUAGE_REGISTRY
-                and metric.binding_key not in _REGISTRY_BINDINGS):
-            raise ConfigError(f"metric {metric.id!r} binds to unknown registry value "
-                              f"{metric.binding_key!r} (known: {', '.join(_REGISTRY_BINDINGS)})")
 
     criteria: list[CriterionResult | tuple[MetricResult | QualityMetric, ...]] = []
     for criterion in tree.criteria:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ScoringError
-from .ett import MetricSource, Perspective, check_interaction_weights
+from .ett import MetricSource, Perspective, interaction_weight_violations
 from .ranking import weighted_mean_rank
 from .records import field, record
 
@@ -43,7 +43,8 @@ def perspective_score(criterion_scores: Sequence[float], criterion_weights: Sequ
 
 def combined_score(s_m: float, s_r: float, w_m: float, w_r: float) -> float:
     """Convex combination of the two perspective scores."""
-    check_interaction_weights(w_m, w_r)
+    if any(interaction_weight_violations(w_m, w_r)):
+        raise ScoringError(f"interaction weights ({w_m}, {w_r}) must be >= 0 and sum to 1")
     combined = w_m * s_m + w_r * s_r
     return min(max(combined, min(s_m, s_r)), max(s_m, s_r))
 

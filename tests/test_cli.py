@@ -386,7 +386,8 @@ def test_unextractable_metric_fails_alike_at_any_jobs(capsys, response_bundle, t
     tree.write_text(json.dumps(document))
     serial, pooled = run_at_jobs(capsys, batch_args(response_bundle, FIXTURE_MODELS[:2],
                                                     "--ett", str(tree)))
-    assert serial == (1, "", "validation failure: unextractable metric(s): m-err-or-routing\n")
+    assert serial == (1, "", "validation failure: metric 'm-err-or-routing' binds to unknown "
+                             "extractor 'no-such-extractor'\n")
     assert pooled == serial
 
 
@@ -402,9 +403,10 @@ def _rebound_tree(tmp_path, source, binding):
 
 
 @pytest.mark.parametrize("source, code, message", [
-    ("model-derived", 1, "validation failure: unextractable metric(s): {}\n"),
-    ("language-registry", 2, "error: metric '{}' binds to unknown registry value 'no-such-binding' "
-                             "(known: complexity, control-flow-pattern-support)\n"),
+    ("model-derived", 1, "validation failure: metric '{}' binds to unknown extractor "
+                         "'no-such-binding'\n"),
+    ("language-registry", 1, "validation failure: metric '{}' binds to unknown registry value "
+                             "'no-such-binding' (known: complexity, control-flow-pattern-support)\n"),
 ], ids=["extractor", "registry"])
 def test_unknown_binding_is_reported_before_any_model_is_parsed(capsys, response_bundle, tmp_path,
                                                                 source, code, message):
@@ -480,8 +482,8 @@ def test_interaction_weights_not_summing_to_1_are_reported_before_any_model_is_p
     broken.write_text("<definitions", encoding="utf-8")
     for models in ([broken, FIXTURE_MODELS[0]], [FIXTURE_MODELS[0], broken]):
         for result in run_at_jobs(capsys, batch_args(response_bundle, models, *extra)):
-            assert result == (1, "", "validation failure: interaction weights (0.9, 0.9) "
-                                     "must be >= 0 and sum to 1\n")
+            assert result == (1, "", "validation failure: interaction weights must sum to 1, "
+                                     "got 0.9 + 0.9\n")
 
 
 def test_weights_flag_replaces_the_tree_interaction_weights(capsys, response_bundle, tmp_path):
@@ -544,24 +546,55 @@ def test_ett_validate_and_score_agree_on_interaction_weights(capsys, tmp_path, r
     assert (validated[0], scored[0]) == (code, code), (validated, scored)
 
 
+def _rebind(document, metric_id, binding):
+    next(m for c in document["criteria"] for m in c["metrics"] if m["id"] == metric_id)["binding"] = binding
+
+
+AGREEMENT_EDITS = {
+    "perspective-incomplete": lambda d: d.update(
+        criteria=[c for c in d["criteria"] if c["perspective"] != "reader"]),
+    "empty-criterion": lambda d: next(
+        c for c in d["criteria"] if c["id"] == "r-representation").update(metrics=[]),
+    "unknown-extractor": lambda d: _rebind(d, "m-err-or-routing", "no-such-binding"),
+    "unknown-registry-value": lambda d: _rebind(d, "m-lang-complexity", "no-such-binding"),
+    "survey-d-range": lambda d: d.update(survey_d=0.5),
+}
+
+
 @pytest.mark.parametrize("code, message", [
     ("perspective-incomplete", "perspective incomplete: no reader criteria"),
     ("empty-criterion", "criterion unscored: 'r-representation' holds no metrics"),
-], ids=["no-reader-criteria", "empty-criterion"])
+    ("unknown-extractor", "metric 'm-err-or-routing' binds to unknown extractor 'no-such-binding'"),
+    ("unknown-registry-value", "metric 'm-lang-complexity' binds to unknown registry value "
+                               "'no-such-binding' (known: complexity, control-flow-pattern-support)"),
+    ("survey-d-range", "survey_d must be > 1, got 0.5"),
+], ids=["no-reader-criteria", "empty-criterion", "unknown-extractor", "unknown-registry-value",
+        "survey-d-below-1"])
 def test_ett_validate_and_score_agree_on_an_incomplete_tree(capsys, tmp_path, response_bundle,
                                                             code, message):
     from procomp.defaults import default_ett_document
     document = default_ett_document()
-    if code == "perspective-incomplete":
-        document["criteria"] = [c for c in document["criteria"] if c["perspective"] != "reader"]
-    else:
-        next(c for c in document["criteria"] if c["id"] == "r-representation")["metrics"] = []
+    AGREEMENT_EDITS[code](document)
     path = tmp_path / "ett.json"
     path.write_text(json.dumps(document))
     validated, out, _ = run(capsys, "ett", "validate", "--ett", str(path))
     assert validated == 1 and f"[{code}]" in out and message in out, out
     assert run(capsys, *score_args(response_bundle, "--ett", str(path))) == (
         1, "", f"validation failure: {message}\n")
+
+
+def test_survey_d_below_1_is_no_error_when_every_weight_is_pinned(capsys, tmp_path,
+                                                                 response_bundle):
+    # survey_d only derives absent weights, so a fully pinned tree never uses it
+    document = pinned_ett_document()
+    path = tmp_path / "ett.json"
+    path.write_text(json.dumps(document))
+    expected = run(capsys, *score_args(response_bundle, "--ett", str(path)))
+    document["survey_d"] = 0.5
+    path.write_text(json.dumps(document))
+    assert run(capsys, "ett", "validate", "--ett", str(path)) == (0, "tree is valid\n", "")
+    assert run(capsys, *score_args(response_bundle, "--ett", str(path))) == expected
+    assert expected[0] == 0
 
 
 def test_ett_validate_lists_every_structural_violation(capsys, tmp_path):
@@ -754,6 +787,20 @@ def test_language_compare(capsys):
     assert code == 0
     assert "BPMN 2.0" in out
     assert "9.10" in out  # most complex language pins the scale
+
+
+@pytest.mark.parametrize("command", ["language-compare", "score"])
+def test_two_descriptors_with_one_name_exit_2(capsys, tmp_path, response_bundle, command):
+    from procomp.defaults import default_language_documents
+    bpmn = default_language_documents()["bpmn"]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(json.dumps(bpmn))
+    paths[1].write_text(json.dumps(dict(bpmn, elements=bpmn["elements"] * 4)))
+    languages = ["--languages", *map(str, paths)]
+    argv = (["language", "compare", *languages] if command == "language-compare"
+            else score_args(response_bundle, *languages))
+    assert run(capsys, *argv) == (2, "", "error: duplicate language name 'BPMN 2.0' "
+                                         "in the registry\n")
 
 
 def test_model_inspect_text(capsys):

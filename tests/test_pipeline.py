@@ -1,3 +1,4 @@
+import copy
 import multiprocessing
 import pickle
 import random
@@ -15,7 +16,7 @@ from procomp.errors import (
     ResponseError,
     ScoringError,
 )
-from procomp.ett import MetricSource, Perspective, load_ett
+from procomp.ett import MetricSource, Perspective, build_ett, load_ett, validate_ett
 from procomp.languages import LanguageDescriptor, PatternSupportTable
 from procomp.metrics import EXTRACTORS
 from procomp.pipeline import compile_plan
@@ -267,3 +268,98 @@ def test_errors_survive_pickling(error, attributes):
     assert str(clone) == str(error)
     for name, value in attributes.items():
         assert getattr(clone, name) == value
+
+
+# ---------------------------------------------------------------------------
+# ett validate and score accept and reject the same trees
+
+def _fitting_config(tree):
+    """The default registry, and schemas with a question for every
+    questionnaire metric of ``tree``, with responses to them."""
+    questions = {perspective: [] for perspective in Perspective}
+    for metric in tree.all_metrics():
+        if metric.source in QUESTIONNAIRE_SOURCES:
+            questions[QUESTIONNAIRE_SOURCES[metric.source]].append(Question(
+                id=f"q-{metric.id}", text="?", kind=QuestionKind.TRUE_FALSE, metric_id=metric.id))
+    modeler_schema, reader_schema = (QuestionnaireSchema("1", p, tuple(questions[p]))
+                                     for p in Perspective)
+    return (builtin_language_registry(), make_responses(modeler_schema, "m-1", 1),
+            [make_responses(reader_schema, "r-1", 2)], modeler_schema, reader_schema)
+
+
+NUMBERS = [-1, 0, 0.5, 1, 1.0, 1.5, 10, float("nan"), float("inf"), "2"]
+
+
+def _edit_tree_document(rng: random.Random, document: dict) -> None:
+    """Change one field of a tree document, or drop criteria or metrics."""
+    criterion = rng.choice(document["criteria"])
+    node = rng.choice([criterion, *criterion["metrics"]])
+    metric = rng.choice(criterion["metrics"]) if criterion["metrics"] else node
+    edit = rng.choice(["survey_d", "interaction_weights", "rank", "weight", "source", "binding",
+                       "id", "empty-criterion", "drop-perspective"])
+    if edit == "survey_d":
+        document["survey_d"] = rng.choice([*NUMBERS, 1.0001, 2.5])
+    elif edit == "interaction_weights":
+        w_m = rng.choice([0.0, 0.156, 0.5, 1.0, 1 + 5e-10, -0.1, 0.9, float("nan")])
+        w_r = rng.choice([1 - w_m, 1 - w_m, 0.9, 1.1, -0.5])
+        document["interaction_weights"] = {"modeler": w_m, "reader": w_r}
+    elif edit == "rank":
+        node["rank"] = rng.choice([0, 1, 2, 3, len(criterion["metrics"]) + 1, 2.0])
+    elif edit == "weight":
+        if rng.random() < 0.4:
+            node.pop("weight", None)
+        else:
+            node["weight"] = rng.choice(NUMBERS)
+    elif edit == "source":
+        metric["source"] = rng.choice([*(s.value for s in MetricSource), "survey"])
+    elif edit == "binding":
+        binding = rng.choice([*EXTRACTORS, "complexity", "control-flow-pattern-support",
+                              "no-such-binding", None])
+        if binding is None:
+            metric.pop("binding", None)
+        else:
+            metric["binding"] = binding
+    elif edit == "id":
+        node["id"] = rng.choice([c["id"] for c in document["criteria"]]
+                                + [m["id"] for m in criterion["metrics"]])
+    elif edit == "empty-criterion":
+        criterion["metrics"] = []
+    else:
+        perspective = rng.choice(list(Perspective)).value
+        document["criteria"] = [c for c in document["criteria"] if c["perspective"] != perspective]
+
+
+def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
+    rng = random.Random(1313)
+    bases = {"default": default_ett_document(), "pinned": pinned_ett_document()}
+    verdicts, codes = {(True, True): 0, (False, False): 0}, set()
+    for case in range(400):
+        base = "pinned" if case % 2 else "default"
+        document = copy.deepcopy(bases[base])
+        for _ in range(rng.choice([1, 2])):
+            _edit_tree_document(rng, document)
+        try:
+            report = validate_ett(build_ett(document))
+        except ConfigError:
+            report = None
+        errors = [] if report is None else [e for e in report if e.severity == "error"]
+        codes.update(e.code for e in errors)
+        try:
+            tree = load_ett(document)
+            scored = True
+        except ConfigError:
+            scored = False
+        if scored:
+            try:
+                compile_plan(tree, *_fitting_config(tree))
+            except ScoringError as exc:
+                assert str(exc) == errors[0].message, case
+                scored = False
+        accepted = report is not None and report.ok
+        assert accepted == scored, (case, base, [e.code for e in errors])
+        verdicts[accepted, scored] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+    assert codes >= {"interaction-weights-sum", "interaction-weights-range", "survey-d-range",
+                     "perspective-incomplete", "empty-criterion", "unknown-extractor",
+                     "unknown-registry-value", "rank-permutation", "criterion-rank-permutation",
+                     "duplicate-metric-id", "duplicate-criterion-id", "nonpositive-weight"}, codes
