@@ -7,14 +7,24 @@ are kept as artifact nodes, which are not flow nodes. Anything else that
 looks like a flow element is kept as a generic node and reported as a
 warning. Elements are matched by local tag name, so any namespace prefix
 works; each distinct tag is resolved to its local name once per document.
+
+The document is read in one pass of expat events, a file 64 KiB at a time,
+and no element tree is built. Most elements of a real model (``incoming``,
+``outgoing``, ``flowNodeRef``, ``conditionExpression``) are never read, and a
+tree of them all was the memory peak of a ``score`` run on a large model.
+The events are recorded per process and per collaboration, so the graph
+comes out in the order of a walk over the tree: collaborations first, then
+processes, each in document order, with a sub-process's data associations
+straight after it. Malformed XML is reported before any other error, in the
+words ElementTree uses.
 """
 
 from __future__ import annotations
 
 import enum
-import xml.etree.ElementTree as ElementTree
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
+from xml.parsers import expat
 
 from .errors import ModelParseError
 from .records import field, record
@@ -204,99 +214,220 @@ _SKIP_TAGS = frozenset(
     }
 )
 
+# The ref child whose text names the other end of a data association
+_ASSOCIATION_REFS = {"dataInputAssociation": "sourceRef", "dataOutputAssociation": "targetRef"}
 
-class _Builder:
-    def __init__(self, names: dict[str, str]):
-        self.names = names  # tag -> local name, one entry per distinct tag
-        self.nodes: list[Node] = []
-        self.edges: list[Edge] = []
-        self.warnings: list[str] = []
-        self.node_ids: set[str] = set()
-        self._edge_seq = 0
+_CHUNK_BYTES = 1 << 16  # how much of a file parse_model_file feeds expat at a time
 
-    def add_node(self, node_id: str, kind: NodeKind, label: str, parent: str | None) -> None:
-        if node_id in self.node_ids:
-            raise ModelParseError("duplicate node id", context=node_id)
-        self.node_ids.add(node_id)
-        self.nodes.append(Node(id=node_id, kind=kind, label=label, parent=parent))
+# What the children of an open element are to the parse. The stack holds one
+# entry per open element: None where nothing below is wanted (apart from a
+# nested process or collaboration), else a tuple that starts with one of:
+_FLOW = 0  # (_FLOW, items, parent, slot): flow elements of a process or sub-process
+_LANES = 1  # (_LANES, items, parent): the lanes of a laneSet
+_ACTIVITY = 2  # (_ACTIVITY, items, owner): the data associations of a task
+_ASSOCIATION = 3  # (_ASSOCIATION, items, owner, id, ref): the first child named ref decides
+_REF = 4  # (_REF, items, owner, id, ref): its text up to its first child element
+_COLLABORATION = 5  # (_COLLABORATION, items): participants and message flows
 
-    def add_edge(self, edge_id: str | None, source: str, target: str, kind: EdgeKind) -> None:
-        if edge_id is None:
-            self._edge_seq += 1
-            edge_id = f"_edge{self._edge_seq}"
-        self.edges.append(Edge(id=edge_id, source=source, target=target, kind=kind))
+# Each process and collaboration records a list of items: a Node, an edge
+# (id, source, target, kind), the warning about the node before it, a
+# sub-process's slot (a list of the edges of its own data associations, which
+# come before its children's items) or a ModelParseError to raise there.
 
-    def child_text(self, element, local_name: str) -> str | None:
-        for child in element:
-            if self.names[child.tag] == local_name:
-                return (child.text or "").strip()
-        return None
+_NOT_READING = ("not reading",)  # never on the stack
 
 
-def _parse_data_associations(element, owner_id: str, builder: _Builder) -> None:
-    names = builder.names
-    for child in element:
-        local = names[child.tag]
-        if local == "dataInputAssociation":
-            source = builder.child_text(child, "sourceRef")
-            if source:
-                builder.add_edge(child.get("id"), source, owner_id, EdgeKind.DATA)
-        elif local == "dataOutputAssociation":
-            target = builder.child_text(child, "targetRef")
-            if target:
-                builder.add_edge(child.get("id"), owner_id, target, EdgeKind.DATA)
+def _read(chunks) -> ProcessModelGraph:
+    """Parse the document given as ``chunks`` (bytes or str pieces) in one
+    pass of expat events, then build the graph from what it recorded."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    names: dict[str, str] = {}  # tag -> local name, one entry per distinct tag
+    collaborations: list[list] = []  # the items of each container, in document order
+    processes: list[list] = []
+    stack: list = [None]
+    push, pop = stack.append, stack.pop
+    text: list[str] = []
+    reading = _NOT_READING  # the _REF context whose text is being collected
+
+    def start(tag, attrs):
+        nonlocal reading
+        local = names.get(tag)
+        if local is None:
+            local = names[tag] = tag.rpartition("}")[2]
+        context = stack[-1]
+        child = None
+        if context is None:
+            pass
+        elif context[0] == _ACTIVITY:
+            ref = _ASSOCIATION_REFS.get(local)
+            if ref is not None:
+                child = (_ASSOCIATION, context[1], context[2], attrs.get("id"), ref)
+        elif context[0] == _FLOW:
+            _, items, parent, slot = context
+            if local == "sequenceFlow":
+                source, target = attrs.get("sourceRef"), attrs.get("targetRef")
+                if source and target:
+                    items.append((attrs.get("id"), source, target, EdgeKind.SEQUENCE))
+                else:
+                    items.append(ModelParseError("sequenceFlow lacks sourceRef/targetRef",
+                                                 context=attrs.get("id") or "<no id>"))
+            elif local in _SKIP_TAGS:
+                if slot is not None and local in _ASSOCIATION_REFS:
+                    child = (_ASSOCIATION, slot, parent, attrs.get("id"), _ASSOCIATION_REFS[local])
+            elif local == "laneSet":
+                child = (_LANES, items, parent)
+            elif local == "association":
+                source, target = attrs.get("sourceRef"), attrs.get("targetRef")
+                if source and target:
+                    items.append((attrs.get("id"), source, target, EdgeKind.DATA))
+            else:
+                node_id = attrs.get("id")
+                if node_id is not None:
+                    label = (attrs.get("name") or "").strip()
+                    kind = _NODE_TAGS.get(local)
+                    if kind is None:
+                        items.append(Node(node_id, NodeKind.GENERIC, label, parent))
+                        items.append(f"unknown construct <{local}> kept as generic node ({node_id})")
+                    else:
+                        items.append(Node(node_id, kind, label, parent))
+                        if kind is NodeKind.TASK:
+                            child = (_ACTIVITY, items, node_id)
+                        elif kind is NodeKind.SUB_PROCESS:
+                            slot = []
+                            items.append(slot)
+                            child = (_FLOW, items, node_id, slot)
+        elif context[0] == _LANES:
+            if local == "lane":
+                lane_id = attrs.get("id")
+                if lane_id:
+                    context[1].append(Node(lane_id, NodeKind.LANE,
+                                           (attrs.get("name") or "").strip(), context[2]))
+        elif context[0] == _ASSOCIATION:
+            if local == context[4]:
+                stack[-1] = None  # only the first such child counts
+                child = reading = (_REF, *context[1:])
+                parser.CharacterDataHandler = text.append
+        elif context[0] == _REF:
+            finish()  # text after a child element is not the ref's
+            stack[-1] = None
+        else:  # _COLLABORATION
+            if local == "participant":
+                pool_id = attrs.get("id")
+                if pool_id:
+                    context[1].append(Node(pool_id, NodeKind.POOL,
+                                           (attrs.get("name") or "").strip(), None))
+            elif local == "messageFlow":
+                source, target = attrs.get("sourceRef"), attrs.get("targetRef")
+                if source and target:
+                    context[1].append((attrs.get("id"), source, target, EdgeKind.MESSAGE))
+                else:
+                    context[1].append(ModelParseError("messageFlow lacks sourceRef/targetRef",
+                                                      context=attrs.get("id") or "<no id>"))
+        if local == "process":  # at any depth, whatever its parent made of it
+            items = []
+            processes.append(items)
+            child = (_FLOW, items, None, None)
+        elif local == "collaboration":
+            items = []
+            collaborations.append(items)
+            child = (_COLLABORATION, items)
+        push(child)
+
+    def end(tag):
+        if pop() is reading:
+            finish()
+
+    def finish():
+        nonlocal reading
+        parser.CharacterDataHandler = None
+        _, items, owner, edge_id, ref = reading
+        reading = _NOT_READING
+        value = "".join(text).strip()
+        text.clear()
+        if value:
+            items.append((edge_id, value, owner, EdgeKind.DATA) if ref == "sourceRef"
+                         else (edge_id, owner, value, EdgeKind.DATA))
+
+    # ElementTree expands no entity that the document does not declare inline,
+    # and reports each such reference in its own words; so does this parse
+    external: set[str] = set()  # general entities declared with a system id
+
+    def undefined_entity(name):
+        ref = f"&{name};".encode()[:100].decode("utf-8", "replace")
+        raise ModelParseError(f"malformed XML: undefined entity {ref}: line "
+                              f"{parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}")
+
+    def skipped_entity(name, is_parameter_entity):
+        if not is_parameter_entity:
+            undefined_entity(name)
+
+    def entity_declared(name, is_parameter_entity, value, *_):
+        if not is_parameter_entity and value is None:
+            external.add(name)
+
+    def external_entity(context, *_):
+        # context: namespace bindings ("prefix=uri") and the open entities, by "\f"
+        parts = context.split("\f")
+        undefined_entity(next((part for part in parts if part in external), parts[-1]))
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped_entity
+    parser.EntityDeclHandler = entity_declared
+    parser.ExternalEntityRefHandler = external_entity
+    try:
+        for chunk in chunks:
+            parser.Parse(chunk, False)
+        parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise ModelParseError(f"malformed XML: {exc}") from exc
+    finally:
+        # the handlers refer to the parser: drop them, or each parse leaves a cycle
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+        parser.EntityDeclHandler = parser.ExternalEntityRefHandler = None
+    if not processes:
+        raise ModelParseError("document contains no process element")
+    return _assemble(collaborations + processes)
 
 
-def _parse_flow_elements(container, parent: str | None, builder: _Builder) -> None:
-    # An explicit stack of (children, parent) walks nested sub-processes in
-    # document pre-order without recursion, so nesting depth is unbounded.
-    names = builder.names
-    stack = [(iter(container), parent)]
-    while stack:
-        children, parent = stack[-1]
-        element = next(children, None)
-        if element is None:
-            stack.pop()
-            continue
-        local = names[element.tag]
-        if local in _SKIP_TAGS:
-            continue
-        if local == "laneSet":
-            for lane in element:
-                if names[lane.tag] == "lane" and lane.get("id"):
-                    builder.add_node(lane.get("id"), NodeKind.LANE,
-                                     (lane.get("name") or "").strip(), parent)
-            continue
-        if local == "sequenceFlow":
-            source, target = element.get("sourceRef"), element.get("targetRef")
-            if not source or not target:
+def _assemble(containers: list[list]) -> ProcessModelGraph:
+    """Build the graph from the items of every collaboration, then every
+    process, raising the first recorded error where the walk would."""
+    nodes: list[Node] = []
+    edges: list[Edge] = []
+    warnings: list[str] = []
+    node_ids: set[str] = set()
+    edge_seq = 0
+    for items in containers:
+        for item in items:
+            cls = type(item)
+            if cls is Node:
+                if item.id in node_ids:
+                    raise ModelParseError("duplicate node id", context=item.id)
+                node_ids.add(item.id)
+                nodes.append(item)
+                continue
+            if cls is str:
+                warnings.append(item)
+                continue
+            if cls is not tuple and cls is not list:
+                raise item
+            for edge_id, source, target, kind in (item,) if cls is tuple else item:
+                if edge_id is None:
+                    edge_seq += 1
+                    edge_id = f"_edge{edge_seq}"
+                edges.append(Edge(edge_id, source, target, kind))
+
+    for edge in edges:
+        for endpoint in (edge.source, edge.target):
+            if endpoint not in node_ids:
                 raise ModelParseError(
-                    "sequenceFlow lacks sourceRef/targetRef",
-                    context=element.get("id") or "<no id>",
+                    f"flow references missing node {endpoint!r}",
+                    context=f"{edge.kind.value} flow {edge.id}",
                 )
-            builder.add_edge(element.get("id"), source, target, EdgeKind.SEQUENCE)
-            continue
-        if local == "association":
-            source, target = element.get("sourceRef"), element.get("targetRef")
-            if source and target:
-                builder.add_edge(element.get("id"), source, target, EdgeKind.DATA)
-            continue
-        node_id = element.get("id")
-        if node_id is None:
-            continue
-        label = (element.get("name") or "").strip()
-        kind = _NODE_TAGS.get(local)
-        if kind is None:
-            builder.add_node(node_id, NodeKind.GENERIC, label, parent)
-            builder.warnings.append(
-                f"unknown construct <{local}> kept as generic node ({node_id})"
-            )
-            continue
-        builder.add_node(node_id, kind, label, parent)
-        if kind in ACTIVITY_KINDS:
-            _parse_data_associations(element, node_id, builder)
-            if kind is NodeKind.SUB_PROCESS:
-                stack.append((iter(element), node_id))
+    return ProcessModelGraph(nodes=tuple(nodes), edges=tuple(edges), language="BPMN 2.0",
+                             warnings=tuple(warnings))
 
 
 def parse_model(document: bytes | str) -> ProcessModelGraph:
@@ -305,61 +436,10 @@ def parse_model(document: bytes | str) -> ProcessModelGraph:
     Raises ModelParseError for malformed XML, documents without any process
     element, and flows that reference missing nodes.
     """
-    try:
-        root = ElementTree.fromstring(document)
-    except ElementTree.ParseError as exc:
-        raise ModelParseError(f"malformed XML: {exc}") from exc
-
-    # one scan resolves every distinct tag and finds the containers
-    names: dict[str, str] = {}
-    processes, collaborations = [], []
-    for element in root.iter():
-        tag = element.tag
-        local = names.get(tag)
-        if local is None:
-            local = names[tag] = tag.rsplit("}", 1)[-1]
-        if local == "process":
-            processes.append(element)
-        elif local == "collaboration":
-            collaborations.append(element)
-    if not processes:
-        raise ModelParseError("document contains no process element")
-
-    builder = _Builder(names)
-    for collaboration in collaborations:
-        for child in collaboration:
-            local = names[child.tag]
-            if local == "participant" and child.get("id"):
-                builder.add_node(child.get("id"), NodeKind.POOL,
-                                 (child.get("name") or "").strip(), None)
-            elif local == "messageFlow":
-                source, target = child.get("sourceRef"), child.get("targetRef")
-                if not source or not target:
-                    raise ModelParseError(
-                        "messageFlow lacks sourceRef/targetRef",
-                        context=child.get("id") or "<no id>",
-                    )
-                builder.add_edge(child.get("id"), source, target, EdgeKind.MESSAGE)
-
-    for process in processes:
-        _parse_flow_elements(process, None, builder)
-
-    known = builder.node_ids
-    for edge in builder.edges:
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in known:
-                raise ModelParseError(
-                    f"flow references missing node {endpoint!r}",
-                    context=f"{edge.kind.value} flow {edge.id}",
-                )
-
-    return ProcessModelGraph(
-        nodes=tuple(builder.nodes),
-        edges=tuple(builder.edges),
-        language="BPMN 2.0",
-        warnings=tuple(builder.warnings),
-    )
+    return _read((document,))
 
 
 def parse_model_file(path: str | Path) -> ProcessModelGraph:
-    return parse_model(Path(path).read_bytes())
+    """``parse_model`` of a file, read and parsed a piece at a time."""
+    with Path(path).open("rb") as file:
+        return _read(iter(partial(file.read, _CHUNK_BYTES), b""))

@@ -245,7 +245,7 @@ def _tree_violations(tree: EvaluationTheoryTree):
     """Every broken structural invariant of a tree, as (code, path, message).
 
     Sibling ranks must be permutations of 1..n, criterion and metric ids
-    must be unique, and weights, where present, must be > 0.
+    must be unique, and weights, where present, must be finite and > 0.
     """
     ranked = [("criterion-rank-permutation", f"criteria({p.value})", tree.criteria_for(p))
               for p in Perspective]
@@ -264,15 +264,16 @@ def _tree_violations(tree: EvaluationTheoryTree):
                 yield (f"duplicate-{kind}-id", path,
                        f"duplicate {kind} id {node.id!r} (also at {first_seen[kind, node.id]})")
             first_seen.setdefault((kind, node.id), path)
-            if node.weight is not None and not node.weight > 0:
-                yield "nonpositive-weight", f"{path}.weight", f"weight must be > 0, got {node.weight!r}"
+            if node.weight is not None and not 0 < node.weight < math.inf:
+                rule = "finite" if node.weight == math.inf else "> 0"
+                yield "nonpositive-weight", f"{path}.weight", f"weight must be {rule}, got {node.weight!r}"
 
 
 def scoring_violations(tree: EvaluationTheoryTree):
     """Why a tree, however well formed, cannot be scored, as (code, path, message):
     interaction weights that are negative or do not sum to 1, a survey_d of at
-    most 1 while some weight is still to be derived, a perspective without
-    criteria, a criterion without metrics, and a binding to an unknown
+    most 1 or of inf while some weight is still to be derived, a perspective
+    without criteria, a criterion without metrics, and a binding to an unknown
     extractor or registry value.
 
     compile_plan raises the first of them; validate_ett reports them all.
@@ -280,8 +281,9 @@ def scoring_violations(tree: EvaluationTheoryTree):
     from .metrics import EXTRACTORS  # metrics imports this module
 
     yield from interaction_weight_violations(*tree.interaction_weights)
-    if not tree.survey_d > 1 and not tree.fully_weighted():
-        yield "survey-d-range", "survey_d", f"survey_d must be > 1, got {tree.survey_d}"
+    if not 1 < tree.survey_d < math.inf and not tree.fully_weighted():
+        rule = "finite" if tree.survey_d == math.inf else "> 1"
+        yield "survey-d-range", "survey_d", f"survey_d must be {rule}, got {tree.survey_d}"
     for perspective in Perspective:
         if not tree.criteria_for(perspective):
             yield ("perspective-incomplete", f"criteria({perspective.value})",
@@ -330,8 +332,8 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
     """
     if d is None:
         d = tree.survey_d
-    if not d > 1:
-        raise ValueError(f"weighting requires d > 1, got {d}")
+    if not 1 < d < math.inf:
+        raise ValueError(f"weighting requires a finite d > 1, got {d}")
 
     def weight(node, n_siblings: int) -> float:
         return node.weight if node.weight is not None else dnlog_weight(n_siblings, node.rank, d)

@@ -96,6 +96,42 @@ def nested_subprocess_document(depth: int) -> str:
     )
 
 
+_NAMESPACE_BODY = (
+    '<{p}collaboration id="c">'
+    '<{p}participant id="pool" name="Shop" processRef="p"/>'
+    '<{p}participant id="ext" name="Bank"/>'
+    '<{p}messageFlow id="m1" sourceRef="t1" targetRef="ext"/>'
+    "</{p}collaboration>"
+    '<{p}process id="p">'
+    '<{p}laneSet id="ls"><{p}lane id="lane1" name="Desk"/></{p}laneSet>'
+    '<{p}dataObjectReference id="d1" name="Order"/>'
+    '<{p}startEvent id="s"/>'
+    '<{p}task id="t1" name="Take">'
+    "<{p}dataInputAssociation id=\"da1\"><{p}sourceRef>d1</{p}sourceRef>"
+    "</{p}dataInputAssociation></{p}task>"
+    '<{p}subProcess id="sub"><{p}startEvent id="s2"/><{p}complexGateway id="cg"/>'
+    '<{p}sequenceFlow id="f4" sourceRef="s2" targetRef="cg"/></{p}subProcess>'
+    '<{p}textAnnotation id="note"><{p}text>Why</{p}text></{p}textAnnotation>'
+    '<{p}association id="a1" sourceRef="note" targetRef="t1"/>'
+    '<{p}endEvent id="e"/>'
+    '<{p}sequenceFlow id="f1" sourceRef="s" targetRef="t1"/>'
+    '<{p}sequenceFlow id="f2" sourceRef="t1" targetRef="sub"/>'
+    '<{p}sequenceFlow id="f3" sourceRef="sub" targetRef="e"/>'
+    "</{p}process>"
+)
+
+
+def namespace_documents() -> list[str]:
+    """One model written with a prefix, with a default namespace and with none."""
+    ns = "http://www.omg.org/spec/BPMN/20100524/MODEL"
+    return [
+        f'<bpmn:definitions xmlns:bpmn="{ns}" id="d">'
+        + _NAMESPACE_BODY.format(p="bpmn:") + "</bpmn:definitions>",
+        f'<definitions xmlns="{ns}" id="d">' + _NAMESPACE_BODY.format(p="") + "</definitions>",
+        '<definitions id="d">' + _NAMESPACE_BODY.format(p="") + "</definitions>",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Random BPMN documents for parser/extractor cross-checks
 

@@ -2,10 +2,10 @@
 
 Everything here is deliberately written as plain loops over the raw graph
 fields / input numbers, sharing no code with the implementations under
-test. The exceptions are the two references at the end, which keep a
-former implementation to check a restructured one against: they share
-the arithmetic, which must stay the same to the last bit, and not the
-structure under test.
+test. The exceptions are the references at the end, which keep a former
+implementation to check a restructured one against: they share the
+arithmetic, which must stay the same to the last bit, or the tag tables
+of the BPMN parser, and not the structure under test.
 """
 
 from __future__ import annotations
@@ -301,3 +301,120 @@ def evaluation_document(evaluation) -> dict:
 def json_export(evaluation) -> str:
     """The JSON export as the stdlib encoder writes it."""
     return json.dumps(evaluation_document(evaluation), indent=2) + "\n"
+
+
+def tree_parse_model(document):
+    """Parse a BPMN document by building its whole ``ElementTree`` and
+    walking it, as ``parse_model`` did before it read expat events."""
+    import xml.etree.ElementTree as ElementTree
+
+    from procomp.bpmn import (_NODE_TAGS, _SKIP_TAGS, ACTIVITY_KINDS, Edge, EdgeKind, Node,
+                              NodeKind, ProcessModelGraph)
+    from procomp.errors import ModelParseError
+
+    try:
+        root = ElementTree.fromstring(document)
+    except ElementTree.ParseError as exc:
+        raise ModelParseError(f"malformed XML: {exc}") from exc
+
+    def local(element):
+        return element.tag.rsplit("}", 1)[-1]
+
+    processes = [e for e in root.iter() if local(e) == "process"]
+    collaborations = [e for e in root.iter() if local(e) == "collaboration"]
+    if not processes:
+        raise ModelParseError("document contains no process element")
+
+    nodes, edges, warnings, node_ids = [], [], [], set()
+    edge_seq = 0
+
+    def add_node(node_id, kind, label, parent):
+        if node_id in node_ids:
+            raise ModelParseError("duplicate node id", context=node_id)
+        node_ids.add(node_id)
+        nodes.append(Node(id=node_id, kind=kind, label=label, parent=parent))
+
+    def add_edge(edge_id, source, target, kind):
+        nonlocal edge_seq
+        if edge_id is None:
+            edge_seq += 1
+            edge_id = f"_edge{edge_seq}"
+        edges.append(Edge(id=edge_id, source=source, target=target, kind=kind))
+
+    def child_text(element, local_name):
+        for child in element:
+            if local(child) == local_name:
+                return (child.text or "").strip()
+        return None
+
+    def lacks_refs(element, what):
+        return ModelParseError(f"{what} lacks sourceRef/targetRef",
+                               context=element.get("id") or "<no id>")
+
+    for collaboration in collaborations:
+        for child in collaboration:
+            if local(child) == "participant" and child.get("id"):
+                add_node(child.get("id"), NodeKind.POOL, (child.get("name") or "").strip(), None)
+            elif local(child) == "messageFlow":
+                source, target = child.get("sourceRef"), child.get("targetRef")
+                if not source or not target:
+                    raise lacks_refs(child, "messageFlow")
+                add_edge(child.get("id"), source, target, EdgeKind.MESSAGE)
+
+    for process in processes:
+        stack = [(iter(process), None)]
+        while stack:
+            children, parent = stack[-1]
+            element = next(children, None)
+            if element is None:
+                stack.pop()
+                continue
+            name = local(element)
+            if name in _SKIP_TAGS:
+                continue
+            if name == "laneSet":
+                for lane in element:
+                    if local(lane) == "lane" and lane.get("id"):
+                        add_node(lane.get("id"), NodeKind.LANE,
+                                 (lane.get("name") or "").strip(), parent)
+                continue
+            if name == "sequenceFlow":
+                source, target = element.get("sourceRef"), element.get("targetRef")
+                if not source or not target:
+                    raise lacks_refs(element, "sequenceFlow")
+                add_edge(element.get("id"), source, target, EdgeKind.SEQUENCE)
+                continue
+            if name == "association":
+                source, target = element.get("sourceRef"), element.get("targetRef")
+                if source and target:
+                    add_edge(element.get("id"), source, target, EdgeKind.DATA)
+                continue
+            node_id = element.get("id")
+            if node_id is None:
+                continue
+            label = (element.get("name") or "").strip()
+            kind = _NODE_TAGS.get(name)
+            if kind is None:
+                add_node(node_id, NodeKind.GENERIC, label, parent)
+                warnings.append(f"unknown construct <{name}> kept as generic node ({node_id})")
+                continue
+            add_node(node_id, kind, label, parent)
+            if kind in ACTIVITY_KINDS:
+                for child in element:
+                    if local(child) == "dataInputAssociation":
+                        source = child_text(child, "sourceRef")
+                        if source:
+                            add_edge(child.get("id"), source, node_id, EdgeKind.DATA)
+                    elif local(child) == "dataOutputAssociation":
+                        target = child_text(child, "targetRef")
+                        if target:
+                            add_edge(child.get("id"), node_id, target, EdgeKind.DATA)
+                if kind is NodeKind.SUB_PROCESS:
+                    stack.append((iter(element), node_id))
+
+    for edge in edges:
+        for endpoint in (edge.source, edge.target):
+            if endpoint not in node_ids:
+                raise ModelParseError(f"flow references missing node {endpoint!r}",
+                                      context=f"{edge.kind.value} flow {edge.id}")
+    return ProcessModelGraph(nodes=tuple(nodes), edges=tuple(edges), warnings=tuple(warnings))

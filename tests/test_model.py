@@ -24,7 +24,8 @@ from procomp.ett import (
 )
 from procomp.metrics import EXTRACTORS, extract_metrics, normalize_metric
 
-from conftest import FIXTURES, nested_subprocess_document, random_bpmn_document
+from conftest import (FIXTURES, namespace_documents, nested_subprocess_document,
+                      random_bpmn_document)
 from oracles import naive_block_structuredness, naive_counts
 
 BPMN_NS = 'xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"'
@@ -107,40 +108,8 @@ def test_artifacts_are_not_flow_nodes():
         assert EXTRACTORS[key](graph) == pytest.approx(want, abs=1e-12), key
 
 
-NAMESPACE_BODY = (
-    '<{p}collaboration id="c">'
-    '<{p}participant id="pool" name="Shop" processRef="p"/>'
-    '<{p}participant id="ext" name="Bank"/>'
-    '<{p}messageFlow id="m1" sourceRef="t1" targetRef="ext"/>'
-    "</{p}collaboration>"
-    '<{p}process id="p">'
-    '<{p}laneSet id="ls"><{p}lane id="lane1" name="Desk"/></{p}laneSet>'
-    '<{p}dataObjectReference id="d1" name="Order"/>'
-    '<{p}startEvent id="s"/>'
-    '<{p}task id="t1" name="Take">'
-    "<{p}dataInputAssociation id=\"da1\"><{p}sourceRef>d1</{p}sourceRef>"
-    "</{p}dataInputAssociation></{p}task>"
-    '<{p}subProcess id="sub"><{p}startEvent id="s2"/><{p}complexGateway id="cg"/>'
-    '<{p}sequenceFlow id="f4" sourceRef="s2" targetRef="cg"/></{p}subProcess>'
-    '<{p}textAnnotation id="note"><{p}text>Why</{p}text></{p}textAnnotation>'
-    '<{p}association id="a1" sourceRef="note" targetRef="t1"/>'
-    '<{p}endEvent id="e"/>'
-    '<{p}sequenceFlow id="f1" sourceRef="s" targetRef="t1"/>'
-    '<{p}sequenceFlow id="f2" sourceRef="t1" targetRef="sub"/>'
-    '<{p}sequenceFlow id="f3" sourceRef="sub" targetRef="e"/>'
-    "</{p}process>"
-)
-
-
 def test_namespace_forms_parse_alike():
-    ns = "http://www.omg.org/spec/BPMN/20100524/MODEL"
-    documents = [
-        f'<bpmn:definitions xmlns:bpmn="{ns}" id="d">'
-        + NAMESPACE_BODY.format(p="bpmn:") + "</bpmn:definitions>",
-        f'<definitions xmlns="{ns}" id="d">' + NAMESPACE_BODY.format(p="") + "</definitions>",
-        '<definitions id="d">' + NAMESPACE_BODY.format(p="") + "</definitions>",
-    ]
-    graphs = [parse_model(document) for document in documents]
+    graphs = [parse_model(document) for document in namespace_documents()]
     first = graphs[0]
     assert len(first.nodes) == 11 and len(first.edges) == 7
     assert first.warnings == ("unknown construct <complexGateway> kept as generic node (cg)",)

@@ -296,8 +296,14 @@ def _edit_tree_document(rng: random.Random, document: dict) -> None:
     node = rng.choice([criterion, *criterion["metrics"]])
     metric = rng.choice(criterion["metrics"]) if criterion["metrics"] else node
     edit = rng.choice(["survey_d", "interaction_weights", "rank", "weight", "source", "binding",
-                       "id", "empty-criterion", "drop-perspective"])
-    if edit == "survey_d":
+                       "id", "empty-criterion", "drop-perspective", "inf"])
+    if edit == "inf":  # only a document built in Python can hold one: JSON refuses it
+        value = rng.choice([float("inf"), float("-inf")])
+        if rng.random() < 0.5:
+            document["survey_d"] = value
+        else:
+            node["weight"] = value
+    elif edit == "survey_d":
         document["survey_d"] = rng.choice([*NUMBERS, 1.0001, 2.5])
     elif edit == "interaction_weights":
         w_m = rng.choice([0.0, 0.156, 0.5, 1.0, 1 + 5e-10, -0.1, 0.9, float("nan")])
@@ -332,7 +338,7 @@ def _edit_tree_document(rng: random.Random, document: dict) -> None:
 def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
     rng = random.Random(1313)
     bases = {"default": default_ett_document(), "pinned": pinned_ett_document()}
-    verdicts, codes = {(True, True): 0, (False, False): 0}, set()
+    verdicts, codes, infinite = {(True, True): 0, (False, False): 0}, set(), 0
     for case in range(400):
         base = "pinned" if case % 2 else "default"
         document = copy.deepcopy(bases[base])
@@ -344,6 +350,7 @@ def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
             report = None
         errors = [] if report is None else [e for e in report if e.severity == "error"]
         codes.update(e.code for e in errors)
+        infinite += sum("must be finite" in e.message for e in errors)
         try:
             tree = load_ett(document)
             scored = True
@@ -351,14 +358,17 @@ def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
             scored = False
         if scored:
             try:
-                compile_plan(tree, *_fitting_config(tree))
+                plan = compile_plan(tree, *_fitting_config(tree))
             except ScoringError as exc:
                 assert str(exc) == errors[0].message, case
                 scored = False
+            else:
+                plan.evaluate(GRAPHS[-1])  # a tree both accept scores a model
         accepted = report is not None and report.ok
         assert accepted == scored, (case, base, [e.code for e in errors])
         verdicts[accepted, scored] += 1
     assert min(verdicts.values()) >= 100, verdicts
+    assert infinite >= 10, infinite
     assert codes >= {"interaction-weights-sum", "interaction-weights-range", "survey-d-range",
                      "perspective-incomplete", "empty-criterion", "unknown-extractor",
                      "unknown-registry-value", "rank-permutation", "criterion-rank-permutation",

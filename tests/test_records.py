@@ -112,7 +112,7 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path, response_bundle):
         "import sys\n"
         "before = set(sys.modules)\n"
         "from procomp.cli import main\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'decimal')\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'decimal', 'xml.etree')\n"
         "               if m in sys.modules and m not in before))\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
