@@ -381,6 +381,10 @@ def _read(chunks) -> ProcessModelGraph:
         parser.Parse(b"", True)
     except expat.ExpatError as exc:
         raise ModelParseError(f"malformed XML: {exc}") from exc
+    except LookupError as exc:  # an encoding declaration that names no codec
+        if type(exc) is not LookupError:  # an IndexError or KeyError is a fault of this parser
+            raise
+        raise ModelParseError(f"malformed XML: {exc}") from exc
     finally:
         # the handlers refer to the parser: drop them, or each parse leaves a cycle
         parser.StartElementHandler = parser.EndElementHandler = None

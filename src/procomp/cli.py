@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 from . import defaults
 from .bpmn import parse_model_file
 from .errors import ExtractionError, ProcompError, ResponseError, ScoringError
-from .documents import read_json_object
+from .documents import read_document
 from .ett import build_ett, load_ett_file, validate_ett
 from .languages import (
     complexity_score,
@@ -179,7 +179,20 @@ def _pooled_entries(pool, models: list[str], workers: int) -> Iterator[str]:
             future.cancel()
 
 
+def _check_model_ids(models: list[str]) -> None:
+    """Refuse two models with one id, which a batch report could not tell apart."""
+    model_paths: dict[str, str] = {}  # model id -> the path it comes from
+    for model in models:
+        model_id = Path(model).stem
+        if model_id in model_paths:
+            raise ProcompError(f"models {model_paths[model_id]} and {model} have one model id, "
+                               f"{model_id!r}: give each model its own file name")
+        model_paths[model_id] = model
+
+
 def _cmd_score(args) -> int:
+    models: list[str] = args.model
+    _check_model_ids(models)
     ett_path = _config_file(args.ett, "ett.json")
     tree = load_ett_file(ett_path) if ett_path else defaults.default_ett()
     modeler_schema = _resolve_schema(args.schema_modeler, "modeler")
@@ -198,7 +211,6 @@ def _cmd_score(args) -> int:
         interaction_weights=args.weights,
         language=args.language,
     )
-    models: list[str] = args.model
 
     if len(models) == 1:
         graph = parse_model_file(models[0])
@@ -224,7 +236,7 @@ def _cmd_score(args) -> int:
 def _cmd_ett_validate(args) -> int:
     ett_path = _config_file(args.ett, "ett.json")
     # built without load_ett's invariant checks, so that every violation is reported
-    tree = build_ett(read_json_object(ett_path)) if ett_path else defaults.default_ett()
+    tree = read_document(ett_path, build_ett) if ett_path else defaults.default_ett()
     report = validate_ett(tree)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VALIDATION

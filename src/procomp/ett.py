@@ -9,9 +9,8 @@ from __future__ import annotations
 import enum
 import math
 from pathlib import Path
-from typing import Any
 
-from .documents import read_json_object
+from .documents import read_document, read_field
 from .errors import ConfigError
 from .ranking import dnlog_weight
 from .records import record, replace
@@ -135,39 +134,13 @@ class EvaluationTheoryTree:
 # Loading
 
 
-def _require(document: dict, key: str, path: str) -> Any:
-    if not isinstance(document, dict):
-        raise ConfigError(f"expected an object, got {type(document).__name__}", path=path)
-    if key not in document:
-        raise ConfigError(f"missing field {key!r}", path=path)
-    return document[key]
-
-
-def _parse_enum(enum_cls, value: str, path: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"unknown value {value!r}, expected one of: {allowed}", path=path) from None
-
-
-def _number(value: Any, path: str, message: str = "") -> float:
-    """``value`` as a float if it is a finite int or float: not a bool or a string."""
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(message or f"expected a finite number, got {value!r}", path=path)
-    return number
-
-
-def _parse_normalization(document: dict | None, path: str) -> NormalizationSpec:
+def _parse_normalization(metric: dict, path: str) -> NormalizationSpec:
+    document = read_field(metric, "normalization", dict, path, default=None)
     if document is None:
         return IDENTITY
-    kind = _parse_enum(NormalizationKind, _require(document, "kind", path), f"{path}.kind")
-    lo, hi = (None if document.get(key) is None else _number(document[key], f"{path}.{key}")
-              for key in ("lo", "hi"))
+    path = f"{path}.normalization"
+    kind = read_field(document, "kind", NormalizationKind, path)
+    lo, hi = (read_field(document, key, float, path, default=None) for key in ("lo", "hi"))
     try:
         return NormalizationSpec(kind=kind, lo=lo, hi=hi)
     except ConfigError as exc:
@@ -176,14 +149,10 @@ def _parse_normalization(document: dict | None, path: str) -> NormalizationSpec:
 
 def _parse_ranked(document: dict, path: str) -> tuple[str, str, int, float | None]:
     """The id, name, rank and optional weight that criteria and metrics share."""
-    node_id = _require(document, "id", path)
-    if not isinstance(node_id, str):
-        raise ConfigError(f"id must be a string, got {node_id!r}", path=f"{path}.id")
-    name = document.get("name", node_id)
-    if not isinstance(name, str):
-        raise ConfigError(f"name must be a string, got {name!r}", path=f"{path}.name")
-    rank = _require(document, "rank", path)
-    if type(rank) is not int or rank < 1:  # bool is an int subclass
+    node_id = read_field(document, "id", str, path)
+    name = read_field(document, "name", str, path, default=node_id)
+    rank = read_field(document, "rank", int, path)
+    if rank < 1:
         raise ConfigError(f"rank must be a positive integer, got {rank!r}", path=f"{path}.rank")
     weight = document.get("weight")
     if weight is not None and type(weight) not in (int, float):
@@ -196,21 +165,21 @@ def _parse_metric(document: dict, path: str) -> QualityMetric:
     return QualityMetric(
         id=metric_id,
         name=name,
-        description=document.get("description", ""),
-        source=_parse_enum(MetricSource, _require(document, "source", path), f"{path}.source"),
+        description=read_field(document, "description", str, path, default=""),
+        source=read_field(document, "source", MetricSource, path),
         rank=rank,
-        normalization=_parse_normalization(document.get("normalization"), f"{path}.normalization"),
-        polarity=_parse_enum(Polarity, document.get("polarity", Polarity.HIGHER_IS_BETTER.value), f"{path}.polarity"),
+        normalization=_parse_normalization(document, path),
+        polarity=read_field(document, "polarity", Polarity, path, default=Polarity.HIGHER_IS_BETTER),
         weight=weight,
-        binding=document.get("binding"),
+        binding=read_field(document, "binding", str, path, default=None),
     )
 
 
 def _parse_criterion(document: dict, path: str) -> QualityCriterion:
     criterion_id, name, rank, weight = _parse_ranked(document, path)
-    perspective = _parse_enum(Perspective, _require(document, "perspective", path), f"{path}.perspective")
+    perspective = read_field(document, "perspective", Perspective, path)
     metrics = [_parse_metric(mdoc, f"{path}.metrics[{mi}]")
-               for mi, mdoc in enumerate(document.get("metrics", []))]
+               for mi, mdoc in enumerate(read_field(document, "metrics", list, path, default=[]))]
     return QualityCriterion(id=criterion_id, name=name,
                             perspective=perspective, rank=rank,
                             metrics=tuple(sorted(metrics, key=lambda m: m.rank)), weight=weight)
@@ -223,19 +192,15 @@ def build_ett(document: dict) -> EvaluationTheoryTree:
     unknown enum value. Ranks, ids and weights are left to load_ett and
     validate_ett, so that validate_ett can report every violation.
     """
-    version = str(_require(document, "version", ""))
-    weights = document.get("interaction_weights", {"modeler": 0.156, "reader": 0.844})
-    w_m, w_r = (_number(weights.get(key) if isinstance(weights, dict) else None, "interaction_weights",
-                        "interaction_weights must map 'modeler' and 'reader' to finite numbers")
-                for key in ("modeler", "reader"))
+    version = read_field(document, "version", str)
+    weights = read_field(document, "interaction_weights", dict,
+                         default={"modeler": 0.156, "reader": 0.844})
+    w_m, w_r = (read_field(weights, key, float, "interaction_weights") for key in ("modeler", "reader"))
     survey_d = document.get("survey_d", 10.0)
     if type(survey_d) is not float:  # validate_ett reports a float out of range, NaN included
-        survey_d = _number(survey_d, "survey_d")
-    try:
-        criteria = [_parse_criterion(cdoc, f"criteria[{ci}]")
-                    for ci, cdoc in enumerate(_require(document, "criteria", ""))]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tree document: {exc}") from exc
+        survey_d = read_field(document, "survey_d", float)
+    criteria = [_parse_criterion(cdoc, f"criteria[{ci}]")
+                for ci, cdoc in enumerate(read_field(document, "criteria", list))]
     criteria.sort(key=lambda c: (c.perspective.value, c.rank))
     return EvaluationTheoryTree(version=version, criteria=tuple(criteria), survey_d=survey_d,
                                 interaction_weights=(w_m, w_r))
@@ -315,7 +280,7 @@ def load_ett(document: dict) -> EvaluationTheoryTree:
 
 
 def load_ett_file(path: str | Path) -> EvaluationTheoryTree:
-    return load_ett(read_json_object(path))
+    return read_document(path, load_ett)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ import enum
 import math
 from pathlib import Path
 
-from .documents import read_json_object
+from .documents import read_document, read_field
 from .errors import ConfigError
 from .records import record
+
+# below it, the three squares that complexity_score sums stay finite floats
+MAX_COUNT = 1e150
 
 
 class PatternType(str, enum.Enum):
@@ -95,8 +98,9 @@ class LanguageDescriptor:
 
     def __post_init__(self):
         counts = (self.elements, self.characteristics, self.relations)
-        if not all(0 <= count < math.inf for count in counts):
-            raise ConfigError(f"descriptor counts for {self.name!r} must be finite and >= 0")
+        if not all(0 <= count < MAX_COUNT for count in counts):
+            raise ConfigError(f"descriptor counts for {self.name!r} must be >= 0 "
+                              f"and below {MAX_COUNT:g}")
         if self.elements == self.characteristics == self.relations == 0:
             raise ConfigError(f"descriptor {self.name!r} has all-zero counts")
 
@@ -179,33 +183,32 @@ def control_flow_percentage(descriptor: LanguageDescriptor) -> float:
 # Document form
 
 
+def _load_pattern(document: dict, path: str) -> PatternEntry:
+    return PatternEntry(
+        id=read_field(document, "id", str, path),
+        type=read_field(document, "type", PatternType, path),
+        support=read_field(document, "support", Support, path),
+        name=read_field(document, "name", str, path, default=""),
+    )
+
+
 def load_descriptor(document: dict) -> LanguageDescriptor:
-    try:
-        catalog_raw = document.get("pattern_catalog", {})
-        catalog = {PatternType(key): int(size) for key, size in catalog_raw.items()}
-        # entry order in the file is irrelevant; keep a canonical order
-        entries = tuple(sorted(
-            (
-                PatternEntry(
-                    id=row["id"],
-                    type=PatternType(row["type"]),
-                    support=Support(row["support"]),
-                    name=row.get("name", ""),
-                )
-                for row in document.get("patterns", [])
-            ),
-            key=lambda e: (e.type.value, e.id),
-        ))
-        return LanguageDescriptor(
-            name=document["name"],
-            elements=float(document["elements"]),
-            characteristics=float(document["characteristics"]),
-            relations=float(document["relations"]),
-            patterns=PatternSupportTable(entries=entries, catalog_sizes=catalog),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad language descriptor: {exc}") from exc
+    sizes = read_field(document, "pattern_catalog", dict, default={})
+    # each key is a pattern type: read it as the value of a field of its own name
+    catalog = {read_field({key: key}, key, PatternType, "pattern_catalog"):
+               read_field(sizes, key, int, "pattern_catalog") for key in sizes}
+    rows = read_field(document, "patterns", list, default=[])
+    # entry order in the file is irrelevant; keep a canonical order
+    entries = sorted((_load_pattern(row, f"patterns[{ri}]") for ri, row in enumerate(rows)),
+                     key=lambda e: (e.type.value, e.id))
+    return LanguageDescriptor(
+        name=read_field(document, "name", str),
+        elements=read_field(document, "elements", float),
+        characteristics=read_field(document, "characteristics", float),
+        relations=read_field(document, "relations", float),
+        patterns=PatternSupportTable(entries=tuple(entries), catalog_sizes=catalog),
+    )
 
 
 def load_descriptor_file(path: str | Path) -> LanguageDescriptor:
-    return load_descriptor(read_json_object(path))
+    return read_document(path, load_descriptor)

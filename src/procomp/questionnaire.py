@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from pathlib import Path
 
-from .documents import read_json_object
+from .documents import read_document, read_field
 from .errors import ConfigError, ResponseError
 from .ett import EvaluationTheoryTree, MetricSource, Perspective
 from .ranking import left_sum
@@ -171,49 +171,45 @@ def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> 
 # Document form
 
 
+def _load_question(document: dict, path: str) -> Question:
+    return Question(
+        id=read_field(document, "id", str, path),
+        text=read_field(document, "text", str, path),
+        kind=read_field(document, "kind", QuestionKind, path),
+        metric_id=read_field(document, "metric", str, path),
+        levels=read_field(document, "levels", int, path, default=None),
+        polarity=read_field(document, "polarity", QuestionPolarity, path,
+                            default=QuestionPolarity.POSITIVE),
+    )
+
+
 def load_schema(document: dict) -> QuestionnaireSchema:
-    try:
-        questions = tuple(
-            Question(
-                id=q["id"],
-                text=q["text"],
-                kind=QuestionKind(q["kind"]),
-                metric_id=q["metric"],
-                levels=q.get("levels"),
-                polarity=QuestionPolarity(q.get("polarity", "positive")),
-            )
-            for q in document["questions"]
-        )
-        return QuestionnaireSchema(
-            version=str(document["version"]),
-            perspective=Perspective(document["perspective"]),
-            questions=questions,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad questionnaire schema: {exc}") from exc
+    return QuestionnaireSchema(
+        version=read_field(document, "version", str),
+        perspective=read_field(document, "perspective", Perspective),
+        questions=tuple(_load_question(q, f"questions[{qi}]")
+                        for qi, q in enumerate(read_field(document, "questions", list))),
+    )
 
 
 def load_schema_file(path: str | Path) -> QuestionnaireSchema:
-    return load_schema(read_json_object(path))
+    return read_document(path, load_schema)
 
 
 def load_responses(document: dict) -> ResponseSet:
-    try:
-        answers = dict(document["answers"])
-        for qid, answer in answers.items():
-            if not isinstance(answer, (bool, int)):
-                raise ConfigError(f"answer for {qid!r} must be a boolean or integer")
-        return ResponseSet(
-            respondent=str(document["respondent"]),
-            schema_version=str(document.get("schema_version", "1")),
-            answers=answers,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad response document: {exc}") from exc
+    answers = read_field(document, "answers", dict)
+    for qid, answer in answers.items():
+        if not isinstance(answer, (bool, int)):
+            raise ConfigError(f"expected a boolean or an integer, got {answer!r}", path=f"answers.{qid}")
+    return ResponseSet(
+        respondent=read_field(document, "respondent", str),
+        schema_version=read_field(document, "schema_version", str, default="1"),
+        answers=dict(answers),
+    )
 
 
 def load_responses_file(path: str | Path) -> ResponseSet:
-    return load_responses(read_json_object(path))
+    return read_document(path, load_responses)
 
 
 def serialize_responses(responses: ResponseSet) -> dict:

@@ -142,29 +142,50 @@ class SurveyDataset:
 
 
 def load_survey_csv(path: str | Path) -> SurveyDataset:
-    """Read a dataset from a CSV with columns item, rank, fraction."""
-    rows: list[tuple[str, int, float]] = []
+    """Read a dataset from a CSV with columns item, rank, fraction. Raises
+    ConfigError naming the file.
+
+    A rank above the number of data rows is refused: a complete table has
+    one row per item and rank, so it never holds one.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"item", "rank", "fraction"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ConfigError(f"survey CSV must have columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append((row["item"], int(row["rank"]), float(row["fraction"])))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad survey row: {exc}", path=f"line {lineno}") from exc
+        try:
+            return _survey_dataset(reader)
+        except csv.Error as exc:  # the line that failed is read, but not yet counted as a row
+            raise ConfigError(f"malformed CSV: {exc}",
+                              path=f"{path}: line {reader.reader.line_num}") from None
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(exc), path=str(path)) from None
+
+
+def _survey_dataset(reader: csv.DictReader) -> SurveyDataset:
+    required = {"item", "rank", "fraction"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ConfigError(f"survey CSV must have columns {sorted(required)}")
+    rows: list[tuple[int, str, int, float]] = []
+    for row in reader:
+        try:
+            rank, fraction = int(row["rank"]), float(row["fraction"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad survey row: {exc}", path=f"line {reader.line_num}") from exc
+        if not math.isfinite(fraction):
+            raise ConfigError(f"fraction must be a finite number, got {row['fraction']!r}",
+                              path=f"line {reader.line_num}")
+        rows.append((reader.line_num, row["item"], rank, fraction))
     if not rows:
         raise ConfigError("survey CSV contains no data rows")
-    n = max(rank for _, rank, _ in rows)
+    for lineno, item, rank, _ in rows:
+        if not 1 <= rank <= len(rows):
+            raise ConfigError(f"rank {rank} of item {item!r} is outside [1, {len(rows)}], "
+                              "the number of data rows", path=f"line {lineno}")
+    n = max(rank for _, _, rank, _ in rows)
     items: list[str] = []
     placements: dict[str, list[float]] = {}
-    for item, rank, fraction in rows:
+    for _, item, rank, fraction in rows:
         if item not in placements:
             items.append(item)
             placements[item] = [0.0] * n
-        if not 1 <= rank <= n:
-            raise ConfigError(f"rank {rank} out of range for item {item!r}")
         placements[item][rank - 1] = fraction
     return SurveyDataset(
         items=tuple(items),

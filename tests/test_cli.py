@@ -688,12 +688,13 @@ def test_hostile_config_documents_exit_2(capsys, tmp_path, response_bundle, name
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv, err)
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
         if "overflow" in name:
             assert err.startswith(f"error: {path}: malformed JSON document: number ")
         if name in HOSTILE_NUMBER_PATHS:
-            assert err.startswith(f"error: {HOSTILE_NUMBER_PATHS[name]}: expected a finite number")
+            assert err.startswith(f"error: {path}: {HOSTILE_NUMBER_PATHS[name]}: "
+                                  "expected a finite number")
 
 
 def test_survey_rank_matches_brute_force(capsys, tmp_path):

@@ -177,22 +177,22 @@ def test_interaction_weight_sum_violation():
     assert any(e.code == "interaction-weights-sum" for e in report)
 
 
-@pytest.mark.parametrize("weights", [
-    {"modeler": "nan", "reader": 0.5},
-    {"modeler": "0.5", "reader": 0.5},
-    {"modeler": True, "reader": False},
-    {"modeler": math.nan, "reader": 0.5},
-    {"modeler": 0.5, "reader": math.inf},
-    {"modeler": 10 ** 400, "reader": 0},
-    {"modeler": 0.5},
-    [0.5, 0.5],
-])
-def test_interaction_weights_must_be_finite_numbers(weights):
+@pytest.mark.parametrize("weights, path", [
+    ({"modeler": "nan", "reader": 0.5}, "interaction_weights.modeler"),
+    ({"modeler": "0.5", "reader": 0.5}, "interaction_weights.modeler"),
+    ({"modeler": True, "reader": False}, "interaction_weights.modeler"),
+    ({"modeler": math.nan, "reader": 0.5}, "interaction_weights.modeler"),
+    ({"modeler": 0.5, "reader": math.inf}, "interaction_weights.reader"),
+    ({"modeler": 10 ** 400, "reader": 0}, "interaction_weights.modeler"),
+    ({"modeler": 0.5}, "interaction_weights"),  # the object that lacks the field
+    ([0.5, 0.5], "interaction_weights"),
+], ids=[f"weights{i}" for i in range(8)])
+def test_interaction_weights_must_be_finite_numbers(weights, path):
     document = default_ett_document()
     document["interaction_weights"] = weights
     with pytest.raises(ConfigError) as exc:
         build_ett(document)
-    assert exc.value.path == "interaction_weights"
+    assert exc.value.path == path
 
 
 def test_non_canonical_count_is_warning_not_error():
