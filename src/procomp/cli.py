@@ -17,6 +17,7 @@ from .errors import ExtractionError, ProcompError, ResponseError, ScoringError
 from .documents import read_document
 from .ett import build_ett, load_ett_file, validate_ett
 from .languages import (
+    LanguageDescriptor,
     complexity_score,
     load_descriptor_file,
     normalize_complexity,
@@ -26,7 +27,6 @@ from .metrics import EXTRACTORS
 from .pipeline import ScoringPlan, compile_plan
 from .questionnaire import (
     QuestionKind,
-    QuestionnaireSchema,
     ResponseSet,
     load_responses_file,
     load_schema_file,
@@ -49,28 +49,20 @@ EXIT_INPUT = 2
 CONFIG_DIR_ENV = "PROCOMP_CONFIG_DIR"
 
 
-def _config_file(path: str | None, name: str) -> Path | None:
-    """``path`` if given, else ``name`` in the config directory if it exists."""
-    if path:
-        return Path(path)
-    config = os.environ.get(CONFIG_DIR_ENV)
-    found = Path(config) / name if config else None
-    return found if found and found.exists() else None
+def _config(path, name: str, load, default):
+    """A config document: ``load(path)`` if ``path`` is given, else ``load``
+    of ``name`` in the config directory if it exists there, else ``default()``."""
+    if not path:
+        directory = os.environ.get(CONFIG_DIR_ENV)
+        path = Path(directory) / name if directory else None
+        if not (path and path.exists()):
+            return default()
+    return load(path)
 
 
-def _resolve_schema(path: str | None, perspective: str) -> QuestionnaireSchema:
-    found = _config_file(path, f"questionnaire_{perspective}.json")
-    if found:
-        return load_schema_file(found)
-    if perspective == "modeler":
-        return defaults.default_modeler_schema()
-    return defaults.default_reader_schema()
-
-
-def _resolve_registry(paths: list[str] | None):
-    if not paths:
-        found = _config_file(None, "languages")
-        paths = sorted(found.glob("*.json")) if found and found.is_dir() else []
+def _load_registry(source: list[str] | Path) -> tuple[LanguageDescriptor, ...]:
+    """The descriptor files listed, or those in a directory; the built-in registry if none."""
+    paths = sorted(source.glob("*.json")) if isinstance(source, Path) else source
     return tuple(load_descriptor_file(p) for p in paths) or defaults.builtin_language_registry()
 
 
@@ -193,11 +185,13 @@ def _check_model_ids(models: list[str]) -> None:
 def _cmd_score(args) -> int:
     models: list[str] = args.model
     _check_model_ids(models)
-    ett_path = _config_file(args.ett, "ett.json")
-    tree = load_ett_file(ett_path) if ett_path else defaults.default_ett()
-    modeler_schema = _resolve_schema(args.schema_modeler, "modeler")
-    reader_schema = _resolve_schema(args.schema_reader, "reader")
-    registry = _resolve_registry(args.languages)
+    tree = _config(args.ett, "ett.json", load_ett_file, defaults.default_ett)
+    modeler_schema = _config(args.schema_modeler, "questionnaire_modeler.json", load_schema_file,
+                             defaults.default_modeler_schema)
+    reader_schema = _config(args.schema_reader, "questionnaire_reader.json", load_schema_file,
+                            defaults.default_reader_schema)
+    registry = _config(args.languages, "languages", _load_registry,
+                       defaults.builtin_language_registry)
     modeler_responses = load_responses_file(args.modeler_responses)
     reader_responses = [load_responses_file(p) for p in args.reader_responses]
     plan = compile_plan(
@@ -234,9 +228,9 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_ett_validate(args) -> int:
-    ett_path = _config_file(args.ett, "ett.json")
     # built without load_ett's invariant checks, so that every violation is reported
-    tree = read_document(ett_path, build_ett) if ett_path else defaults.default_ett()
+    tree = _config(args.ett, "ett.json", lambda path: read_document(path, build_ett),
+                   defaults.default_ett)
     report = validate_ett(tree)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -262,7 +256,8 @@ def _cmd_survey_rank(args) -> int:
 
 
 def _cmd_language_compare(args) -> int:
-    registry = _resolve_registry(args.languages)
+    registry = _config(args.languages, "languages", _load_registry,
+                       defaults.builtin_language_registry)
     normalized = normalize_complexity(registry, full_range=args.full_range)
     lines = [f"{'language':<24} {'norm':>8} {'score':>6} {'patterns':>8}  support per type"]
     for descriptor in sorted(registry, key=lambda d: d.name):
@@ -317,8 +312,12 @@ def _cmd_model_inspect(args) -> int:
 
 
 def _cmd_questionnaire_fill(args) -> int:
-    if args.schema in ("modeler", "reader"):
-        schema = _resolve_schema(None, args.schema)
+    if args.schema == "modeler":
+        schema = _config(None, "questionnaire_modeler.json", load_schema_file,
+                         defaults.default_modeler_schema)
+    elif args.schema == "reader":
+        schema = _config(None, "questionnaire_reader.json", load_schema_file,
+                         defaults.default_reader_schema)
     else:
         schema = load_schema_file(args.schema)
     answers: dict[str, bool | int] = {}

@@ -293,12 +293,11 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
 
     Within each group of n ranked siblings, rank 1 gets weight d, rank n
     gets weight 1, with a constant ratio in between; a singleton group gets
-    d.
+    d. ``dnlog_weight`` rejects a d that is not finite and > 1, once a
+    weight is to be derived with it.
     """
     if d is None:
         d = tree.survey_d
-    if not 1 < d < math.inf:
-        raise ValueError(f"weighting requires a finite d > 1, got {d}")
 
     def weight(node, n_siblings: int) -> float:
         return node.weight if node.weight is not None else dnlog_weight(n_siblings, node.rank, d)

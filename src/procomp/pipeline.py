@@ -147,7 +147,7 @@ class ScoringPlan:
         w_m, w_r = self.tree.interaction_weights
         s_b = combined_score(s_m, s_r, w_m, w_r)
 
-        evaluation = ComprehensionEvaluation(
+        return ComprehensionEvaluation(
             model_id=model_id,
             criteria=tuple(criteria_results),
             s_m=s_m,
@@ -156,8 +156,8 @@ class ScoringPlan:
             w_m=w_m,
             w_r=w_r,
             noise_threshold=self.noise_threshold,
+            flags=tuple(detect_noise(criteria_results, self.noise_threshold)),
         )
-        return replace(evaluation, flags=tuple(detect_noise(evaluation, self.noise_threshold)))
 
 
 def compile_plan(
@@ -215,22 +215,10 @@ def compile_plan(
     )
 
 
-def evaluate_model(
-    graph: ProcessModelGraph,
-    tree: EvaluationTheoryTree,
-    registry: Sequence[LanguageDescriptor],
-    modeler_responses: ResponseSet,
-    reader_responses: Sequence[ResponseSet],
-    modeler_schema: QuestionnaireSchema,
-    reader_schema: QuestionnaireSchema,
-    *,
-    model_id: str = "model",
-    noise_threshold: float = DEFAULT_NOISE_THRESHOLD,
-    interaction_weights: tuple[float, float] | None = None,
-    language: str | None = None,
-) -> ComprehensionEvaluation:
-    """Run the whole scoring pipeline for one model."""
-    plan = compile_plan(tree, registry, modeler_responses, reader_responses,
-                        modeler_schema, reader_schema, noise_threshold=noise_threshold,
-                        interaction_weights=interaction_weights, language=language)
-    return plan.evaluate(graph, model_id=model_id)
+def evaluate_model(graph: ProcessModelGraph, *config, model_id: str = "model",
+                   **options) -> ComprehensionEvaluation:
+    """Run the whole scoring pipeline for one model: ``config`` and
+    ``options`` are ``compile_plan``'s arguments (the tree, the registry,
+    the modeler and reader responses and the two schemas; then
+    ``noise_threshold``, ``interaction_weights`` and ``language``)."""
+    return compile_plan(*config, **options).evaluate(graph, model_id=model_id)

@@ -51,9 +51,8 @@ class RankMethod:
             object.__setattr__(self, "param", p)
         elif self.kind is MethodKind.DNLOG:
             d = 10.0 if self.param is None else self.param
-            if not 1 < d < math.inf:
-                raise ValueError(f"dnlog top weight d must be finite and > 1, got {d}")
-            object.__setattr__(self, "param", d)
+            # dnlog_weight checks d, and gives a singleton group d itself
+            object.__setattr__(self, "param", dnlog_weight(1, 1, d))
         else:
             object.__setattr__(self, "param", None)
 
@@ -84,8 +83,8 @@ def dnlog_weight(n: int, k: int, d: float) -> float:
     Rank 1 gets weight d, rank n gets weight 1, and consecutive ranks keep a
     constant ratio. A singleton group (n == 1) gets the full weight d.
     """
-    if d <= 1:
-        raise ValueError(f"dnlog requires d > 1, got {d}")
+    if not 1 < d < math.inf:
+        raise ValueError(f"dnlog top weight d must be finite and > 1, got {d}")
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} out of range [1, {n}]")
     if n == 1:

@@ -7,7 +7,7 @@ of the two perspective scores.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ScoringError
 from .ett import MetricSource, Perspective, interaction_weight_violations
@@ -121,6 +121,9 @@ class ComprehensionEvaluation:
                 f"combined score {self.s_b} inconsistent with components ({expected})"
             )
 
+    def __iter__(self):
+        return iter(self.criteria)
+
     def criteria_for(self, perspective: Perspective) -> tuple[CriterionResult, ...]:
         return tuple(c for c in self.criteria if c.perspective is perspective)
 
@@ -129,14 +132,17 @@ class ComprehensionEvaluation:
 
 
 def detect_noise(
-    evaluation: ComprehensionEvaluation,
+    criteria: Iterable[CriterionResult],
     threshold: float = DEFAULT_NOISE_THRESHOLD,
 ) -> list[NoiseFlag]:
-    """Every metric and criterion scoring below the threshold, worst first."""
+    """Every metric and criterion scoring below the threshold, worst first.
+
+    ``criteria`` is the criterion results, or an evaluation, which iterates
+    over its own."""
     flags = [
         NoiseFlag(kind=kind, id=item.id, name=item.name, score=item.score, threshold=threshold,
                   perspective=criterion.perspective, criterion_id=criterion.id)
-        for criterion in evaluation.criteria
+        for criterion in criteria
         for kind, items in (("criterion", (criterion,)), ("metric", criterion.metrics))
         for item in items
         if item.score < threshold

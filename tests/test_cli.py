@@ -919,3 +919,87 @@ def test_questionnaire_fill_bad_input_exits_2(capsys, tmp_path, monkeypatch):
                        "--output", str(tmp_path / "r.json"))
     assert code == 2
     assert "expected" in err
+
+
+def _fill_schema(tmp_path):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"version": "1", "perspective": "reader", "questions": [
+        {"id": "q1", "text": "Is it clear?", "kind": "true-false", "metric": "r-x"},
+        {"id": "q2", "text": "How clear is it?", "kind": "likert", "levels": 5, "metric": "r-x"},
+    ]}), encoding="utf-8")
+    return schema
+
+
+def test_questionnaire_fill_takes_n_for_false(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n\n5\n"))
+    output = tmp_path / "responses.json"
+    code, _, err = run(capsys, "questionnaire", "fill", "--schema", str(_fill_schema(tmp_path)),
+                       "--respondent", "r", "--output", str(output))
+    assert (code, err) == (0, "")
+    assert load_responses_file(output).answers == {"q1": False, "q2": 5}
+
+
+@pytest.mark.parametrize("answers, message", [
+    ("perhaps\n", "error: expected y/n for q1, got 'perhaps'\n"),
+    ("y\n", "error: input ended before question q2\n"),
+    ("", "error: input ended before question q1\n"),
+    ("y\n6\n", "error: level 6 outside [1, 5] for q2\n"),
+    ("y\n0\n", "error: level 0 outside [1, 5] for q2\n"),
+], ids=["bad-y/n", "ends-early", "empty", "above-range", "below-range"])
+def test_questionnaire_fill_errors_exit_2_and_write_nothing(capsys, tmp_path, monkeypatch,
+                                                            answers, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(answers))
+    output = tmp_path / "responses.json"
+    code, _, err = run(capsys, "questionnaire", "fill", "--schema", str(_fill_schema(tmp_path)),
+                       "--respondent", "r", "--output", str(output))
+    assert (code, err) == (2, message)
+    assert not output.exists()
+
+
+def test_model_inspect_text_lists_the_parser_warnings(capsys, tmp_path):
+    model = tmp_path / "generic.bpmn"
+    model.write_text('<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d">'
+                     '<process id="p"><startEvent id="s"/><complexGateway id="cg"/>'
+                     '<sequenceFlow id="f" sourceRef="s" targetRef="cg"/></process></definitions>',
+                     encoding="utf-8")
+    code, out, err = run(capsys, "model", "inspect", str(model))
+    assert (code, err) == (0, "")
+    assert ("edges:\n"
+            "  f                s -> cg  [sequence]\n"
+            "warnings:\n"
+            "  unknown construct <complexGateway> kept as generic node (cg)\n"
+            "metrics:\n") in out
+
+
+def test_a_question_on_an_unknown_metric_fails_score(capsys, tmp_path, response_bundle):
+    from procomp.defaults import modeler_questionnaire_document
+    document = modeler_questionnaire_document()
+    document["questions"][0]["metric"] = "m-nosuch"
+    schema = tmp_path / "questionnaire_modeler.json"
+    schema.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, *score_args(response_bundle, "--schema-modeler", str(schema)))
+    assert (code, out) == (1, "")
+    assert err.startswith("validation failure: modeler questionnaire does not fit the tree")
+    assert "  unknown-metric: question targets unknown metric 'm-nosuch'\n" in err
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("ett.json", "--ett"),
+    ("questionnaire_modeler.json", "--schema-modeler"),
+    ("questionnaire_reader.json", "--schema-reader"),
+    ("languages/bpmn.json", "--languages"),
+])
+def test_each_config_document_is_found_in_the_config_dir_and_its_flag_wins(
+        capsys, tmp_path, monkeypatch, response_bundle, name, flag):
+    config, other = tmp_path / "config", tmp_path / "other"
+    for target in (config, other):
+        assert main(["init", str(target)]) == 0
+    capsys.readouterr()
+    (config / name).write_text("{", encoding="utf-8")
+    monkeypatch.setenv("PROCOMP_CONFIG_DIR", str(config))
+    code, out, err = run(capsys, *score_args(response_bundle))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {config / name}: malformed JSON document")
+    code, out, err = run(capsys, *score_args(response_bundle, flag, str(other / name)))
+    assert (code, err) == (0, "")
+    assert "Modeler score  (S_m):" in out

@@ -142,9 +142,15 @@ def test_singleton_group_gets_full_weight():
 
 def test_weighting_rejects_d_at_most_one():
     tree = load_ett(minimal_document())
-    for d in (1.0, 0.5, -2.0):
-        with pytest.raises(ValueError):
+    for d in (1.0, 0.5, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and > 1"):
             assign_weights(tree, d)
+
+
+def test_weighting_a_fully_pinned_tree_uses_no_d():
+    # as scoring_violations, ett validate and score already accept it
+    tree = load_ett(pinned_ett_document())
+    assert assign_weights(tree, 0.5) == assign_weights(tree)
 
 
 def test_weight_monotonicity_and_geometric_spacing():

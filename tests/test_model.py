@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -343,6 +344,29 @@ def test_block_structuredness_cases(case):
     graph = parse_model(document)
     assert EXTRACTORS["block-structuredness"](graph) == want
     assert naive_block_structuredness(graph) == want
+
+
+STRUCTURED_LOOPS = {
+    # loops around the join j and the split x; the declaration order decides
+    # which the reduction meets first, so in the bare loop rule (c) drops the
+    # back flow with j as the join in some orders and with x as the split in others
+    "bare": (('<startEvent id="s"/>', '<exclusiveGateway id="j"/>',
+              '<exclusiveGateway id="x"/>', '<endEvent id="e"/>'),
+             flows("s>j", "j>x", "x>j", "x>e")),
+    "with-a-task": (('<startEvent id="s"/>', '<exclusiveGateway id="j"/>', '<task id="a"/>',
+                     '<exclusiveGateway id="x"/>', '<endEvent id="e"/>'),
+                    flows("s>j", "j>a", "a>x", "x>j", "x>e")),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(STRUCTURED_LOOPS))
+def test_a_structured_loop_extracts_alike_in_every_declaration_order(loop):
+    nodes, edges = STRUCTURED_LOOPS[loop]
+    want = {key: fn(parse_model(wrap("".join(nodes) + edges))) for key, fn in EXTRACTORS.items()}
+    assert want["block-structuredness"] == 1.0
+    for order in itertools.permutations(nodes):
+        graph = parse_model(wrap("".join(order) + edges))
+        assert {key: fn(graph) for key, fn in EXTRACTORS.items()} == want, order
 
 
 def random_block_graph(rng: random.Random, max_flow_nodes: int = 12) -> ProcessModelGraph:

@@ -19,7 +19,7 @@ from procomp.errors import (
 from procomp.ett import MetricSource, Perspective, build_ett, load_ett, validate_ett
 from procomp.languages import LanguageDescriptor, PatternSupportTable
 from procomp.metrics import EXTRACTORS
-from procomp.pipeline import compile_plan
+from procomp.pipeline import compile_plan, evaluate_model
 from procomp.questionnaire import (
     Question,
     QuestionKind,
@@ -30,6 +30,7 @@ from procomp.questionnaire import (
     score_responses,
 )
 from procomp.report import export
+from procomp.scoring import ComprehensionEvaluation, detect_noise
 
 from conftest import FIXTURES, make_responses, pinned_ett_document, random_bpmn_document
 from oracles import per_model_evaluation
@@ -80,6 +81,32 @@ def test_unpickled_plan_exports_the_same_bytes(config):
         for fmt in ("json", "csv"):
             assert (export(clone.evaluate(graph, model_id=model), fmt).body
                     == export(plan.evaluate(graph, model_id=model), fmt).body)
+
+
+def test_plan_builds_one_evaluation_per_model(config, monkeypatch):
+    plan = compile_plan(*config)
+    graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
+    checked = []  # the model id of each evaluation built
+    post_init = ComprehensionEvaluation.__post_init__
+
+    def counted(self):
+        checked.append(self.model_id)
+        post_init(self)
+
+    monkeypatch.setattr(ComprehensionEvaluation, "__post_init__", counted)
+    evaluation = plan.evaluate(graph, model_id="order_fulfillment")
+    assert checked == ["order_fulfillment"]
+    assert evaluation.flags and list(evaluation.flags) == detect_noise(evaluation, plan.noise_threshold)
+
+
+def test_evaluate_model_takes_compile_plan_arguments(config):
+    graph = parse_model_file(FIXTURES / "xor_loop.bpmn")
+    options = {"noise_threshold": 5.0, "interaction_weights": (0.3, 0.7), "language": "BPMN 2.0"}
+    assert (evaluate_model(graph, *config, model_id="xor_loop", **options)
+            == compile_plan(*config, **options).evaluate(graph, model_id="xor_loop"))
+    assert evaluate_model(graph, *config) == compile_plan(*config).evaluate(graph)
+    with pytest.raises(TypeError, match="noise_treshold"):
+        evaluate_model(graph, *config, noise_treshold=5.0)
 
 
 def test_pool_workers_start_under_spawn(config):

@@ -89,8 +89,10 @@ def test_dnlog_parameter_validation():
     for d in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             RankMethod(MethodKind.DNLOG, d)
-    with pytest.raises(ValueError):
-        dnlog_weight(5, 1, 0.9)
+    for d in (0.9, 1.0, math.nan, math.inf):
+        for n in (1, 5):  # a singleton group, which gets d itself, too
+            with pytest.raises(ValueError, match="must be finite and > 1"):
+                dnlog_weight(n, 1, d)
 
 
 # ---------------------------------------------------------------------------
