@@ -397,39 +397,42 @@ def _read(chunks) -> ProcessModelGraph:
 
 def _assemble(containers: list[list]) -> ProcessModelGraph:
     """Build the graph from the items of every collaboration, then every
-    process, raising the first recorded error where the walk would."""
+    process, raising the first recorded error where the walk would. Each
+    edge's ends are its nodes' own id strings, not equal copies."""
     nodes: list[Node] = []
-    edges: list[Edge] = []
+    flows: list[tuple] = []  # (id, source, target, kind) of every edge, in order
     warnings: list[str] = []
-    node_ids: set[str] = set()
-    edge_seq = 0
+    node_ids: dict[str, str] = {}  # each node id to itself, so that its edges share it
     for items in containers:
         for item in items:
             cls = type(item)
             if cls is Node:
                 if item.id in node_ids:
                     raise ModelParseError("duplicate node id", context=item.id)
-                node_ids.add(item.id)
+                node_ids[item.id] = item.id
                 nodes.append(item)
-                continue
-            if cls is str:
+            elif cls is str:
                 warnings.append(item)
-                continue
-            if cls is not tuple and cls is not list:
+            elif cls is tuple:
+                flows.append(item)
+            elif cls is list:
+                flows.extend(item)
+            else:
                 raise item
-            for edge_id, source, target, kind in (item,) if cls is tuple else item:
-                if edge_id is None:
-                    edge_seq += 1
-                    edge_id = f"_edge{edge_seq}"
-                edges.append(Edge(edge_id, source, target, kind))
 
-    for edge in edges:
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in node_ids:
-                raise ModelParseError(
-                    f"flow references missing node {endpoint!r}",
-                    context=f"{edge.kind.value} flow {edge.id}",
-                )
+    edges: list[Edge] = []
+    edge_seq = 0
+    for edge_id, source, target, kind in flows:
+        if edge_id is None:
+            edge_seq += 1
+            edge_id = f"_edge{edge_seq}"
+        shared_source, shared_target = node_ids.get(source), node_ids.get(target)
+        if shared_source is None or shared_target is None:
+            raise ModelParseError(
+                f"flow references missing node {source if shared_source is None else target!r}",
+                context=f"{kind.value} flow {edge_id}",
+            )
+        edges.append(Edge(edge_id, shared_source, shared_target, kind))
     return ProcessModelGraph(nodes=tuple(nodes), edges=tuple(edges), language="BPMN 2.0",
                              warnings=tuple(warnings))
 

@@ -15,7 +15,9 @@ Counting rules for the built-in extractors:
 * degree is in-degree plus out-degree over sequence flows; a flow counts
   at each end that is a flow node.
 * the connector degree averages over gateway nodes only.
-* nesting depth is the deepest sub-process containment (top level = 0).
+* nesting depth is the deepest sub-process containment (top level = 0). A
+  cycle of parents, which only a graph built in code can hold, raises
+  ModelParseError.
 * the unlabeled ratio covers tasks and sub-processes, the elements
   modeling conventions expect to be labeled.
 * block-structuredness reduces the sequence-flow graph of the flow nodes
@@ -24,7 +26,9 @@ Counting rules for the built-in extractors:
   between two gateways of the same kind; (c) drop the back flow of a
   structured loop, a same-kind join whose only outgoing flow enters a
   split that has no other incoming flow. A model scores 1.0 when no
-  gateway with two or more outgoing flows remains, else 0.0.
+  gateway with two or more outgoing flows remains, else 0.0. Rule (a) runs
+  first on whole chains of such nodes, each walked once, so only the nodes
+  that start, end, split or merge the flow are kept as the reduction's own.
 * the gateway mismatch sums |splits - joins| per gateway kind.
 * density is sequence flows over n*(n-1) possible flow-node pairs.
 """
@@ -35,7 +39,7 @@ from operator import add
 from typing import Callable
 
 from .bpmn import ACTIVITY_KINDS, FLOW_NODE_KINDS, GATEWAY_KINDS, NodeKind, ProcessModelGraph
-from .errors import ExtractionError
+from .errors import ExtractionError, ModelParseError
 from .ett import (
     EvaluationTheoryTree,
     MetricSource,
@@ -81,12 +85,15 @@ def average_connector_degree(graph: ProcessModelGraph) -> float:
 
 def nesting_depth(graph: ProcessModelGraph) -> float:
     parents = {n.id: n.parent for n in graph.nodes}
-    depths: dict[str | None, int] = {None: 0}  # how deep the content of each parent id sits
+    depths: dict[str | None, int | None] = {None: 0}  # how deep the content of each parent id sits
     for parent in {n.parent for n in graph.index.flow_nodes}:
         chain = []
         while parent not in depths:  # climb only to the first parent already measured
+            depths[parent] = None  # being measured: met again only on a cycle
             chain.append(parent)
             parent = parents.get(parent)
+        if depths[parent] is None:
+            raise ModelParseError("sub-process parents form a cycle", context=parent)
         for child in reversed(chain):
             depths[child] = depths[parent] + 1
             parent = child
@@ -139,15 +146,39 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
     The model is block-structured iff no gateway with out-degree >= 2
     remains. Every rule removes a node or a flow and rules are rechecked
     only where degrees changed, so the reduction is linear in the graph.
+
+    Rule (a) is applied first to every chain: a run of nodes that each have
+    one incoming and one outgoing flow, and no self-loop. No other rule
+    touches such a node, so the chain is walked from the node before it to
+    the node after it and one flow stands in its place (the series step of
+    an RPST decomposition). Each chain node is walked once, and only the
+    nodes left get adjacency of their own. A cycle made only of chain nodes
+    is never entered: it holds no split.
     """
     nodes, position = graph.index.flow_nodes, graph.index.position
-    kinds = [n.kind if n.kind in GATEWAY_KINDS else None for n in nodes]
+
+    def flows():
+        for edge in graph.index.sequence_edges:
+            if edge.source in position and edge.target in position:
+                yield position[edge.source], position[edge.target]
+
     size = len(nodes)
-    succ: list[dict[int, int]] = [{} for _ in range(size)]  # target -> parallel flows
-    pred: list[dict[int, int]] = [{} for _ in range(size)]  # source -> parallel flows
     indeg = [0] * size
     outdeg = [0] * size
-    worklist = list(range(size))
+    after = [0] * size  # the target of each node's last flow: the next node on a chain
+    for u, w in flows():
+        outdeg[u] += 1
+        indeg[w] += 1
+        after[u] = w
+    kinds: dict[int, NodeKind | None] = {}  # the nodes kept, which are on no chain
+    for v in range(size):
+        if indeg[v] != 1 or outdeg[v] != 1 or after[v] == v:
+            kind = nodes[v].kind
+            kinds[v] = kind if kind in GATEWAY_KINDS else None
+            indeg[v] = outdeg[v] = 0  # counted again as the contracted flows are added
+    succ: dict[int, dict[int, int]] = {v: {} for v in kinds}  # target -> parallel flows
+    pred: dict[int, dict[int, int]] = {v: {} for v in kinds}  # source -> parallel flows
+    worklist = list(kinds)
 
     def add_flow(u: int, w: int) -> None:
         succ[u][w] = succ[u].get(w, 0) + 1
@@ -174,9 +205,11 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
                 and indeg[j] >= 2 and outdeg[j] == 1
                 and indeg[s] == 1 and outdeg[s] >= 2 and j in succ[s])
 
-    for edge in graph.index.sequence_edges:
-        if edge.source in position and edge.target in position:
-            add_flow(position[edge.source], position[edge.target])
+    for u, w in flows():
+        if u in kinds:
+            while w not in kinds:  # rule (a) on a whole chain at once
+                w = after[w]
+            add_flow(u, w)
 
     while worklist:
         v = worklist.pop()  # a contracted node has no flows left, so no rule fires on it
@@ -192,7 +225,7 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
         elif indeg[v] == 1 and loop_back(next(iter(pred[v])), v):
             drop_flow(v, next(iter(pred[v])))  # rule (c), v as the split
 
-    if any(kinds[v] is not None and outdeg[v] >= 2 for v in range(size)):
+    if any(kind is not None and outdeg[v] >= 2 for v, kind in kinds.items()):
         return 0.0
     return 1.0
 

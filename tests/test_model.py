@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -455,6 +456,151 @@ def test_block_structuredness_matches_exhaustive_reduction():
         assert EXTRACTORS["block-structuredness"](graph) == want, graph
         seen.append(want)
     assert 0.25 < sum(seen) / len(seen) < 0.75
+
+
+CHAIN_SHAPES = ("long-chain", "chain-cycle", "chain-to-itself", "task-split-or-merge",
+                "parallel-chains")
+
+
+def random_chain_graph(rng: random.Random) -> tuple[ProcessModelGraph, set[str]]:
+    """A random block graph with chains woven in, and the shapes it holds.
+
+    Chains are runs of fresh tasks, events and gateways with one flow in and
+    one out: long ones in place of a flow, cycles made only of them, ones
+    that leave a node and come back to it (a self-loop once contracted) and
+    two or three between a new split and join of one kind, which rule (b)
+    merges once they are contracted. Tasks of the base graph are made to
+    split or merge.
+    """
+    base = random_block_graph(rng, max_flow_nodes=10)
+    kinds = {n.id: n.kind for n in base.nodes}
+    pairs = [(e.source, e.target) for e in base.edges]
+    base_nodes, base_pairs = list(kinds), pairs[:]  # where a shape may attach
+    chain_kinds = (NodeKind.TASK, NodeKind.TASK, NodeKind.INTERMEDIATE_EVENT, *sorted(GATEWAY_KINDS))
+    shapes: set[str] = set()
+
+    def node(kind: NodeKind) -> str:
+        kinds[f"c{len(kinds)}"] = kind
+        return f"c{len(kinds) - 1}"
+
+    def chain(low: int, high: int) -> tuple[str, str]:
+        ids = [node(rng.choice(chain_kinds)) for _ in range(rng.randint(low, high))]
+        pairs.extend(zip(ids, ids[1:]))
+        return ids[0], ids[-1]
+
+    def cut() -> tuple[str, str]:  # a flow of the base graph, taken out
+        flow = base_pairs.pop(rng.randrange(len(base_pairs)))
+        pairs.remove(flow)
+        return flow
+
+    for _ in range(rng.randint(1, 3)):
+        shape = rng.choice(CHAIN_SHAPES)
+        if shape == "long-chain" and base_pairs:
+            u, w = cut()
+            first, last = chain(3, 7)
+            pairs.extend([(u, first), (last, w)])
+        elif shape == "chain-cycle":
+            first, last = chain(2, 5)
+            pairs.append((last, first))
+        elif shape == "chain-to-itself":
+            u = rng.choice(base_nodes)
+            first, last = chain(1, 4)
+            pairs.extend([(u, first), (last, u)])
+        elif shape == "task-split-or-merge":
+            tasks = [v for v in base_nodes if kinds[v] is NodeKind.TASK]
+            if not tasks:
+                continue
+            task, other = rng.choice(tasks), rng.choice(base_nodes)
+            pairs.append((task, other) if rng.random() < 0.5 else (other, task))
+        elif shape == "parallel-chains" and base_pairs:
+            u, w = cut()
+            kind = rng.choice(sorted(GATEWAY_KINDS))
+            split, join = node(kind), node(kind)
+            pairs.extend([(u, split), (join, w)])
+            for _ in range(rng.randint(2, 3)):
+                first, last = chain(1, 3)
+                pairs.extend([(split, first), (last, join)])
+        else:
+            continue
+        shapes.add(shape)
+
+    nodes = [Node(id=v, kind=kind) for v, kind in kinds.items()]
+    edges = [Edge(id=f"f{i}", source=a, target=b, kind=EdgeKind.SEQUENCE)
+             for i, (a, b) in enumerate(pairs)]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return ProcessModelGraph(nodes=tuple(nodes), edges=tuple(edges)), shapes
+
+
+def test_chains_contract_as_the_exhaustive_reduction_does():
+    rng = random.Random(2018)
+    shapes: dict[str, int] = dict.fromkeys(CHAIN_SHAPES, 0)
+    seen = []
+    for _ in range(400):
+        graph, held = random_chain_graph(rng)
+        want = naive_block_structuredness(graph)
+        assert naive_block_structuredness(graph, rng) == want, graph
+        assert EXTRACTORS["block-structuredness"](graph) == want, graph
+        for shape in held:
+            shapes[shape] += 1
+        seen.append(want)
+    assert min(shapes.values()) >= 50, shapes
+    assert 0.2 < sum(seen) / len(seen) < 0.8
+
+
+def graph_of(kinds: list[NodeKind], pairs: list[tuple[int, int]]) -> ProcessModelGraph:
+    return ProcessModelGraph(
+        tuple(Node(f"n{i}", kind) for i, kind in enumerate(kinds)),
+        tuple(Edge(f"f{i}", f"n{a}", f"n{b}", EdgeKind.SEQUENCE) for i, (a, b) in enumerate(pairs)))
+
+
+def sequence_in_a_block(tasks: int) -> ProcessModelGraph:
+    """start -> split -> t0 -> ... -> t(tasks-1) -> join -> end, plus split -> join."""
+    kinds = [NodeKind.START_EVENT, NodeKind.GATEWAY_XOR, NodeKind.GATEWAY_XOR,
+             NodeKind.END_EVENT] + [NodeKind.TASK] * tasks
+    pairs = [(0, 1), (1, 4), (3 + tasks, 2), (1, 2), (2, 3)]
+    pairs += [(4 + i, 5 + i) for i in range(tasks - 1)]
+    return graph_of(kinds, pairs)
+
+
+def exclusive_star(branches: int) -> ProcessModelGraph:
+    """start -> split, one task per branch into the join, join -> end."""
+    kinds = [NodeKind.START_EVENT, NodeKind.GATEWAY_XOR, NodeKind.GATEWAY_XOR,
+             NodeKind.END_EVENT] + [NodeKind.TASK] * branches
+    pairs = [(0, 1), (2, 3)] + [(1, 4 + i) for i in range(branches)]
+    pairs += [(4 + i, 2) for i in range(branches)]
+    return graph_of(kinds, pairs)
+
+
+# Before chains were contracted first, each flow node had adjacency of its
+# own: a tracemalloc peak of 531 bytes per flow node on the sequence and 587
+# on the star (Python 3.11.7). The bounds are half of that.
+@pytest.mark.parametrize("build, size, bytes_per_node", [
+    (sequence_in_a_block, 20_000, 265),
+    (exclusive_star, 5_000, 293),
+], ids=["20000-task-sequence", "5000-branch-star"])
+def test_block_structuredness_peak_memory(build, size, bytes_per_node):
+    graph = build(size)
+    graph.index  # the graph's own, built before the extractor runs
+    tracemalloc.start()
+    try:
+        value = EXTRACTORS["block-structuredness"](graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0
+    assert peak <= bytes_per_node * len(graph.index.flow_nodes), peak
+
+
+def test_every_edge_shares_its_nodes_id_strings():
+    rng = random.Random(18)
+    graphs = [parse_model_file(path) for path in sorted(FIXTURES.glob("*.bpmn"))]
+    graphs += [parse_model(random_bpmn_document(rng)) for _ in range(100)]
+    assert len(graphs) == 104
+    for graph in graphs:
+        ids = {node.id: node.id for node in graph.nodes}
+        for edge in graph.edges:
+            assert ids[edge.source] is edge.source and ids[edge.target] is edge.target, edge
 
 
 def test_random_documents_match_naive_traversal():

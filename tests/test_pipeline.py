@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from procomp import replace
-from procomp.bpmn import parse_model, parse_model_file
+from procomp.bpmn import Node, NodeKind, ProcessModelGraph, parse_model, parse_model_file
 from procomp.defaults import builtin_language_registry, default_ett_document
 from procomp.errors import (
     ConfigError,
@@ -119,6 +119,18 @@ def test_pool_workers_start_under_spawn(config):
                              initializer=cli._init_worker, initargs=(plan, "json")) as pool:
         parts = pool.submit(cli._worker_entries, paths).result(timeout=60)
     assert parts == [cli._score_entry(plan, "json", path) for path in paths]
+
+
+def test_a_cycle_of_sub_process_parents_is_a_model_error(config):
+    # the parser cannot make such a graph, but a graph built in code reaches the plan
+    graph = ProcessModelGraph((Node("a", NodeKind.SUB_PROCESS, parent="b"),
+                               Node("b", NodeKind.SUB_PROCESS, parent="a"),
+                               Node("t", NodeKind.TASK, parent="a")), ())
+    with pytest.raises(ModelParseError, match=r"sub-process parents form a cycle \([ab]\)"):
+        compile_plan(*config).evaluate(graph)
+    looped = ProcessModelGraph((Node("s", NodeKind.SUB_PROCESS, parent="s"),), ())
+    with pytest.raises(ModelParseError, match=r"form a cycle \(s\)"):
+        EXTRACTORS["nesting-depth"](looped)
 
 
 def test_plan_needs_a_reader(config):
