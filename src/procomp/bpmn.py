@@ -29,6 +29,8 @@ from xml.parsers import expat
 from .errors import ModelParseError
 from .records import field, record
 
+LANGUAGE = "BPMN 2.0"  # the language of every graph the parser builds
+
 
 class NodeKind(str, enum.Enum):
     START_EVENT = "start-event"
@@ -143,7 +145,7 @@ class GraphIndex:
 class ProcessModelGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
-    language: str = "BPMN 2.0"
+    language: str = LANGUAGE
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @cached_property
@@ -433,8 +435,7 @@ def _assemble(containers: list[list]) -> ProcessModelGraph:
                 context=f"{kind.value} flow {edge_id}",
             )
         edges.append(Edge(edge_id, shared_source, shared_target, kind))
-    return ProcessModelGraph(nodes=tuple(nodes), edges=tuple(edges), language="BPMN 2.0",
-                             warnings=tuple(warnings))
+    return ProcessModelGraph(nodes=tuple(nodes), edges=tuple(edges), warnings=tuple(warnings))
 
 
 def parse_model(document: bytes | str) -> ProcessModelGraph:

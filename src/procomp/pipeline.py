@@ -8,10 +8,10 @@ which (all aggregation being linear) equals averaging the per-respondent
 perspective scores.
 
 ``compile_plan`` does the work that depends only on the config, once: it
-scores the questionnaire metrics, the criteria that hold only those, and
-the registry values of every language. ``ScoringPlan.evaluate`` then
-scores the model-derived and registry metrics of one model at a time,
-and aggregates the criteria that hold them. Both look up
+resolves the scoring language, scores the questionnaire metrics and that
+language's registry metrics, and the criteria that hold only those.
+``ScoringPlan.evaluate`` then scores the model-derived metrics of one
+model at a time, and aggregates the criteria that hold them. Both look up
 the functions they call in this module's namespace at call time, so that a
 tracer can wrap them from outside, as ``perfbench/worker.py`` does.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bpmn import ProcessModelGraph
+from .bpmn import LANGUAGE, ProcessModelGraph
 from .errors import ConfigError, ResponseError, ScoringError
 from .ett import (
     REGISTRY_BINDINGS,
@@ -57,30 +57,26 @@ from .scoring import (
     perspective_score,
 )
 
-# the metrics ScoringPlan.evaluate scores for each model; compile_plan scores the rest
-_PER_MODEL_SOURCES = (MetricSource.MODEL_DERIVED, MetricSource.LANGUAGE_REGISTRY)
-
-
-def language_metric_values(
-    registry: Sequence[LanguageDescriptor],
-) -> dict[str, dict[str, float] | str]:
-    """Raw registry values of every registered language, keyed by language
-    and then by binding name; for a language whose values cannot be
-    computed, the reason, which is an error only for a model in it."""
+def language_metric_values(registry: Sequence[LanguageDescriptor], language: str) -> dict[str, float]:
+    """Raw registry values of ``language``, keyed by binding name. Its
+    complexity is relative to the whole registry; only its own descriptor
+    needs a control-flow catalog."""
     complexity = normalize_complexity(registry)
-    values: dict[str, dict[str, float] | str] = {}
-    for descriptor in registry:
-        try:
-            values[descriptor.name] = dict(zip(REGISTRY_BINDINGS, (
-                complexity[descriptor.name], control_flow_percentage(descriptor))))
-        except ConfigError as exc:
-            values[descriptor.name] = str(exc)
-    return values
+    if language not in complexity:
+        known = ", ".join(sorted(complexity))
+        raise ConfigError(f"language {language!r} not registered (known: {known})")
+    descriptor = next(d for d in registry if d.name == language)
+    return dict(zip(REGISTRY_BINDINGS, (complexity[language], control_flow_percentage(descriptor))))
 
 
 def _metric_result(metric: QualityMetric, score: float, raw: float | None) -> MetricResult:
     return MetricResult(id=metric.id, name=metric.name, source=metric.source, score=score,
                         weight=metric.weight, raw=raw)
+
+
+def _scored(metric: QualityMetric, raw: float) -> MetricResult:
+    """The result of a model-derived or registry metric whose raw value is ``raw``."""
+    return _metric_result(metric, normalize_metric(raw, metric.normalization, metric.polarity), raw)
 
 
 def _criterion_result(criterion: QualityCriterion,
@@ -98,16 +94,17 @@ class ScoringPlan:
     ``tree`` is weighted, holds the interaction weights in effect and fits
     both questionnaire schemas. ``criteria`` follows ``tree.criteria``: a
     criterion that holds only questionnaire metrics is already a result;
-    any other is its metrics, the questionnaire ones already results (reader
-    scores averaged across respondents) and the model-derived and registry
-    ones still to score. ``registry_values`` is ``language_metric_values``
-    of the registry. The plan is plain data, so it can be pickled into
-    worker processes and evaluate any number of models.
+    any other is its metrics, the questionnaire and registry ones already
+    results (reader scores averaged across respondents) and the
+    model-derived ones still to score. ``language`` is the ``language``
+    the plan was compiled with: None means ``bpmn.LANGUAGE``, and then a
+    graph that declares another language is refused. The plan is plain
+    data, so it can be pickled into worker processes and evaluate any
+    number of models.
     """
 
     tree: EvaluationTheoryTree
     criteria: tuple[CriterionResult | tuple[MetricResult | QualityMetric, ...], ...]
-    registry_values: dict[str, dict[str, float] | str]
     noise_threshold: float
     language: str | None
 
@@ -115,28 +112,18 @@ class ScoringPlan:
         """Extract, normalize and aggregate what depends on one model, then
         combine and flag; ``compile_plan`` has scored the rest and proved
         that every metric has a value."""
+        if self.language is None and graph.language != LANGUAGE:
+            raise ConfigError(f"model language {graph.language!r} is not {LANGUAGE!r}, "
+                              "the language of a plan compiled without one")
         raw_values = extract_metrics(graph, self.tree)
-        language = self.language or graph.language
-        registry_values = self.registry_values.get(language)
-        if registry_values is None:
-            known = ", ".join(sorted(self.registry_values))
-            raise ConfigError(f"language {language!r} not registered (known: {known})")
-        if isinstance(registry_values, str):
-            raise ConfigError(registry_values)
         criteria_results: list[CriterionResult] = []
         for criterion, planned in zip(self.tree.criteria, self.criteria):
             if isinstance(planned, CriterionResult):
                 criteria_results.append(planned)
                 continue
-            metric_results = []
-            for metric in planned:
-                if not isinstance(metric, MetricResult):
-                    raw = (raw_values[metric.id] if metric.source is MetricSource.MODEL_DERIVED
-                           else registry_values[metric.binding_key])
-                    metric = _metric_result(
-                        metric, normalize_metric(raw, metric.normalization, metric.polarity), raw)
-                metric_results.append(metric)
-            criteria_results.append(_criterion_result(criterion, tuple(metric_results)))
+            metric_results = tuple(metric if isinstance(metric, MetricResult)
+                                   else _scored(metric, raw_values[metric.id]) for metric in planned)
+            criteria_results.append(_criterion_result(criterion, metric_results))
 
         def _perspective(perspective: Perspective) -> float:
             group = [c for c in criteria_results if c.perspective is perspective]
@@ -173,7 +160,8 @@ def compile_plan(
     language: str | None = None,
 ) -> ScoringPlan:
     """Check the tree (its first scoring_violations entry is raised), weight
-    it, check both schemas against it and score every response set, once for
+    it, check both schemas against it, score every response set and the
+    registry metrics of ``language`` (``bpmn.LANGUAGE`` if None), once for
     all the models the plan will evaluate, so that every config error is
     found before a model is parsed. ``interaction_weights``, if given,
     replace the tree's."""
@@ -199,20 +187,19 @@ def compile_plan(
     questionnaire_scores.update({key: left_sum(s[key] for s in reader_scores) / len(reader_scores)
                                  for key in reader_scores[0]})
 
+    registry_values = language_metric_values(tuple(registry), language or LANGUAGE)
+
     criteria: list[CriterionResult | tuple[MetricResult | QualityMetric, ...]] = []
     for criterion in tree.criteria:
-        planned = tuple(metric if metric.source in _PER_MODEL_SOURCES
+        planned = tuple(metric if metric.source is MetricSource.MODEL_DERIVED
+                        else _scored(metric, registry_values[metric.binding_key])
+                        if metric.source is MetricSource.LANGUAGE_REGISTRY
                         else _metric_result(metric, questionnaire_scores[metric.id], None)
                         for metric in criterion.metrics)
         criteria.append(planned if any(isinstance(m, QualityMetric) for m in planned)
                         else _criterion_result(criterion, planned))
-    return ScoringPlan(
-        tree=tree,
-        criteria=tuple(criteria),
-        registry_values=language_metric_values(tuple(registry)),
-        noise_threshold=noise_threshold,
-        language=language,
-    )
+    return ScoringPlan(tree=tree, criteria=tuple(criteria), noise_threshold=noise_threshold,
+                       language=language)
 
 
 def evaluate_model(graph: ProcessModelGraph, *config, model_id: str = "model",
@@ -220,5 +207,7 @@ def evaluate_model(graph: ProcessModelGraph, *config, model_id: str = "model",
     """Run the whole scoring pipeline for one model: ``config`` and
     ``options`` are ``compile_plan``'s arguments (the tree, the registry,
     the modeler and reader responses and the two schemas; then
-    ``noise_threshold``, ``interaction_weights`` and ``language``)."""
+    ``noise_threshold``, ``interaction_weights`` and ``language``, which
+    defaults to the graph's own)."""
+    options["language"] = options.get("language") or graph.language
     return compile_plan(*config, **options).evaluate(graph, model_id=model_id)

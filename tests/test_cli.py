@@ -486,6 +486,29 @@ def test_interaction_weights_not_summing_to_1_are_reported_before_any_model_is_p
                                      "got 0.9 + 0.9\n")
 
 
+@pytest.mark.parametrize("case", ["no-control-flow-catalog", "unregistered"])
+def test_the_scoring_language_is_checked_before_any_model_is_parsed(capsys, response_bundle,
+                                                                    tmp_path, case):
+    if case == "no-control-flow-catalog":
+        from procomp.defaults import default_language_documents
+        bpmn = default_language_documents()["bpmn"]
+        bpmn["patterns"] = [p for p in bpmn["patterns"] if p["type"] != "control-flow"]
+        del bpmn["pattern_catalog"]["control-flow"]
+        descriptor = tmp_path / "nocf.json"
+        descriptor.write_text(json.dumps(bpmn))
+        extra = ["--languages", str(descriptor)]
+        message = "error: descriptor 'BPMN 2.0' has no control-flow pattern catalog\n"
+    else:
+        extra = ["--language", "Nope"]
+        message = ("error: language 'Nope' not registered "
+                   "(known: BPMN 2.0, EPC, UML Activity Diagram)\n")
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    for models in ([broken], [broken, FIXTURE_MODELS[0]]):
+        for result in run_at_jobs(capsys, batch_args(response_bundle, models, *extra)):
+            assert result == (2, "", message)
+
+
 def test_weights_flag_replaces_the_tree_interaction_weights(capsys, response_bundle, tmp_path):
     from procomp.defaults import default_ett_document
     document = default_ett_document()
@@ -714,6 +737,13 @@ def test_survey_rank_matches_brute_force(capsys, tmp_path):
     expected = [item for item, _ in brute_force_ordering(dataset, weights)]
     listed = [line.split()[-1] for line in out.strip().splitlines()[1:]]
     assert listed == expected
+
+
+def test_survey_rank_of_a_header_only_table_exits_2(capsys, tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_text("item,rank,fraction\n", encoding="utf-8")
+    assert run(capsys, "survey", "rank", str(path)) == (
+        2, "", f"error: {path}: survey CSV contains no data rows\n")
 
 
 def test_survey_compare_output(capsys, tmp_path):
@@ -981,6 +1011,19 @@ def test_a_question_on_an_unknown_metric_fails_score(capsys, tmp_path, response_
     assert (code, out) == (1, "")
     assert err.startswith("validation failure: modeler questionnaire does not fit the tree")
     assert "  unknown-metric: question targets unknown metric 'm-nosuch'\n" in err
+
+
+def test_a_true_false_question_with_levels_exits_2_naming_its_file(capsys, tmp_path,
+                                                                   response_bundle):
+    from procomp.defaults import modeler_questionnaire_document
+    document = modeler_questionnaire_document()
+    index, question = next((i, q) for i, q in enumerate(document["questions"])
+                           if q["kind"] == "true-false")
+    question["levels"] = 5
+    schema = tmp_path / "questionnaire_modeler.json"
+    schema.write_text(json.dumps(document), encoding="utf-8")
+    assert run(capsys, *score_args(response_bundle, "--schema-modeler", str(schema))) == (
+        2, "", f"error: {schema}: question {question['id']!r}: true/false takes no levels\n")
 
 
 @pytest.mark.parametrize("name, flag", [

@@ -30,7 +30,7 @@ from procomp.questionnaire import (
     score_responses,
 )
 from procomp.report import export
-from procomp.scoring import ComprehensionEvaluation, detect_noise
+from procomp.scoring import ComprehensionEvaluation, CriterionResult, detect_noise
 
 from conftest import FIXTURES, make_responses, pinned_ett_document, random_bpmn_document
 from oracles import per_model_evaluation
@@ -97,6 +97,20 @@ def test_plan_builds_one_evaluation_per_model(config, monkeypatch):
     evaluation = plan.evaluate(graph, model_id="order_fulfillment")
     assert checked == ["order_fulfillment"]
     assert evaluation.flags and list(evaluation.flags) == detect_noise(evaluation, plan.noise_threshold)
+
+
+def test_plan_evaluate_scores_only_the_model_derived_metrics(config, monkeypatch):
+    from procomp import pipeline
+    plan = compile_plan(*config)
+    calls = []
+    normalize_metric = pipeline.normalize_metric
+    monkeypatch.setattr(pipeline, "normalize_metric",
+                        lambda *a: calls.append(a) or normalize_metric(*a))
+    plan.evaluate(parse_model_file(FIXTURES / "order_fulfillment.bpmn"))
+    model_derived = [m for m in config[0].all_metrics() if m.source is MetricSource.MODEL_DERIVED]
+    assert len(calls) == len(model_derived) == 21
+    # the language criterion, with its registry metrics, is scored with the questionnaire-only ones
+    assert sum(isinstance(planned, CriterionResult) for planned in plan.criteria) == 7
 
 
 def test_evaluate_model_takes_compile_plan_arguments(config):
@@ -266,25 +280,40 @@ def test_plan_on_random_trees_matches_per_model_scoring():
                                                       (None, "Petri nets")])
 def test_an_unregistered_language_fails_as_in_per_model_scoring(config, language, graph_language):
     graph = replace(GRAPHS[0], language=graph_language)
-    plan = compile_plan(*config, language=language)
     with pytest.raises(ConfigError) as expected:
         per_model_evaluation(graph, *config, language=language)
     with pytest.raises(ConfigError) as actual:
-        plan.evaluate(graph)
+        evaluate_model(graph, *config, language=language)
     assert str(actual.value) == str(expected.value) == (
         "language 'Petri nets' not registered (known: BPMN 2.0, EPC, UML Activity Diagram)")
+    if language is not None:  # the plan's own language: no plan is compiled
+        with pytest.raises(ConfigError) as compiled:
+            compile_plan(*config, language=language)
+        assert str(compiled.value) == str(expected.value)
+        return
+    # a plan compiled without a language scores only graphs in bpmn.LANGUAGE,
+    # while evaluate_model scores each graph in its own language
+    plan = compile_plan(*config)
+    epc = replace(graph, language="EPC")
+    assert evaluate_model(epc, *config) == per_model_evaluation(epc, *config)
+    for other in (graph, epc):
+        with pytest.raises(ConfigError) as refused:
+            plan.evaluate(other)
+        assert str(refused.value) == (f"model language {other.language!r} is not 'BPMN 2.0', "
+                                      "the language of a plan compiled without one")
 
 
 def test_a_language_without_a_control_flow_catalog_fails_only_its_own_models(config):
     sketch = LanguageDescriptor("Sketch", 3, 1, 2, PatternSupportTable((), {}))
     config = (config[0], (*config[1], sketch), *config[2:])
     _assert_plan_matches_per_model_scoring(config, GRAPHS[:1])
-    plan = compile_plan(*config, language="Sketch")
     with pytest.raises(ConfigError) as expected:
         per_model_evaluation(GRAPHS[0], *config, language="Sketch")
-    with pytest.raises(ConfigError) as actual:
-        plan.evaluate(GRAPHS[0])
-    assert str(actual.value) == str(expected.value) == (
+    with pytest.raises(ConfigError) as compiled:
+        compile_plan(*config, language="Sketch")
+    with pytest.raises(ConfigError) as one_shot:
+        evaluate_model(replace(GRAPHS[0], language="Sketch"), *config)
+    assert str(compiled.value) == str(expected.value) == str(one_shot.value) == (
         "descriptor 'Sketch' has no control-flow pattern catalog")
 
 

@@ -7,7 +7,7 @@ import pytest
 from procomp import replace
 from procomp.defaults import builtin_language_registry
 from procomp.bpmn import parse_model_file
-from procomp.errors import ProcompError
+from procomp.errors import ProcompError, ScoringError
 from procomp.ett import MetricSource, Perspective
 from procomp.pipeline import compile_plan, evaluate_model
 from procomp.report import (batch_entry, export, fmt2, frame_batch, parse_evaluation,
@@ -86,6 +86,18 @@ def test_rendering_is_deterministic(evaluation):
 def test_json_roundtrip_is_field_exact(evaluation):
     body = export(evaluation, "json").body
     assert parse_evaluation(body) == evaluation
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda document: document["criteria"][0], r"criterion '.+' score 11 outside \[1, 10\]"),
+    (lambda document: document["criteria"][0]["metrics"][0],
+     r"metric '.+' score 11 outside \[1, 10\]"),
+], ids=["criterion", "metric"])
+def test_json_with_a_score_above_10_is_refused(evaluation, edit, message):
+    document = json.loads(export(evaluation, "json").body)
+    edit(document)["score"] = 11
+    with pytest.raises(ScoringError, match=message):
+        parse_evaluation(json.dumps(document))
 
 
 def test_csv_has_one_row_per_metric(evaluation):
