@@ -155,21 +155,22 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
     nodes left get adjacency of their own. A cycle made only of chain nodes
     is never entered: it holds no split.
     """
-    nodes, position = graph.index.flow_nodes, graph.index.position
-
-    def flows():
-        for edge in graph.index.sequence_edges:
-            if edge.source in position and edge.target in position:
-                yield position[edge.source], position[edge.target]
-
+    index = graph.index
+    nodes, position = index.flow_nodes, index.position
     size = len(nodes)
     indeg = [0] * size
     outdeg = [0] * size
     after = [0] * size  # the target of each node's last flow: the next node on a chain
-    for u, w in flows():
-        outdeg[u] += 1
-        indeg[w] += 1
-        after[u] = w
+    sources: list[int] = []  # the flows between flow nodes, as positions
+    targets: list[int] = []
+    for edge in index.sequence_edges:
+        u, w = position.get(edge.source), position.get(edge.target)
+        if u is not None and w is not None:
+            sources.append(u)
+            targets.append(w)
+            outdeg[u] += 1
+            indeg[w] += 1
+            after[u] = w
     kinds: dict[int, NodeKind | None] = {}  # the nodes kept, which are on no chain
     for v in range(size):
         if indeg[v] != 1 or outdeg[v] != 1 or after[v] == v:
@@ -205,7 +206,7 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
                 and indeg[j] >= 2 and outdeg[j] == 1
                 and indeg[s] == 1 and outdeg[s] >= 2 and j in succ[s])
 
-    for u, w in flows():
+    for u, w in zip(sources, targets):
         if u in kinds:
             while w not in kinds:  # rule (a) on a whole chain at once
                 w = after[w]

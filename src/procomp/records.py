@@ -1,15 +1,29 @@
 """Frozen records: procomp's value types, built without ``dataclasses``.
 
 ``@record`` gives a class whose body annotates its fields what
-``@dataclass(frozen=True)`` gave it: an ``__init__`` that takes the fields
-by position or keyword, with the body's defaults, and then runs
-``__post_init__``; the dataclass ``repr``; ``==`` and ``hash`` over the
-fields not declared ``field(compare=False)``; and ``FrozenInstanceError``
-on assigning or deleting an attribute. ``dataclasses`` imports
-``inspect`` and builds each method with its own ``exec``, which made
-defining the records most of procomp's import time. Here one ``exec`` per
-class builds its ``__init__`` and comparison key; the rest is shared.
+``@dataclass(frozen=True, slots=True)`` gave it: an ``__init__`` that
+takes the fields by position or keyword, with the body's defaults, and
+then runs ``__post_init__``; the dataclass ``repr``; ``==`` and ``hash``
+over the fields not declared ``field(compare=False)``; and
+``FrozenInstanceError`` on assigning or deleting an attribute.
+
+The class is rebuilt with ``__slots__``: an instance holds its fields in
+slots and has no ``__dict__`` (so no ``vars()`` and no weak references),
+unless its body declares a ``cached_property``, which needs one. A slot
+that the body also gives a default cannot keep it as a class attribute,
+so the defaults live only in ``__init__``. ``__init__`` stores each field
+through its slot's own ``__set__``, and ``__getstate__``/``__setstate__``
+do the same, so that ``pickle`` and ``copy`` get past the frozen
+``__setattr__``. A method that calls ``super()`` with no arguments would
+see the class before it was rebuilt; no record does.
+
+``dataclasses`` imports ``inspect`` and builds each method with its own
+``exec``, which made defining the records most of procomp's import time.
+Here one ``exec`` per class builds its ``__init__`` and comparison key;
+the rest is shared.
 """
+
+from functools import cached_property
 
 _MISSING = object()
 
@@ -55,34 +69,55 @@ def _hash(self) -> int:
     return hash(self._key())
 
 
+def _getstate(self):
+    """The field values, and what a ``cached_property`` has kept, if any."""
+    return tuple(getattr(self, name) for name in self._fields), getattr(self, "__dict__", None)
+
+
+def _setstate(self, state):
+    values, cached = state
+    cls = self.__class__
+    for name, value in zip(self._fields, values):
+        getattr(cls, name).__set__(self, value)
+    if cached:
+        self.__dict__.update(cached)
+
+
 def record(cls=None, /, *, eq: bool = True):
-    """Make ``cls`` a frozen record; with ``eq=False`` it keeps ``object``'s
-    identity ``==`` and ``hash``."""
+    """Make ``cls`` a frozen, slotted record; with ``eq=False`` it keeps
+    ``object``'s identity ``==`` and ``hash``."""
     if cls is None:
         return lambda cls: record(cls, eq=eq)
-    cls._fields = tuple(cls.__annotations__)
-    namespace, params, body, keys = {"_set": object.__setattr__}, [], [], []
-    for name in cls._fields:
-        default, compare = cls.__dict__.get(name, _MISSING), True
+    fields = tuple(cls.__annotations__)
+    body = dict(cls.__dict__)
+    body.pop("__dict__", None)
+    body.pop("__weakref__", None)
+    namespace, params, keys = {}, [], []
+    for name in fields:
+        default, compare = body.pop(name, _MISSING), True
         if isinstance(default, _Field):
-            delattr(cls, name)
             default, compare = default.default, default.compare
         if default is _MISSING:
             params.append(name)
         else:
-            setattr(cls, name, default)
             namespace[f"_default_{name}"] = default
             params.append(f"{name}=_default_{name}")
-        body.append(f"\n    _set(self, {name!r}, {name})")
         if compare:
             keys.append(f"self.{name},")
+    cached = any(isinstance(value, cached_property) for value in body.values())
+    body["__slots__"] = (*fields, "__dict__") if cached else fields
+    body["_fields"] = fields
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    namespace.update((f"_set_{name}", getattr(cls, name).__set__) for name in fields)
+    setters = "".join(f"\n    _set_{name}(self, {name})" for name in fields)
     if hasattr(cls, "__post_init__"):
-        body.append("\n    self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}\n"
+        setters += "\n    self.__post_init__()"
+    exec(f"def __init__(self, {', '.join(params)}):{setters}\n"
          f"def _key(self):\n    return ({' '.join(keys)})", namespace)
     cls.__init__ = namespace["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _setattr, _delattr
+    cls.__getstate__, cls.__setstate__ = _getstate, _setstate
     if eq:
         cls._key, cls.__eq__, cls.__hash__ = namespace["_key"], _eq, _hash
     return cls

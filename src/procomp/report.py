@@ -1,7 +1,11 @@
 """Render evaluations as text, markdown, JSON, or CSV.
 
 Display values round half-up to two decimals; the JSON export keeps full
-precision and parses back into an identical evaluation.
+precision and parses back into an identical evaluation. The JSON is the
+bytes ``json.dumps(document, indent=2)`` writes, filled into one ``%``
+template per object (the document, a criterion, a metric, a flag) for
+each of the two indentations written, made at import; every value is an
+argument of its template, never part of it.
 """
 
 from __future__ import annotations
@@ -113,69 +117,69 @@ def _render_markdown(evaluation: ComprehensionEvaluation) -> str:
 
 def _json_number(value: float | None) -> str:
     """A number, or None, as ``json.dumps`` writes it."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
     if value is None:
         return "null"
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
     return json.dumps(value)  # an int, or NaN or an infinity by name
 
 
-def _json_object(fields: dict[str, str], pad: str) -> str:
-    """An object of already-written values, laid out as ``json.dumps(indent=2)``
-    lays it out at the indentation ``pad``."""
+def _template(pad: str, fields: dict[str, str]) -> str:
+    """A ``%`` template of an object whose keys and value templates are
+    ``fields``, laid out as ``json.dumps(indent=2)`` lays it out at the
+    indentation ``pad``."""
     lines = ",\n".join(f'{pad}  "{key}": {value}' for key, value in fields.items())
     return f"{{\n{lines}\n{pad}}}"
 
 
-def _json_array(elements: list[str], pad: str) -> str:
-    """An array of already-written elements, laid out like ``_json_object``."""
-    lines = ",\n".join(f"{pad}  {element}" for element in elements)
-    return f"[\n{lines}\n{pad}]" if elements else "[]"
+def _layout(pad: str) -> tuple[str, ...]:
+    """The templates of the JSON export at the indentation ``pad``: the
+    document, a criterion, a metric and a flag; then what joins two
+    criteria or flags and the template of their array; then the same for
+    metrics."""
+    pad1, pad2, pad3, pad4 = (pad + "  " * depth for depth in range(1, 5))
+    document = _template(pad, {
+        "version": '"1"',
+        "model": "%s",
+        "scores": _template(pad1, dict.fromkeys(("modeler", "reader", "combined"), "%s")),
+        "interaction_weights": _template(pad1, dict.fromkeys(("modeler", "reader"), "%s")),
+        **dict.fromkeys(("noise_threshold", "criteria", "noise_flags"), "%s"),
+    })
+    criterion = _template(pad2, dict.fromkeys(
+        ("id", "name", "perspective", "weight", "score", "metrics"), "%s"))
+    metric = _template(pad4, dict.fromkeys(("id", "name", "source", "raw", "score", "weight"), "%s"))
+    flag = _template(pad2, dict.fromkeys(
+        ("kind", "id", "name", "score", "threshold", "perspective", "criterion"), "%s"))
+    return (document, criterion, metric, flag,
+            ",\n" + pad2, f"[\n{pad2}%s\n{pad1}]", ",\n" + pad4, f"[\n{pad4}%s\n{pad3}]")
+
+
+# the two indentations written: a document of its own, and an element of a batch's array
+_LAYOUTS = {pad: _layout(pad) for pad in ("", "  ")}
+_ENUM_JSON = {member: encode_basestring_ascii(member.value)
+              for kind in (MetricSource, Perspective) for member in kind}
 
 
 def _json_evaluation(evaluation: ComprehensionEvaluation, pad: str) -> str:
-    """The JSON export at the indentation ``pad``, written directly: ``json.dumps``
-    with an ``indent`` uses the stdlib's pure-Python encoder, about twice as slow."""
-    s, n = encode_basestring_ascii, _json_number
-    pad1, pad2, pad3, pad4 = (pad + "  " * depth for depth in range(1, 5))
-    criteria = [_json_object({
-        "id": s(c.id),
-        "name": s(c.name),
-        "perspective": s(c.perspective.value),
-        "weight": n(c.weight),
-        "score": n(c.score),
-        "metrics": _json_array([_json_object({
-            "id": s(m.id),
-            "name": s(m.name),
-            "source": s(m.source.value),
-            "raw": n(m.raw),
-            "score": n(m.score),
-            "weight": n(m.weight),
-        }, pad4) for m in c.metrics], pad3),
-    }, pad2) for c in evaluation.criteria]
-    flags = [_json_object({
-        "kind": s(f.kind),
-        "id": s(f.id),
-        "name": s(f.name),
-        "score": n(f.score),
-        "threshold": n(f.threshold),
-        "perspective": s(f.perspective.value),
-        "criterion": s(f.criterion_id),
-    }, pad2) for f in evaluation.flags]
-    return _json_object({
-        "version": s("1"),
-        "model": s(evaluation.model_id),
-        "scores": _json_object({
-            "modeler": n(evaluation.s_m),
-            "reader": n(evaluation.s_r),
-            "combined": n(evaluation.s_b),
-        }, pad1),
-        "interaction_weights": _json_object({"modeler": n(evaluation.w_m),
-                                             "reader": n(evaluation.w_r)}, pad1),
-        "noise_threshold": n(evaluation.noise_threshold),
-        "criteria": _json_array(criteria, pad1),
-        "noise_flags": _json_array(flags, pad1),
-    }, pad)
+    """The JSON export at the indentation ``pad``, written straight from the
+    templates: ``json.dumps`` with an ``indent`` uses the stdlib's pure-Python
+    encoder, about twice as slow."""
+    s, n, e = encode_basestring_ascii, _json_number, _ENUM_JSON
+    document, criterion, metric, flag, join, array, metric_join, metric_array = _LAYOUTS[pad]
+    criteria = join.join([criterion % (
+        s(c.id), s(c.name), e[c.perspective], n(c.weight), n(c.score),
+        metric_array % metric_join.join([metric % (
+            s(m.id), s(m.name), e[m.source], n(m.raw), n(m.score), n(m.weight),
+        ) for m in c.metrics]) if c.metrics else "[]",
+    ) for c in evaluation.criteria])
+    flags = join.join([flag % (
+        s(f.kind), s(f.id), s(f.name), n(f.score), n(f.threshold), e[f.perspective], s(f.criterion_id),
+    ) for f in evaluation.flags])
+    return document % (
+        s(evaluation.model_id), n(evaluation.s_m), n(evaluation.s_r), n(evaluation.s_b),
+        n(evaluation.w_m), n(evaluation.w_r), n(evaluation.noise_threshold),
+        array % criteria if criteria else "[]", array % flags if flags else "[]",
+    )
 
 
 def parse_evaluation(body: str) -> ComprehensionEvaluation:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import gc
 import random
+import tracemalloc
 import xml.etree.ElementTree as ElementTree
 
 import pytest
@@ -298,3 +299,18 @@ def test_parse_evaluate_and_export_leave_no_reference_cycles(ett, modeler_schema
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_parsed_graph_keeps_under_150_bytes_per_node():
+    # Python 3.11.7: 170 bytes per node while a record kept its fields in
+    # an instance __dict__, 130 with them in slots
+    document = nested_subprocess_document(1100)
+    parse_model(document)  # the first parse fills the parser's caches
+    tracemalloc.start()
+    try:
+        graph = parse_model(document)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.nodes) == 1101
+    assert kept <= 150 * len(graph.nodes), kept / len(graph.nodes)

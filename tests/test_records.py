@@ -1,5 +1,5 @@
-"""The record contract: procomp's value types behave as the frozen
-dataclasses they replaced did.
+"""The record contract: procomp's value types behave as the frozen, slotted
+dataclasses they replaced would.
 
 A plan's pickle round trip is pinned by
 ``test_pipeline.py::test_unpickled_plan_exports_the_same_bytes``, and one
@@ -7,10 +7,14 @@ index build per graph by
 ``test_model.py::test_graph_index_is_built_once_per_graph``.
 """
 
+import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,13 +22,104 @@ import pytest
 import procomp
 from procomp import replace
 from procomp.bpmn import Edge, EdgeKind, GraphIndex, Node, NodeKind, ProcessModelGraph, parse_model_file
+from procomp.defaults import builtin_language_registry
 from procomp.errors import ConfigError
-from procomp.ett import MetricSource
-from procomp.questionnaire import QuestionKind
-from procomp.ranking import MethodKind, RankMethod, SurveyDataset
+from procomp.ett import MetricSource, ValidationEntry, ValidationReport
+from procomp.pipeline import compile_plan
+from procomp.questionnaire import QuestionKind, ResponseSet, validate_responses
+from procomp.ranking import MethodKind, RankMethod, SurveyDataset, compare_methods
+from procomp.records import FrozenInstanceError
+from procomp.report import export
 from procomp.scoring import MetricResult
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_responses
+
+
+def record_classes() -> dict[str, type]:
+    """Every record class procomp defines, by ``module.name``."""
+    classes = {}
+    for info in pkgutil.walk_packages(procomp.__path__, "procomp."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and value.__module__ == module.__name__
+                    and "_fields" in value.__dict__):
+                classes[f"{module.__name__.removeprefix('procomp.')}.{name}"] = value
+    return classes
+
+
+RECORD_CLASSES = record_classes()
+
+
+def reachable_records(*roots) -> dict[type, object]:
+    """The first record of each class found in ``roots``, their fields and
+    the tuples, lists and dicts among them."""
+    found, stack = {}, list(roots)
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.items())
+        elif "_fields" in type(value).__dict__:
+            found.setdefault(type(value), value)
+            stack.extend(getattr(value, name) for name in value._fields)
+    return found
+
+
+@pytest.fixture(scope="module")
+def samples(ett, modeler_schema, reader_schema):
+    registry = builtin_language_registry()
+    plan = compile_plan(ett, registry, make_responses(modeler_schema, "m-1", 1),
+                        [make_responses(reader_schema, "r-1", 0)], modeler_schema, reader_schema)
+    graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
+    evaluation = plan.evaluate(graph, model_id="order_fulfillment")
+    survey = SurveyDataset(("a", "b"), 2, {"a": (0.75, 0.25), "b": (0.25, 0.75)})
+    responses = ResponseSet("m-2", modeler_schema.version, {})  # every answer missing
+    return reachable_records(
+        plan, graph, graph.index, evaluation, export(evaluation, "json"), registry,
+        modeler_schema, responses, validate_responses(modeler_schema, responses),
+        ValidationReport((ValidationEntry("warning", "code", "path", "message"),)),
+        survey, compare_methods(survey), RankMethod(MethodKind.DNLOG))
+
+
+def test_the_samples_hold_every_record_class(samples):
+    assert len(RECORD_CLASSES) == 26
+    assert set(samples) == set(RECORD_CLASSES.values())
+    assert RECORD_CLASSES["bpmn.ProcessModelGraph"] is ProcessModelGraph
+
+
+def fields_of(record) -> list:
+    return [getattr(record, name) for name in record._fields]
+
+
+@pytest.mark.parametrize("name", RECORD_CLASSES)
+def test_a_record_keeps_its_fields_in_slots(samples, name):
+    record = samples[RECORD_CLASSES[name]]
+    if name == "bpmn.ProcessModelGraph":  # cached_property keeps the index in it
+        assert set(vars(record)) <= {"index"}
+    else:
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            vars(record)
+    with pytest.raises(TypeError):
+        weakref.ref(record)
+
+
+@pytest.mark.parametrize("name", RECORD_CLASSES)
+@pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_a_copied_record_is_equal_and_frozen(samples, name, clone):
+    record = samples[RECORD_CLASSES[name]]
+    copied = clone(record)
+    assert type(copied) is type(record) and fields_of(copied) == fields_of(record)
+    if name != "bpmn.GraphIndex":  # compared by identity
+        assert copied == record
+    first = record._fields[0]
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{first}'"):
+        setattr(copied, first, None)
+    with pytest.raises(FrozenInstanceError):
+        copied.other = 1
+    assert fields_of(copied) == fields_of(record)
 
 
 def small_graph(warnings=()):

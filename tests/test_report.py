@@ -154,7 +154,8 @@ def test_unsupported_format_rejected(evaluation):
 # The JSON writer against the stdlib encoder
 
 NAMES = ["Plain", "", 'say "hi"', "back\\slash", "tab\there\nnewline", "\x00\x1f\x7f controls",
-         "Größe – naïve", "模型", "emoji \U0001f642", "slash / and \u2028"]
+         "Größe – naïve", "模型", "emoji \U0001f642", "slash / and \u2028",
+         "100 %", "%s of %(name)s", "{} and {0}"]  # template syntax, written as text
 RAWS = [None, 0.0, -0.0, 1e-7, 1e16, 3, 2.5e-310, math.inf, -math.inf, math.nan]
 
 
@@ -177,7 +178,7 @@ def random_evaluation(rng: random.Random) -> ComprehensionEvaluation:
     s_m, s_r = _number(rng), _number(rng)
     w_m = rng.choice([0.156, rng.random(), 0, 1])
     evaluation = ComprehensionEvaluation(
-        model_id=rng.choice(["model", "modèle-ü", "模型", 'a"b\\c', "line\nbreak"]),
+        model_id=rng.choice(["model", "modèle-ü", "模型", 'a"b\\c', "line\nbreak", "%s", "50%", "{}"]),
         criteria=criteria, s_m=s_m, s_r=s_r, s_b=combined_score(s_m, s_r, w_m, 1 - w_m),
         w_m=w_m, w_r=1 - w_m, noise_threshold=rng.choice([4.0, 4, 7.5]))
     if rng.random() < 0.5:
