@@ -1,8 +1,19 @@
-"""Command-line interface wiring the library end to end."""
+"""Command-line interface wiring the library end to end.
+
+Run as the program (``main()`` with no ``argv``: the ``procomp`` console
+script or ``python -m procomp.cli``), ``main`` first calls ``gc.freeze()``:
+what the imports built lives until exit anyway, so the collections at
+exit, and those in ``--jobs`` workers forked later, need not walk it.
+``main(argv)`` never freezes, so a library caller or a test keeps its
+collector as it was. Either way ``main`` builds the parser of the invoked
+command alone; the top-level help, and the errors of the top-level
+parser, come from the full ``build_parser()``.
+"""
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -384,14 +395,7 @@ def _cmd_init(args) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="procomp",
-        description="Score the comprehensibility of business process models.",
-        epilog="exit codes: 0 success, 1 validation failure, 2 input error",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_score(sub) -> None:
     score = sub.add_parser("score", help="run the full scoring pipeline on a model")
     score.add_argument("--model", action="append", required=True,
                        help="BPMN model file (repeat to score several)")
@@ -416,12 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "(capped by the model count and the CPUs)")
     score.set_defaults(handler=_cmd_score)
 
+
+def _add_ett(sub) -> None:
     ett = sub.add_parser("ett", help="evaluation tree utilities")
     ett_sub = ett.add_subparsers(dest="ett_command", required=True)
     ett_validate = ett_sub.add_parser("validate", help="check a tree config")
     ett_validate.add_argument("--ett", help="tree config file (default: built-in)")
     ett_validate.set_defaults(handler=_cmd_ett_validate)
 
+
+def _add_survey(sub) -> None:
     survey = sub.add_parser("survey", help="survey analysis utilities")
     survey_sub = survey.add_subparsers(dest="survey_command", required=True)
     survey_rank = survey_sub.add_parser("rank", help="rank items from placement data")
@@ -437,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     survey_rank.add_argument("--output")
     survey_rank.set_defaults(handler=_cmd_survey_rank)
 
+
+def _add_language(sub) -> None:
     language = sub.add_parser("language", help="modeling language utilities")
     language_sub = language.add_subparsers(dest="language_command", required=True)
     language_compare = language_sub.add_parser("compare", help="compare registered languages")
@@ -450,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     language_compare.add_argument("--output")
     language_compare.set_defaults(handler=_cmd_language_compare)
 
+
+def _add_model(sub) -> None:
     model = sub.add_parser("model", help="process model utilities")
     model_sub = model.add_subparsers(dest="model_command", required=True)
     model_inspect = model_sub.add_parser("inspect", help="dump a parsed model and its metrics")
@@ -458,6 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     model_inspect.add_argument("--output")
     model_inspect.set_defaults(handler=_cmd_model_inspect)
 
+
+def _add_questionnaire(sub) -> None:
     questionnaire = sub.add_parser("questionnaire", help="questionnaire utilities")
     questionnaire_sub = questionnaire.add_subparsers(dest="questionnaire_command", required=True)
     fill = questionnaire_sub.add_parser("fill", help="answer a questionnaire interactively")
@@ -467,18 +481,50 @@ def build_parser() -> argparse.ArgumentParser:
     fill.add_argument("--output", required=True, help="response file to write")
     fill.set_defaults(handler=_cmd_questionnaire_fill)
 
+
+def _add_init(sub) -> None:
     init = sub.add_parser("init", help="write the default config files")
     init.add_argument("directory", nargs="?", default=".",
                       help="target directory (default: current)")
     init.add_argument("--force", action="store_true", help="overwrite existing files")
     init.set_defaults(handler=_cmd_init)
 
+
+# each command's branch of the parser, in the order the top-level help lists them
+_COMMANDS = {"score": _add_score, "ett": _add_ett, "survey": _add_survey, "language": _add_language,
+             "model": _add_model, "questionnaire": _add_questionnaire, "init": _add_init}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` of that one alone.
+
+    The parser of one command parses that command's arguments as the full
+    one does, with the same help and errors, but its own usage line and
+    top-level help list only that command."""
+    parser = argparse.ArgumentParser(
+        prog="procomp",
+        description="Score the comprehensibility of business process models.",
+        epilog="exit codes: 0 success, 1 validation failure, 2 input error",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command in ``argv``; with None, run as the program on
+    ``sys.argv`` and freeze the collector first."""
+    if argv is None:
+        gc.freeze()  # the imports live until exit: later collections need not walk them
+        argv = sys.argv[1:]
+    # the top-level parser's own help and errors (no command, an unknown one,
+    # unrecognized arguments) come from the full parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, unrecognized = build_parser(command).parse_known_args(argv)
+    if unrecognized:
+        build_parser().parse_args(argv)  # exits with the full parser's usage and error
     try:
         return args.handler(args)
     except (ResponseError, ScoringError, ExtractionError) as exc:

@@ -9,7 +9,6 @@ fractions.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from functools import reduce
@@ -147,6 +146,8 @@ def load_survey_csv(path: str | Path) -> SurveyDataset:
     A rank above the number of data rows is refused: a complete table has
     one row per item and rank, so it never holds one.
     """
+    import csv  # only `survey rank` reads a CSV: import on first use
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:

@@ -5,7 +5,9 @@
 takes the fields by position or keyword, with the body's defaults, and
 then runs ``__post_init__``; the dataclass ``repr``; ``==`` and ``hash``
 over the fields not declared ``field(compare=False)``; and
-``FrozenInstanceError`` on assigning or deleting an attribute.
+``FrozenInstanceError`` on assigning or deleting an attribute. Unlike a
+dataclass, a record with a dict field hashes: the dict counts by its
+items, as a ``frozenset``, so equal records hash equal.
 
 The class is rebuilt with ``__slots__``: an instance holds its fields in
 slots and has no ``__dict__`` (so no ``vars()`` and no weak references),
@@ -19,13 +21,20 @@ see the class before it was rebuilt; no record does.
 
 ``dataclasses`` imports ``inspect`` and builds each method with its own
 ``exec``, which made defining the records most of procomp's import time.
-Here one ``exec`` per class builds its ``__init__`` and comparison key;
-the rest is shared.
+Here one ``exec`` per shape (field count, and whether ``__post_init__``
+runs) compiles an ``__init__``; each class gets a copy of its code with
+the parameters renamed to its fields, and the slot setters as globals.
+The comparison key is an ``operator.attrgetter``, and the rest is shared.
 """
 
 from functools import cached_property
+from operator import attrgetter
+from types import CodeType, FunctionType
 
 _MISSING = object()
+
+# (field count, runs __post_init__) -> the code of that shape's __init__
+_INIT_CODES: dict[tuple[int, bool], CodeType] = {}
 
 
 class FrozenInstanceError(AttributeError):
@@ -62,11 +71,15 @@ def _repr(self) -> str:
 
 
 def _eq(self, other):
-    return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+    return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
 
 
 def _hash(self) -> int:
-    return hash(self._key())
+    key = self._key(self)
+    try:
+        return hash(key)
+    except TypeError:  # a dict field: its items count, as a set
+        return hash(tuple(frozenset(value.items()) if isinstance(value, dict) else value for value in key))
 
 
 def _getstate(self):
@@ -83,6 +96,23 @@ def _setstate(self, state):
         self.__dict__.update(cached)
 
 
+def _init_code(count: int, post_init: bool) -> CodeType:
+    """The ``__init__`` of every record of a shape, compiled on first use.
+
+    Parameter ``i`` is stored by global ``_set{i}``, the setter of field
+    ``i``'s slot, which each class's function finds in its own globals."""
+    code = _INIT_CODES.get((count, post_init))
+    if code is None:
+        params = "".join(f", _{i}" for i in range(count))
+        setters = "".join(f"\n    _set{i}(self, _{i})" for i in range(count))
+        if post_init:
+            setters += "\n    self.__post_init__()"
+        namespace = {}
+        exec(f"def __init__(self{params}):{setters}", namespace)
+        code = _INIT_CODES[count, post_init] = namespace["__init__"].__code__
+    return code
+
+
 def record(cls=None, /, *, eq: bool = True):
     """Make ``cls`` a frozen, slotted record; with ``eq=False`` it keeps
     ``object``'s identity ``==`` and ``hash``."""
@@ -92,32 +122,29 @@ def record(cls=None, /, *, eq: bool = True):
     body = dict(cls.__dict__)
     body.pop("__dict__", None)
     body.pop("__weakref__", None)
-    namespace, params, keys = {}, [], []
+    defaults, compared = [], []
     for name in fields:
         default, compare = body.pop(name, _MISSING), True
         if isinstance(default, _Field):
             default, compare = default.default, default.compare
-        if default is _MISSING:
-            params.append(name)
-        else:
-            namespace[f"_default_{name}"] = default
-            params.append(f"{name}=_default_{name}")
+        if default is not _MISSING:
+            defaults.append(default)
+        elif defaults:
+            raise TypeError(f"{cls.__qualname__}: field {name!r} without a default follows one with a default")
         if compare:
-            keys.append(f"self.{name},")
+            compared.append(name)
     cached = any(isinstance(value, cached_property) for value in body.values())
     body["__slots__"] = (*fields, "__dict__") if cached else fields
     body["_fields"] = fields
     cls = type(cls)(cls.__name__, cls.__bases__, body)
-    namespace.update((f"_set_{name}", getattr(cls, name).__set__) for name in fields)
-    setters = "".join(f"\n    _set_{name}(self, {name})" for name in fields)
-    if hasattr(cls, "__post_init__"):
-        setters += "\n    self.__post_init__()"
-    exec(f"def __init__(self, {', '.join(params)}):{setters}\n"
-         f"def _key(self):\n    return ({' '.join(keys)})", namespace)
-    cls.__init__ = namespace["__init__"]
+    code = _init_code(len(fields), hasattr(cls, "__post_init__")).replace(co_varnames=("self", *fields))
+    setters = {f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(fields)}
+    cls.__init__ = FunctionType(code, setters, "__init__", tuple(defaults) or None)
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _setattr, _delattr
     cls.__getstate__, cls.__setstate__ = _getstate, _setstate
     if eq:
-        cls._key, cls.__eq__, cls.__hash__ = namespace["_key"], _eq, _hash
+        # attrgetter of one name gives the bare value; the class pads that key to a tuple
+        cls._key = attrgetter(*compared) if len(compared) > 1 else attrgetter(*compared, "__class__")
+        cls.__eq__, cls.__hash__ = _eq, _hash
     return cls

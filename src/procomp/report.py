@@ -10,7 +10,6 @@ argument of its template, never part of it.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 import json
@@ -225,6 +224,8 @@ def _csv_rows(evaluation: ComprehensionEvaluation) -> list[list[str]]:
 
 
 def _csv_text(rows) -> str:
+    import csv  # only CSV reports need it: import on first use
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -1046,3 +1047,37 @@ def test_each_config_document_is_found_in_the_config_dir_and_its_flag_wins(
     code, out, err = run(capsys, *score_args(response_bundle, flag, str(other / name)))
     assert (code, err) == (0, "")
     assert "Modeler score  (S_m):" in out
+
+
+def command_paths(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """Every command path of ``parser``, nested subcommands included: () first."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from command_paths(subparser, (*path, name))
+
+
+def exit_of(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+SCORE_REQUIRED = ["--model", "m.bpmn", "--modeler-responses", "m.json", "--reader-responses", "r.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([*path, "--help"] for path in command_paths(cli.build_parser())),
+    [], ["bogus"], ["ett"], ["ett", "bogus"],
+    ["score", "--modeler-responses", "m.json", "--reader-responses", "r.json"],
+    ["score", "--bogus"], ["score", *SCORE_REQUIRED, "--bogus"], ["score", "extra", *SCORE_REQUIRED],
+    ["score", *SCORE_REQUIRED, "--jobs", "0"], ["init", ".", "--bogus"],
+], ids=" ".join)
+def test_help_and_parse_errors_match_the_full_parser(capsys, argv):
+    # main builds the invoked command's parser alone; what it prints and exits with must
+    # not tell, so every help, usage and error text is compared with the full parser's
+    expected = exit_of(capsys, cli.build_parser().parse_args, argv)
+    assert exit_of(capsys, main, argv) == expected
+    assert expected[0] == (0 if "--help" in argv else 2)

@@ -9,6 +9,8 @@ index build per graph by
 
 import copy
 import importlib
+import inspect
+import json
 import os
 import pickle
 import pkgutil
@@ -127,12 +129,96 @@ def small_graph(warnings=()):
     return ProcessModelGraph(nodes, (Edge("f", "s", "e", EdgeKind.SEQUENCE),), warnings=warnings)
 
 
-def test_equal_records_hash_equal():
+def test_equal_records_hash_equal(samples):
+    for record in samples.values():  # every record class hashes
+        equal = copy.deepcopy(record)  # equal field by field, and no field shared
+        if isinstance(record, GraphIndex):  # compared by identity, see below
+            assert equal != record and hash(equal) != hash(record)
+        else:
+            assert equal == record and hash(equal) == hash(record)
     a = MetricResult("m", "M", MetricSource.MODEL_DERIVED, 5.0, raw=3.0)
     b = MetricResult(id="m", name="M", source=MetricSource.MODEL_DERIVED, score=5.0, weight=1.0, raw=3.0)
     assert a == b and hash(a) == hash(b)
     assert a != replace(b, raw=4.0)
     assert a != ("m", "M", MetricSource.MODEL_DERIVED, 5.0, 1.0, 3.0)
+
+
+def test_a_dict_field_hashes_by_its_items():
+    first = ResponseSet("r", "v1", {"q1": True, "q2": 3})
+    second = ResponseSet("r", "v1", {"q2": 3, "q1": True})
+    assert first == second and hash(first) == hash(second)
+    assert first != replace(first, answers={"q1": True, "q2": 4})
+    descriptor = builtin_language_registry()[0]
+    assert hash(descriptor) == hash(copy.deepcopy(descriptor))
+    assert len({descriptor, copy.deepcopy(descriptor), *builtin_language_registry()[1:]}) == len(
+        builtin_language_registry())
+
+
+# each constructor's parameters and defaults, as ``dataclasses`` built them
+SIGNATURES = {
+    "bpmn.Edge": "(id, source, target, kind)",
+    "bpmn.GraphIndex": "(flow_nodes, position, gateways, sequence_edges, in_degree, out_degree, kind_counts)",
+    "bpmn.Node": "(id, kind, label='', parent=None)",
+    "bpmn.ProcessModelGraph": "(nodes, edges, language='BPMN 2.0', warnings=())",
+    "ett.EvaluationTheoryTree": "(version, criteria, survey_d=10.0, interaction_weights=(0.156, 0.844))",
+    "ett.NormalizationSpec": "(kind, lo=None, hi=None)",
+    "ett.QualityCriterion": "(id, name, perspective, rank, metrics, weight=None)",
+    "ett.QualityMetric": "(id, name, description, source, rank, normalization=NormalizationSpec("
+                         "kind=<NormalizationKind.IDENTITY: 'identity'>, lo=None, hi=None), "
+                         "polarity=<Polarity.HIGHER_IS_BETTER: 'higher-is-better'>, weight=None, binding=None)",
+    "ett.ValidationEntry": "(severity, code, path, message)",
+    "ett.ValidationReport": "(entries)",
+    "languages.LanguageDescriptor": "(name, elements, characteristics, relations, patterns)",
+    "languages.PatternEntry": "(id, type, support, name='')",
+    "languages.PatternSupportTable": "(entries, catalog_sizes)",
+    "pipeline.ScoringPlan": "(tree, criteria, noise_threshold, language)",
+    "questionnaire.Question": "(id, text, kind, metric_id, levels=None, "
+                              "polarity=<QuestionPolarity.POSITIVE: 'positive'>)",
+    "questionnaire.QuestionnaireSchema": "(version, perspective, questions)",
+    "questionnaire.ResponseIssue": "(code, question_id, message)",
+    "questionnaire.ResponseSet": "(respondent, schema_version, answers)",
+    "ranking.MethodComparison": "(method, growth, ordering)",
+    "ranking.RankMethod": "(kind, param=None)",
+    "ranking.SurveyDataset": "(items, n, placements)",
+    "report.ReportDocument": "(format, body)",
+    "scoring.ComprehensionEvaluation": "(model_id, criteria, s_m, s_r, s_b, w_m, w_r, noise_threshold=4.0, "
+                                       "flags=())",
+    "scoring.CriterionResult": "(id, name, perspective, score, weight=1.0, metrics=())",
+    "scoring.MetricResult": "(id, name, source, score, weight=1.0, raw=None)",
+    "scoring.NoiseFlag": "(kind, id, name, score, threshold, perspective, criterion_id)",
+}
+
+
+def listed(names: list[str]) -> str:
+    """``names`` quoted and joined as Python's argument errors join them."""
+    quoted = [repr(name) for name in names]
+    if len(quoted) < 3:
+        return " and ".join(quoted)
+    return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
+
+
+@pytest.mark.parametrize("name", RECORD_CLASSES)
+def test_the_constructor_keeps_its_signature_errors_and_post_init(samples, name, monkeypatch):
+    cls, record = RECORD_CLASSES[name], samples[RECORD_CLASSES[name]]
+    signature = inspect.signature(cls)
+    assert str(signature) == SIGNATURES[name]
+    assert list(signature.parameters) == list(cls._fields)
+    required = [p.name for p in signature.parameters.values() if p.default is p.empty]
+    plural = "s" if len(required) > 1 else ""
+    with pytest.raises(TypeError) as missing:
+        cls()
+    assert str(missing.value) == (f"{cls.__qualname__}.__init__() missing {len(required)} required "
+                                  f"positional argument{plural}: {listed(required)}")
+    with pytest.raises(TypeError) as unexpected:
+        cls(*fields_of(record), bogus=1)
+    assert str(unexpected.value) == f"{cls.__qualname__}.__init__() got an unexpected keyword argument 'bogus'"
+    checked = []
+    if hasattr(cls, "__post_init__"):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: checked.append(post_init(self)))
+    rebuilt = cls(**{field: getattr(record, field) for field in cls._fields})
+    assert checked == ([None] if hasattr(cls, "__post_init__") else [])
+    assert fields_of(rebuilt) == fields_of(record)
 
 
 def test_compare_false_fields_do_not_affect_equality_or_hash():
@@ -199,27 +285,56 @@ def test_pickled_graph_keeps_its_cached_index():
     assert clone.index.position == index.position and clone.index.in_degree == index.in_degree
 
 
+STARTUP_PROBE = """\
+import argparse, gc, json, sys
+before = set(sys.modules)
+compiles = []
+sys.addaudithook(lambda event, args: event == "compile" and args[1] == "<string>" and compiles.append(1))
+from procomp.cli import main
+imported = len(compiles)
+records = {value for name, module in list(sys.modules.items()) if name.startswith("procomp")
+           for value in vars(module).values() if isinstance(value, type) and "_fields" in value.__dict__}
+shapes = {(len(cls._fields), hasattr(cls, "__post_init__")) for cls in records}
+unloaded = [m for m in ("dataclasses", "inspect", "decimal", "xml.etree", "csv", "concurrent.futures")
+            if m in sys.modules and m not in before]
+parsers, init = [], argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    parsers.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+codes = [main(sys.argv[1:])]
+in_process = gc.get_freeze_count()
+parsers.clear()
+sys.argv[1 + sys.argv.index("--output")] += ".program"
+codes.append(main())
+print(json.dumps({"compiles": imported, "records": len(records), "shapes": len(shapes), "loaded": unloaded,
+                  "codes": codes, "in_process": in_process, "frozen": gc.get_freeze_count(),
+                  "parsers": len(parsers)}))
+"""
+
+
 def test_cli_import_leaves_heavy_modules_unloaded(tmp_path, response_bundle):
-    # a fresh interpreter, so that no other test has imported them already
+    # a fresh interpreter, so that no other test has imported them already, and so that
+    # main() may run as the program there and freeze that interpreter's collector
     golden = FIXTURES / "golden" / "order_fulfillment.txt"
     out = tmp_path / "report.txt"
-    script = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "from procomp.cli import main\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'decimal', 'xml.etree')\n"
-        "               if m in sys.modules and m not in before))\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
     src = str(Path(procomp.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PROCOMP_CONFIG_DIR", None)
     result = subprocess.run(
-        [sys.executable, "-c", script, "score", "--model", str(FIXTURES / "order_fulfillment.bpmn"),
+        [sys.executable, "-c", STARTUP_PROBE, "score", "--model", str(FIXTURES / "order_fulfillment.bpmn"),
          "--modeler-responses", str(response_bundle["modeler"]),
          "--reader-responses", *[str(p) for p in response_bundle["readers"]],
          "--format", "text", "--output", str(out)],
         capture_output=True, text=True, env=env, timeout=60, check=False)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "\n"
+    probe = json.loads(result.stdout)
+    assert probe["loaded"] == []
+    # one generated __init__ per record shape, not one per record class
+    assert probe["compiles"] <= probe["shapes"] < probe["records"]
+    assert probe["codes"] == [0, 0]
+    # main(argv) never freezes; main() as the program does, and builds the parser of `score` alone
+    assert probe["in_process"] == 0 and probe["frozen"] > 0
+    assert probe["parsers"] == 2
     assert out.read_bytes() == golden.read_bytes()
+    assert Path(f"{out}.program").read_bytes() == golden.read_bytes()
