@@ -8,6 +8,12 @@ exit, and those in ``--jobs`` workers forked later, need not walk it.
 collector as it was. Either way ``main`` builds the parser of the invoked
 command alone; the top-level help, and the errors of the top-level
 parser, come from the full ``build_parser()``.
+
+``score --jobs N`` scores a batch in worker processes started with the
+platform's default method, each with one one-way pipe: worker ``k`` sends
+the entries of the models at ``k, k + N, ...``, and the main process reads
+them back in ``--model`` order. The main process starts no thread, so a
+forked worker inherits no lock that another thread held.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import math
 import os
 import sys
-from collections import deque
+from contextlib import suppress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -123,7 +129,7 @@ def _write_batch(pieces: Iterable[str], output: str | None) -> None:
     which is copied to the ``output`` file, or to standard output, once the
     report is complete.
     """
-    # imported here, like the pool, so that scoring one model imports neither
+    # imported here, like multiprocessing, so that scoring one model imports neither
     import shutil
     import tempfile
 
@@ -148,38 +154,58 @@ def _score_entry(plan: ScoringPlan, fmt: str, model_path: str) -> str:
     return batch_entry(plan.evaluate(graph, model_id=Path(model_path).stem), fmt)
 
 
-# the plan and the report format, set in each worker process by the pool's initializer
-_worker_state: tuple[ScoringPlan, str] | None = None
+def _score_share(plan: ScoringPlan, fmt: str, models: list[str], sender, inherited) -> None:
+    """A worker process: send each of ``models``' entries down ``sender``, or
+    the error that stopped it. ``inherited`` are the read ends a forked worker
+    holds of the main process's pipes, its own among them; once they are
+    closed, a send fails with ``EPIPE`` when the main process stops reading,
+    killed or not, and the worker ends."""
+    for receiver in inherited:
+        receiver.close()
+    with suppress(BrokenPipeError):  # the main process failed, or is gone
+        for model in models:
+            try:
+                sender.send(_score_entry(plan, fmt, model))
+            except Exception as exc:  # the main process raises it in its turn
+                sender.send(exc)
+                break
 
 
-def _init_worker(plan: ScoringPlan, fmt: str) -> None:
-    global _worker_state
-    _worker_state = (plan, fmt)
+def _piped_entries(plan: ScoringPlan, fmt: str, models: list[str], workers: int) -> Iterator[str]:
+    """Each model's entry, in order: worker ``k`` scores the models at ``k,
+    k + workers, ...`` and sends them down a pipe of its own, whose buffer
+    bounds how far it runs ahead of the main process."""
+    # imported here, so that scoring one model imports no process machinery
+    import multiprocessing
 
-
-def _worker_entries(model_paths: list[str]) -> list[str]:
-    return [_score_entry(*_worker_state, model_path) for model_path in model_paths]
-
-
-# the most models a worker is handed at once; the parts of at most 2 * jobs such chunks
-# wait in the main process, however long the batch
-_CHUNK_CAP = 8
-
-
-def _pooled_entries(pool, models: list[str], workers: int) -> Iterator[str]:
-    """Each model's entry, in order, scored by ``workers`` pooled processes."""
-    size = min(_CHUNK_CAP, -(-len(models) // (4 * workers)))
-    window = deque()
+    # the platform's default start method: the plan pickles for spawn and forkserver
+    context = multiprocessing.get_context()
+    receivers, processes = [], []
     try:
-        for start in range(0, len(models), size):
-            window.append(pool.submit(_worker_entries, models[start:start + size]))
-            if len(window) == 2 * workers:
-                yield from window.popleft().result()
-        while window:
-            yield from window.popleft().result()
+        for k in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            receivers.append(receiver)
+            inherited = tuple(receivers) if context.get_start_method() == "fork" else ()
+            process = context.Process(target=_score_share,
+                                      args=(plan, fmt, models[k::workers], sender, inherited))
+            process.start()
+            processes.append(process)
+            sender.close()  # the worker holds the last write end: if it dies, recv sees EOF
+        for index, model in enumerate(models):
+            try:
+                entry = receivers[index % workers].recv()
+            except EOFError:  # the worker ended without sending it
+                processes[index % workers].join()
+                entry = ProcompError(f"{model}: the worker process scoring it ended with exit "
+                                     f"code {processes[index % workers].exitcode}")
+            if isinstance(entry, Exception):
+                raise entry
+            yield entry
     finally:
-        for future in window:  # what a failure leaves unstarted
-            future.cancel()
+        for receiver, process in zip(receivers, processes):
+            receiver.close()
+            process.terminate()  # one that is done has exited; what a failure left is stopped
+            process.join()
 
 
 def _check_model_ids(models: list[str]) -> None:
@@ -225,16 +251,9 @@ def _cmd_score(args) -> int:
     workers = min(args.jobs, len(models), os.cpu_count() or 1)
     if workers == 1:
         entries = (_score_entry(plan, args.format, m) for m in models)
-        _write_batch(frame_batch(entries, args.format), args.output)
-        return EXIT_OK
-    # imported here, so that scoring one model imports no pool machinery
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the platform's default start method: the plan pickles for spawn and forkserver
-    with ProcessPoolExecutor(workers, initializer=_init_worker,
-                             initargs=(plan, args.format)) as pool:
-        entries = _pooled_entries(pool, models, workers)
-        _write_batch(frame_batch(entries, args.format), args.output)
+    else:
+        entries = _piped_entries(plan, args.format, models, workers)
+    _write_batch(frame_batch(entries, args.format), args.output)
     return EXIT_OK
 
 

@@ -2,10 +2,16 @@ import argparse
 import csv
 import io
 import json
+import multiprocessing
 import os
+import signal
 import stat
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +27,8 @@ from oracles import brute_force_ordering, normalized_weighted_sum
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    # whether the batch succeeded or failed, no worker process is left running
+    assert multiprocessing.active_children() == []
     return code, captured.out, captured.err
 
 
@@ -293,29 +301,6 @@ def test_batch_output_to_a_fifo_is_written_once_complete(capsys, response_bundle
     assert list(fifo.parent.iterdir()) == [fifo]
 
 
-def test_pooled_entries_bound_what_waits_in_the_main_process():
-    from concurrent.futures import Future
-
-    submitted = []
-
-    class InlinePool:
-        """Scores each chunk as it is submitted, so that only the window holds results back."""
-
-        def submit(self, fn, chunk):
-            submitted.extend(chunk)
-            future = Future()
-            future.set_result(list(chunk))
-            return future
-
-    models = [f"m{i}" for i in range(1000)]
-    entries, waiting = [], []
-    for entry in cli._pooled_entries(InlinePool(), models, 2):
-        waiting.append(len(submitted) - len(entries))
-        entries.append(entry)
-    assert entries == models
-    assert max(waiting) <= 2 * 2 * cli._CHUNK_CAP
-
-
 def test_batch_output_in_a_missing_directory_is_reported_by_its_name(capsys, response_bundle,
                                                                      tmp_path):
     output = tmp_path / "absent" / "report.json"
@@ -330,8 +315,8 @@ def test_batch_memory_does_not_grow_with_the_batch(capsys, response_bundle, tmp_
     for copy in copies:
         copy.write_bytes(FIXTURE_MODELS[3].read_bytes())
 
-    def peak(count: int) -> int:
-        argv = batch_args(response_bundle, copies[:count], "--format", "json", "--jobs", "1",
+    def peak(count: int, jobs: str) -> int:
+        argv = batch_args(response_bundle, copies[:count], "--format", "json", "--jobs", jobs,
                           "--output", str(tmp_path / "report.json"))
         tracemalloc.start()
         try:
@@ -342,9 +327,12 @@ def test_batch_memory_does_not_grow_with_the_batch(capsys, response_bundle, tmp_
         assert code == 0, err
         return traced
 
-    peak(2)  # first-use imports and caches
-    few, many = peak(4), peak(40)
-    assert many - few < 256 * 1024, (few, many)
+    # at --jobs 2 the main process reads the entries from the workers' pipes, and
+    # the pipes' buffers, not its own memory, hold what the workers run ahead
+    for jobs in ("1", "2"):
+        peak(2, jobs)  # first-use imports and caches
+        few, many = peak(4, jobs), peak(40, jobs)
+        assert many - few < 256 * 1024, (jobs, few, many)
 
 
 def test_jobs_beyond_models_and_cpus_matches_jobs_1(capsys, response_bundle, tmp_path):
@@ -374,6 +362,118 @@ def test_malformed_model_mid_batch_fails_alike_at_any_jobs(capsys, response_bund
     assert serial[0] == 2 and serial[1] == ""
     assert serial[2].startswith("error: ")
     assert pooled == serial
+
+
+def test_the_first_broken_model_in_order_is_reported_at_any_jobs(capsys, response_bundle,
+                                                                  tmp_path):
+    first, second = tmp_path / "first.bpmn", tmp_path / "second.bpmn"
+    first.write_text("<definitions", encoding="utf-8")
+    second.write_text("<definitions><process></definitions>", encoding="utf-8")
+    expected = run(capsys, *batch_args(response_bundle, [first]))
+    assert expected[0] == 2 and run(capsys, *batch_args(response_bundle, [second]))[2] != expected[2]
+    sequence, xor_loop, _, order_fulfillment = FIXTURE_MODELS
+    # at --jobs 2 the two land in different workers; in the second batch the worker
+    # of `second` is likely to reach it first, behind a smaller model
+    for models in ([sequence, first, second, xor_loop], [order_fulfillment, sequence, first, second]):
+        for result in run_at_jobs(capsys, batch_args(response_bundle, models, "--format", "json")):
+            assert result == expected
+
+
+# run in a fresh interpreter whose workers are forked: `dead-worker` has the worker that
+# scores the model named `copy-9` exit with code 3; `killed` has the main process print
+# its workers' ids and SIGKILL itself once the first entry has arrived
+WORKER_PROBE = """\
+import multiprocessing, os, signal, sys
+multiprocessing.set_start_method("fork")
+from procomp import cli
+case, argv = sys.argv[1], sys.argv[2:]
+score_entry, piped_entries = cli._score_entry, cli._piped_entries
+def dying(plan, fmt, model):
+    if os.path.basename(model) == "copy-9.bpmn":
+        os._exit(3)
+    return score_entry(plan, fmt, model)
+def killed(*args):
+    entries = piped_entries(*args)
+    yield next(entries)
+    print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+if case == "dead-worker":
+    cli._score_entry = dying
+if case == "killed":
+    cli._piped_entries = killed
+code = cli.main(argv)
+print(code, len(multiprocessing.active_children()))
+"""
+
+needs_forked_workers = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or (os.cpu_count() or 1) < 2,
+    reason="needs the fork start method and two CPUs, so that --jobs 2 starts two workers")
+
+
+def worker_probe(case, bundle, tmp_path, *extra):
+    """The probe's argv, for ``case``, over 20 copies of a fixture at --jobs 2."""
+    copies = [tmp_path / f"copy-{i}.bpmn" for i in range(20)]
+    for copy in copies:
+        copy.write_bytes(FIXTURE_MODELS[3].read_bytes())
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PROCOMP_CONFIG_DIR", None)
+    argv = [sys.executable, "-c", WORKER_PROBE, case,
+            *batch_args(bundle, [*copies, *extra], "--format", "json", "--jobs", "2",
+                        "--output", str(tmp_path / "report.json"))]
+    return argv, env
+
+
+@needs_forked_workers
+@pytest.mark.parametrize("case", ["success", "model-error", "dead-worker"])
+def test_no_worker_outlives_score(response_bundle, tmp_path, case):
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    argv, env = worker_probe(case, response_bundle, tmp_path,
+                             *([broken] if case == "model-error" else []))
+    # the captured pipes reach end-of-file only once every worker, which holds them too, has ended
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, check=False)
+    assert result.returncode == 0, result.stderr
+    expected = {
+        "success": "",
+        "model-error": "error: malformed XML: unclosed token: line 1, column 0\n",
+        "dead-worker": f"error: {tmp_path / 'copy-9.bpmn'}: the worker process scoring it "
+                       f"ended with exit code 3\n",
+    }[case]
+    assert (result.stdout, result.stderr) == (f"{0 if case == 'success' else 2} 0\n", expected)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat_line[stat_line.rindex(")") + 2] != "Z"
+
+
+@needs_forked_workers
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="finds the workers through /proc")
+def test_workers_end_on_their_own_when_score_is_killed(response_bundle, tmp_path):
+    argv, env = worker_probe("killed", response_bundle, tmp_path)
+    probe = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    workers = []
+    try:
+        workers = [int(pid) for pid in probe.stdout.readline().split()]
+        assert len(workers) == 2
+        # with their pipes' last read end gone, the workers get EPIPE and end within seconds
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+        _, err = probe.communicate(timeout=10)
+        assert probe.returncode == -signal.SIGKILL
+        assert err == "", err  # no traceback from a worker either
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+        probe.kill()
+        probe.wait(timeout=10)
 
 
 def test_unextractable_metric_fails_alike_at_any_jobs(capsys, response_bundle, tmp_path):

@@ -2,7 +2,6 @@ import copy
 import multiprocessing
 import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -123,16 +122,38 @@ def test_evaluate_model_takes_compile_plan_arguments(config):
         evaluate_model(graph, *config, noise_treshold=5.0)
 
 
-def test_pool_workers_start_under_spawn(config):
-    # spawn (and forkserver, the default from Python 3.14) pickles the
-    # initializer's arguments into a freshly imported interpreter
+def test_pool_workers_start_under_spawn(config, tmp_path):
+    # spawn (and forkserver, the default from Python 3.14) pickles the plan and
+    # the pipe's write end into a freshly imported interpreter; the error that
+    # stops the worker comes back through the real pipe
     from procomp import cli
     plan = compile_plan(*config)
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
     paths = [str(FIXTURES / f"{model}.bpmn") for model in MODELS]
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=cli._init_worker, initargs=(plan, "json")) as pool:
-        parts = pool.submit(cli._worker_entries, paths).result(timeout=60)
-    assert parts == [cli._score_entry(plan, "json", path) for path in paths]
+    context = multiprocessing.get_context("spawn")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=cli._score_share,
+                             args=(plan, "json", [*paths, str(broken), *paths], sender, ()))
+    worker.start()
+    sender.close()
+    try:
+        parts = []
+        for _ in range(len(paths) + 1):
+            assert receiver.poll(60)
+            parts.append(receiver.recv())
+        with pytest.raises(EOFError):  # the worker stops at the error
+            receiver.poll(60) and receiver.recv()
+        worker.join(60)
+        assert (worker.is_alive(), worker.exitcode) == (False, 0)
+    finally:
+        receiver.close()
+        worker.kill()
+        worker.join()
+    assert parts[:-1] == [cli._score_entry(plan, "json", path) for path in paths]
+    with pytest.raises(ModelParseError) as raised:
+        cli._score_entry(plan, "json", str(broken))
+    assert type(parts[-1]) is ModelParseError and str(parts[-1]) == str(raised.value)
 
 
 def test_a_cycle_of_sub_process_parents_is_a_model_error(config):

@@ -305,11 +305,17 @@ argparse.ArgumentParser.__init__ = counted
 codes = [main(sys.argv[1:])]
 in_process = gc.get_freeze_count()
 parsers.clear()
+output = sys.argv[1 + sys.argv.index("--output")]
 sys.argv[1 + sys.argv.index("--output")] += ".program"
 codes.append(main())
+program_parsers, single = len(parsers), "multiprocessing" in sys.modules
+model = sys.argv[1 + sys.argv.index("--model")]
+codes.append(main([*sys.argv[1:], "--model", model.replace("order_fulfillment", "sequence"),
+                   "--jobs", "2", "--output", output + ".batch"]))
+pooled = [m for m in ("concurrent.futures", "logging", "queue") if m in sys.modules and m not in before]
 print(json.dumps({"compiles": imported, "records": len(records), "shapes": len(shapes), "loaded": unloaded,
                   "codes": codes, "in_process": in_process, "frozen": gc.get_freeze_count(),
-                  "parsers": len(parsers)}))
+                  "parsers": program_parsers, "single": single, "pooled": pooled}))
 """
 
 
@@ -332,7 +338,9 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path, response_bundle):
     assert probe["loaded"] == []
     # one generated __init__ per record shape, not one per record class
     assert probe["compiles"] <= probe["shapes"] < probe["records"]
-    assert probe["codes"] == [0, 0]
+    assert probe["codes"] == [0, 0, 0]
+    # scoring one model starts no process machinery; a --jobs 2 batch runs without an executor
+    assert probe["single"] is False and probe["pooled"] == []
     # main(argv) never freezes; main() as the program does, and builds the parser of `score` alone
     assert probe["in_process"] == 0 and probe["frozen"] > 0
     assert probe["parsers"] == 2
