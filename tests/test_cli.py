@@ -301,6 +301,31 @@ def test_batch_output_to_a_fifo_is_written_once_complete(capsys, response_bundle
     assert list(fifo.parent.iterdir()) == [fifo]
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the workers must inherit the counting _score_entry")
+def test_pooled_entries_bound_what_waits_in_the_main_process(monkeypatch):
+    # each entry is larger than a pipe's buffer, so a worker that runs ahead blocks in
+    # send with at most one entry scored and not yet received
+    fork = multiprocessing.get_context("fork")
+    scored = fork.Value("i", 0)
+
+    def counting(plan, fmt, model):
+        with scored.get_lock():
+            scored.value += 1
+        return model + "x" * (1 << 20)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: fork)
+    monkeypatch.setattr(cli, "_score_entry", counting)
+    models = [f"m{i}" for i in range(100)]
+    entries, waiting = [], []
+    for entry in cli._piped_entries(None, "json", models, 2):
+        entries.append(entry[:-(1 << 20)])
+        waiting.append(scored.value - len(entries))
+    assert entries == models
+    assert max(waiting) <= 2
+    assert multiprocessing.active_children() == []
+
+
 def test_batch_output_in_a_missing_directory_is_reported_by_its_name(capsys, response_bundle,
                                                                      tmp_path):
     output = tmp_path / "absent" / "report.json"
