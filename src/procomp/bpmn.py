@@ -27,7 +27,7 @@ from pathlib import Path
 from xml.parsers import expat
 
 from .errors import ModelParseError
-from .records import field, record
+from .records import record
 
 LANGUAGE = "BPMN 2.0"  # the language of every graph the parser builds
 
@@ -91,7 +91,7 @@ class Edge:
     kind: EdgeKind
 
 
-@record(eq=False)  # compared by identity: one index per graph
+@record
 class GraphIndex:
     """What the structural metrics share, built in one pass over the nodes
     and one over the edges.
@@ -146,7 +146,7 @@ class ProcessModelGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
     language: str = LANGUAGE
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...] = ()
 
     @cached_property
     def index(self) -> GraphIndex:

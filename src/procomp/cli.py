@@ -13,7 +13,9 @@ parser, come from the full ``build_parser()``.
 platform's default method, each with one one-way pipe: worker ``k`` sends
 the entries of the models at ``k, k + N, ...``, and the main process reads
 them back in ``--model`` order. The main process starts no thread, so a
-forked worker inherits no lock that another thread held.
+forked worker inherits no lock that another thread held. The workers
+ignore SIGINT, so Ctrl-C stops the main process alone, which stops them
+and exits 130.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import math
 import os
 import sys
-from contextlib import suppress
+from contextlib import closing, contextmanager, suppress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -62,6 +64,7 @@ from .scoring import DEFAULT_NOISE_THRESHOLD
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C stopped
 
 CONFIG_DIR_ENV = "PROCOMP_CONFIG_DIR"
 
@@ -160,6 +163,10 @@ def _score_share(plan: ScoringPlan, fmt: str, models: list[str], sender, inherit
     holds of the main process's pipes, its own among them; once they are
     closed, a send fails with ``EPIPE`` when the main process stops reading,
     killed or not, and the worker ends."""
+    import signal
+
+    # fork and spawn children start with SIGINT ignored; a forkserver child has its handler restored
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for receiver in inherited:
         receiver.close()
     with suppress(BrokenPipeError):  # the main process failed, or is gone
@@ -169,6 +176,34 @@ def _score_share(plan: ScoringPlan, fmt: str, models: list[str], sender, inherit
             except Exception as exc:  # the main process raises it in its turn
                 sender.send(exc)
                 break
+
+
+@contextmanager
+def _sigint_ignored():
+    """SIGINT ignored while the block starts workers, which inherit that.
+    Python sets handlers in the main thread alone; elsewhere the block runs
+    as it is."""
+    import signal
+
+    try:
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except ValueError:  # not the main thread
+        yield
+        return
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which its affinity can make fewer
+    than the machine has."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _piped_entries(plan: ScoringPlan, fmt: str, models: list[str], workers: int) -> Iterator[str]:
@@ -182,15 +217,16 @@ def _piped_entries(plan: ScoringPlan, fmt: str, models: list[str], workers: int)
     context = multiprocessing.get_context()
     receivers, processes = [], []
     try:
-        for k in range(workers):
-            receiver, sender = context.Pipe(duplex=False)
-            receivers.append(receiver)
-            inherited = tuple(receivers) if context.get_start_method() == "fork" else ()
-            process = context.Process(target=_score_share,
-                                      args=(plan, fmt, models[k::workers], sender, inherited))
-            process.start()
-            processes.append(process)
-            sender.close()  # the worker holds the last write end: if it dies, recv sees EOF
+        with _sigint_ignored():
+            for k in range(workers):
+                receiver, sender = context.Pipe(duplex=False)
+                receivers.append(receiver)
+                inherited = tuple(receivers) if context.get_start_method() == "fork" else ()
+                process = context.Process(target=_score_share,
+                                          args=(plan, fmt, models[k::workers], sender, inherited))
+                process.start()
+                processes.append(process)
+                sender.close()  # the worker holds the last write end: if it dies, recv sees EOF
         for index, model in enumerate(models):
             try:
                 entry = receivers[index % workers].recv()
@@ -248,12 +284,13 @@ def _cmd_score(args) -> int:
         evaluation = plan.evaluate(graph, model_id=Path(models[0]).stem)
         _emit(export(evaluation, args.format).body, args.output)
         return EXIT_OK
-    workers = min(args.jobs, len(models), os.cpu_count() or 1)
+    workers = min(args.jobs, len(models), _usable_cpus())
     if workers == 1:
         entries = (_score_entry(plan, args.format, m) for m in models)
     else:
         entries = _piped_entries(plan, args.format, models, workers)
-    _write_batch(frame_batch(entries, args.format), args.output)
+    with closing(entries):  # stops the workers, whatever ends the batch
+        _write_batch(frame_batch(entries, args.format), args.output)
     return EXIT_OK
 
 
@@ -523,7 +560,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="procomp",
         description="Score the comprehensibility of business process models.",
-        epilog="exit codes: 0 success, 1 validation failure, 2 input error",
+        epilog="exit codes: 0 success, 1 validation failure, 2 input error, 130 interrupted",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, add in _COMMANDS.items():
@@ -551,11 +588,15 @@ def main(argv: list[str] | None = None) -> int:
         report = getattr(exc, "report", None)
         if report:
             for issue in report:
-                print(f"  {issue.code}: {issue.message}", file=sys.stderr)
+                question = f" ({issue.question_id})" if issue.question_id else ""
+                print(f"  {issue.code}{question}: {issue.message}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ProcompError, ValueError, OSError) as exc:  # config and model errors among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

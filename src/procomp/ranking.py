@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
-from .records import field, record
+from .records import record
 
 PLACEMENT_SUM_TOL = 1e-9
 _GROWTH_TOL = 1e-9
@@ -115,7 +115,7 @@ class SurveyDataset:
 
     items: tuple[str, ...]
     n: int
-    placements: dict[str, tuple[float, ...]] = field(compare=False)
+    placements: dict[str, tuple[float, ...]]
 
     def __post_init__(self):
         if self.n < 1:

@@ -4,10 +4,10 @@
 ``@dataclass(frozen=True, slots=True)`` gave it: an ``__init__`` that
 takes the fields by position or keyword, with the body's defaults, and
 then runs ``__post_init__``; the dataclass ``repr``; ``==`` and ``hash``
-over the fields not declared ``field(compare=False)``; and
-``FrozenInstanceError`` on assigning or deleting an attribute. Unlike a
-dataclass, a record with a dict field hashes: the dict counts by its
-items, as a ``frozenset``, so equal records hash equal.
+over every field; and ``FrozenInstanceError`` on assigning or deleting an
+attribute. Unlike a dataclass, a record with a dict field hashes: the
+dict counts by its items, as a ``frozenset``, so equal records hash
+equal.
 
 The class is rebuilt with ``__slots__``: an instance holds its fields in
 slots and has no ``__dict__`` (so no ``vars()`` and no weak references),
@@ -16,8 +16,10 @@ that the body also gives a default cannot keep it as a class attribute,
 so the defaults live only in ``__init__``. ``__init__`` stores each field
 through its slot's own ``__set__``, and ``__getstate__``/``__setstate__``
 do the same, so that ``pickle`` and ``copy`` get past the frozen
-``__setattr__``. A method that calls ``super()`` with no arguments would
-see the class before it was rebuilt; no record does.
+``__setattr__``; the state is the fields alone, so a copy computes a
+``cached_property`` again on first use. A method that calls ``super()``
+with no arguments would see the class before it was rebuilt; no record
+does.
 
 ``dataclasses`` imports ``inspect`` and builds each method with its own
 ``exec``, which made defining the records most of procomp's import time.
@@ -39,16 +41,6 @@ _INIT_CODES: dict[tuple[int, bool], CodeType] = {}
 
 class FrozenInstanceError(AttributeError):
     """Raised on assigning to or deleting an attribute of a record."""
-
-
-class _Field:
-    def __init__(self, default, compare: bool):
-        self.default, self.compare = default, compare
-
-
-def field(*, default=_MISSING, compare: bool = True):
-    """A field's default, and whether ``==`` and ``hash`` look at it."""
-    return _Field(default, compare)
 
 
 def replace(obj, /, **changes):
@@ -83,17 +75,13 @@ def _hash(self) -> int:
 
 
 def _getstate(self):
-    """The field values, and what a ``cached_property`` has kept, if any."""
-    return tuple(getattr(self, name) for name in self._fields), getattr(self, "__dict__", None)
+    return tuple(getattr(self, name) for name in self._fields)
 
 
-def _setstate(self, state):
-    values, cached = state
+def _setstate(self, values):
     cls = self.__class__
     for name, value in zip(self._fields, values):
         getattr(cls, name).__set__(self, value)
-    if cached:
-        self.__dict__.update(cached)
 
 
 def _init_code(count: int, post_init: bool) -> CodeType:
@@ -113,26 +101,19 @@ def _init_code(count: int, post_init: bool) -> CodeType:
     return code
 
 
-def record(cls=None, /, *, eq: bool = True):
-    """Make ``cls`` a frozen, slotted record; with ``eq=False`` it keeps
-    ``object``'s identity ``==`` and ``hash``."""
-    if cls is None:
-        return lambda cls: record(cls, eq=eq)
+def record(cls):
+    """Make ``cls`` a frozen, slotted record."""
     fields = tuple(cls.__annotations__)
     body = dict(cls.__dict__)
     body.pop("__dict__", None)
     body.pop("__weakref__", None)
-    defaults, compared = [], []
+    defaults = []
     for name in fields:
-        default, compare = body.pop(name, _MISSING), True
-        if isinstance(default, _Field):
-            default, compare = default.default, default.compare
+        default = body.pop(name, _MISSING)
         if default is not _MISSING:
             defaults.append(default)
         elif defaults:
             raise TypeError(f"{cls.__qualname__}: field {name!r} without a default follows one with a default")
-        if compare:
-            compared.append(name)
     cached = any(isinstance(value, cached_property) for value in body.values())
     body["__slots__"] = (*fields, "__dict__") if cached else fields
     body["_fields"] = fields
@@ -143,8 +124,7 @@ def record(cls=None, /, *, eq: bool = True):
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _setattr, _delattr
     cls.__getstate__, cls.__setstate__ = _getstate, _setstate
-    if eq:
-        # attrgetter of one name gives the bare value; the class pads that key to a tuple
-        cls._key = attrgetter(*compared) if len(compared) > 1 else attrgetter(*compared, "__class__")
-        cls.__eq__, cls.__hash__ = _eq, _hash
+    # attrgetter of one name gives the bare value; the class pads that key to a tuple
+    cls._key = attrgetter(*fields) if len(fields) > 1 else attrgetter(*fields, "__class__")
+    cls.__eq__, cls.__hash__ = _eq, _hash
     return cls

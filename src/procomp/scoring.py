@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 from .errors import ScoringError
 from .ett import MetricSource, Perspective, interaction_weight_violations
 from .ranking import weighted_mean_rank
-from .records import field, record
+from .records import record
 
 COMBINED_CONSISTENCY_TOL = 1e-9
 DEFAULT_NOISE_THRESHOLD = 4.0
@@ -102,7 +102,7 @@ class ComprehensionEvaluation:
     w_m: float
     w_r: float
     noise_threshold: float = DEFAULT_NOISE_THRESHOLD
-    flags: tuple[NoiseFlag, ...] = field(default=())
+    flags: tuple[NoiseFlag, ...] = ()
 
     def __post_init__(self):
         for label, value in (("modeler", self.s_m), ("reader", self.s_r), ("combined", self.s_b)):

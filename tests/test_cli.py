@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -372,6 +373,35 @@ def test_jobs_beyond_models_and_cpus_matches_jobs_1(capsys, response_bundle, tmp
     assert outputs[0] == outputs[1]
 
 
+def test_jobs_are_capped_by_the_cpus_this_process_may_use(capsys, response_bundle, tmp_path,
+                                                          monkeypatch):
+    # eight CPUs in the machine, one in this process's affinity
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+ reads the affinity itself
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 1)
+    monkeypatch.setitem(sys.modules, "multiprocessing", None)  # so that importing it fails
+    outputs = []
+    for jobs in ("1", "4"):
+        output = tmp_path / f"jobs-{jobs}.json"
+        code, _, err = run(capsys, *batch_args(response_bundle, FIXTURE_MODELS[:3], "--format",
+                                               "json", "--jobs", jobs, "--output", str(output)))
+        assert code == 0, err
+        outputs.append(output.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_usable_cpus_are_the_process_count_else_the_affinity_else_the_machine(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+    assert cli._usable_cpus() == 3
+    monkeypatch.delattr(os, "process_cpu_count")
+    assert cli._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 8
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
 def test_jobs_below_one_exits_2(response_bundle, jobs):
     with pytest.raises(SystemExit) as exc:
@@ -406,9 +436,12 @@ def test_the_first_broken_model_in_order_is_reported_at_any_jobs(capsys, respons
 
 # run in a fresh interpreter whose workers are forked: `dead-worker` has the worker that
 # scores the model named `copy-9` exit with code 3; `killed` has the main process print
-# its workers' ids and SIGKILL itself once the first entry has arrived
+# its workers' ids and SIGKILL itself once the first entry has arrived; `interrupted` has
+# it send SIGINT to its process group, itself and its workers, once the first entry has
+# arrived, as Ctrl-C in a terminal does, and take it itself half a second later, so that
+# a worker that reacts to it has the time to show that
 WORKER_PROBE = """\
-import multiprocessing, os, signal, sys
+import multiprocessing, os, signal, sys, time
 multiprocessing.set_start_method("fork")
 from procomp import cli
 case, argv = sys.argv[1], sys.argv[2:]
@@ -422,16 +455,24 @@ def killed(*args):
     yield next(entries)
     print(*[p.pid for p in multiprocessing.active_children()], flush=True)
     os.kill(os.getpid(), signal.SIGKILL)
+def interrupted(*args):
+    entries = piped_entries(*args)
+    yield next(entries)
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    os.killpg(os.getpgrp(), signal.SIGINT)
+    time.sleep(0.5)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    yield from entries
 if case == "dead-worker":
     cli._score_entry = dying
-if case == "killed":
-    cli._piped_entries = killed
+if case in ("killed", "interrupted"):
+    cli._piped_entries = globals()[case]
 code = cli.main(argv)
 print(code, len(multiprocessing.active_children()))
 """
 
 needs_forked_workers = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods() or (os.cpu_count() or 1) < 2,
+    "fork" not in multiprocessing.get_all_start_methods() or cli._usable_cpus() < 2,
     reason="needs the fork start method and two CPUs, so that --jobs 2 starts two workers")
 
 
@@ -498,6 +539,53 @@ def test_workers_end_on_their_own_when_score_is_killed(response_bundle, tmp_path
         for pid in filter(_running, workers):
             os.kill(pid, signal.SIGKILL)
         probe.kill()
+        probe.wait(timeout=10)
+
+
+def test_an_interrupted_command_exits_130(capsys, response_bundle, monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "parse_model_file", interrupted)
+    try:
+        result = run(capsys, *score_args(response_bundle))
+    except KeyboardInterrupt:  # which would stop the test run, not fail this test
+        pytest.fail("main let KeyboardInterrupt through")
+    assert result == (130, "", "interrupted\n")
+
+
+def test_workers_start_with_sigint_ignored_on_the_main_thread_alone():
+    handler = signal.getsignal(signal.SIGINT)
+    with cli._sigint_ignored():
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    assert signal.getsignal(signal.SIGINT) is handler
+    # Python sets handlers on the main thread alone: elsewhere the block runs as it is
+    seen = []
+
+    def elsewhere():
+        with cli._sigint_ignored():
+            seen.append(signal.getsignal(signal.SIGINT))
+    thread = threading.Thread(target=elsewhere)
+    thread.start()
+    thread.join(timeout=10)
+    assert seen == [handler]
+
+
+@needs_forked_workers
+def test_ctrl_c_ends_score_with_130_and_no_worker_left(response_bundle, tmp_path):
+    argv, env = worker_probe("interrupted", response_bundle, tmp_path)
+    # a session of its own, so that the probe's SIGINT reaches its group alone
+    probe = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=env, start_new_session=True)
+    try:
+        out, err = probe.communicate(timeout=60)
+        # the workers ignore SIGINT, so no traceback comes from them either
+        assert (probe.returncode, out, err) == (0, "130 0\n", "interrupted\n")
+        assert not (tmp_path / "report.json").exists()
+        with pytest.raises(ProcessLookupError):  # the probe's group is gone: no worker outlived it
+            os.killpg(probe.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(probe.pid, signal.SIGKILL)
         probe.wait(timeout=10)
 
 
@@ -572,7 +660,8 @@ def test_uncovered_questionnaire_metric_is_reported_before_any_model_is_parsed(
     for code, out, err in run_at_jobs(capsys, batch_args(response_bundle, models, "--ett", str(tree))):
         assert (code, out) == (1, "")
         assert err.startswith("validation failure: modeler questionnaire does not fit the tree")
-        assert "uncovered-metric: no question covers metric 'x-modeler-view'" in err
+        # the one issue with no question keeps the plain form
+        assert "\n  uncovered-metric: no question covers metric 'x-modeler-view'\n" in err
 
 
 @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "derived"])
@@ -1035,21 +1124,33 @@ def test_env_config_dir_used_for_defaults(capsys, tmp_path, monkeypatch, respons
     assert code == 0
 
 
-def test_questionnaire_fill_roundtrip(capsys, tmp_path, monkeypatch, reader_schema):
-    answers = make_answers(reader_schema, 3)
+def fill_round_trip(capsys, tmp_path, monkeypatch, schema, name):
+    """``questionnaire fill --schema name`` on answers to ``schema``: its output
+    and the answers it wrote."""
+    answers = make_answers(schema, 3)
     lines = []
-    for question in reader_schema.questions:
+    for question in schema.questions:
         value = answers[question.id]
         lines.append(("y" if value else "n") if isinstance(value, bool) else str(value))
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     output = tmp_path / "responses.json"
     code, out, _ = run(capsys, "questionnaire", "fill",
-                       "--schema", "reader", "--respondent", "r-77",
+                       "--schema", name, "--respondent", "r-77",
                        "--output", str(output))
     assert code == 0
     written = load_responses_file(output)
     assert written.respondent == "r-77"
     assert written.answers == answers
+    return out
+
+
+def test_questionnaire_fill_roundtrip(capsys, tmp_path, monkeypatch, reader_schema):
+    fill_round_trip(capsys, tmp_path, monkeypatch, reader_schema, "reader")
+
+
+def test_questionnaire_fill_modeler_roundtrip(capsys, tmp_path, monkeypatch, modeler_schema):
+    out = fill_round_trip(capsys, tmp_path, monkeypatch, modeler_schema, "modeler")
+    assert out.startswith(f"modeler questionnaire, {len(modeler_schema.questions)} questions\n")
 
 
 def test_questionnaire_fill_prompts(capsys, tmp_path, monkeypatch):
@@ -1136,7 +1237,24 @@ def test_a_question_on_an_unknown_metric_fails_score(capsys, tmp_path, response_
     code, out, err = run(capsys, *score_args(response_bundle, "--schema-modeler", str(schema)))
     assert (code, out) == (1, "")
     assert err.startswith("validation failure: modeler questionnaire does not fit the tree")
-    assert "  unknown-metric: question targets unknown metric 'm-nosuch'\n" in err
+    question_id = document["questions"][0]["id"]
+    assert f"  unknown-metric ({question_id}): question targets unknown metric 'm-nosuch'\n" in err
+
+
+def test_issue_lines_name_their_question(capsys, response_bundle, tmp_path):
+    from procomp.defaults import default_modeler_schema
+    from procomp.questionnaire import QuestionKind
+    questions = default_modeler_schema().questions
+    likert = next(q for q in questions if q.kind is QuestionKind.LIKERT)
+    true_false = next(q for q in questions if q.kind is QuestionKind.TRUE_FALSE)
+    document = json.loads(response_bundle["modeler"].read_text())
+    document["answers"].update({likert.id: 99, true_false.id: 99})
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps(document))
+    code, out, err = run(capsys, *score_args(dict(response_bundle, modeler=answers)))
+    assert (code, out) == (1, "")
+    assert f"  out-of-range ({likert.id}): level 99 outside [1, {likert.levels}]\n" in err
+    assert f"  wrong-type ({true_false.id}): expected true/false, got 99\n" in err
 
 
 def test_a_true_false_question_with_levels_exits_2_naming_its_file(capsys, tmp_path,

@@ -261,3 +261,11 @@ def test_validate_reports_what_scoring_needs_of_a_tree():
         ("error", "perspective-incomplete", "criteria(reader)"),
         ("error", "empty-criterion", "criteria[c2]"),
     ]
+
+
+def test_assign_weights_refuses_a_criterion_with_no_metrics():
+    # build_ett checks no invariant, so the empty criterion reaches the weighting
+    document = default_ett_document()
+    next(c for c in document["criteria"] if c["id"] == "r-representation")["metrics"] = []
+    with pytest.raises(ConfigError, match="^criterion 'r-representation' has no metrics to weight$"):
+        assign_weights(build_ett(document))

@@ -93,6 +93,10 @@ def test_full_range_flag_spreads_over_whole_interval():
     scores = normalize_complexity(registry, full_range=True)
     assert scores["small"] == 10.0
     assert scores["big"] == 1.0
+    # equal norms leave no spread to divide by: every language is as simple as the simplest
+    registry = [descriptor("one", 1, 2, 3), descriptor("other", 3, 2, 1)]
+    assert complexity_score(registry[0]) == complexity_score(registry[1])
+    assert normalize_complexity(registry, full_range=True) == {"one": 10.0, "other": 10.0}
 
 
 def test_empty_registry_rejected():

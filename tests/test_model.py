@@ -780,3 +780,12 @@ def test_normalization_monotonicity_and_range():
 def test_bad_bounds_rejected():
     with pytest.raises(Exception):
         NormalizationSpec(NormalizationKind.LINEAR_CLAMP, 5.0, 5.0)
+
+
+@pytest.mark.parametrize("kinds", [(), (NodeKind.TASK,), (NodeKind.TASK, NodeKind.DATA_OBJECT)],
+                         ids=["empty", "one", "one-flow-node"])
+def test_density_of_at_most_one_flow_node_is_zero(kinds):
+    # with n * (n - 1) = 0 possible flows the ratio is undefined, and density reads 0
+    nodes = tuple(Node(f"n{i}", kind) for i, kind in enumerate(kinds))
+    edges = (Edge("f", "n0", "n1", EdgeKind.SEQUENCE),) if len(nodes) == 2 else ()
+    assert EXTRACTORS["density"](ProcessModelGraph(nodes, edges)) == 0.0

@@ -1,7 +1,9 @@
 import copy
 import multiprocessing
+import os
 import pickle
 import random
+import signal
 
 import pytest
 
@@ -122,19 +124,22 @@ def test_evaluate_model_takes_compile_plan_arguments(config):
         evaluate_model(graph, *config, noise_treshold=5.0)
 
 
-def test_pool_workers_start_under_spawn(config, tmp_path):
-    # spawn (and forkserver, the default from Python 3.14) pickles the plan and
-    # the pipe's write end into a freshly imported interpreter; the error that
-    # stops the worker comes back through the real pipe
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_workers_start_under_every_start_method(config, tmp_path, method):
+    # spawn and forkserver (the Linux default from Python 3.14) pickle the plan
+    # and the pipe's write end into a freshly imported interpreter; the error
+    # that stops the worker comes back through the real pipe. The worker ignores
+    # SIGINT by itself, as a forkserver child has its handlers restored.
     from procomp import cli
     plan = compile_plan(*config)
     broken = tmp_path / "broken.bpmn"
     broken.write_text("<definitions", encoding="utf-8")
     paths = [str(FIXTURES / f"{model}.bpmn") for model in MODELS]
-    context = multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context(method)
     receiver, sender = context.Pipe(duplex=False)
+    inherited = (receiver,) if method == "fork" else ()
     worker = context.Process(target=cli._score_share,
-                             args=(plan, "json", [*paths, str(broken), *paths], sender, ()))
+                             args=(plan, "json", [*paths, str(broken), *paths], sender, inherited))
     worker.start()
     sender.close()
     try:
@@ -142,6 +147,8 @@ def test_pool_workers_start_under_spawn(config, tmp_path):
         for _ in range(len(paths) + 1):
             assert receiver.poll(60)
             parts.append(receiver.recv())
+            if len(parts) == 1:  # the worker is in _score_share: Ctrl-C must not stop it
+                os.kill(worker.pid, signal.SIGINT)
         with pytest.raises(EOFError):  # the worker stops at the error
             receiver.poll(60) and receiver.recv()
         worker.join(60)

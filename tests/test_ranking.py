@@ -72,9 +72,12 @@ def test_rank_exponent_parameter_validation():
 
 
 def test_weight_out_of_range_rejected():
-    for k in (0, 6):
-        with pytest.raises(ValueError):
-            method_weight(DNLOG, 5, k)
+    for kind in MethodKind:
+        for k in (0, 6):
+            with pytest.raises(ValueError, match=rf"^rank k={k} out of range \[1, 5\]$"):
+                method_weight(RankMethod(kind), 5, k)
+    with pytest.raises(ValueError, match=r"^rank k=6 out of range \[1, 5\]$"):
+        dnlog_weight(5, 6, 10.0)
 
 
 def test_every_method_is_positive_and_non_increasing():
@@ -185,6 +188,12 @@ def test_dataset_invariants_enforced():
         SurveyDataset(("a",), 2, {"a": (-0.1, 1.1)})
     with pytest.raises(ConfigError):
         SurveyDataset(("a",), 0, {"a": ()})
+    with pytest.raises(ConfigError, match="^duplicate item ids in survey dataset$"):
+        SurveyDataset(("a", "a"), 2, {"a": (1.0, 0.0)})
+    with pytest.raises(ConfigError, match="^no placements for item 'b'$"):
+        SurveyDataset(("a", "b"), 2, {"a": (1.0, 0.0)})
+    with pytest.raises(ConfigError, match="^item 'a' has 1 placements, expected 2$"):
+        SurveyDataset(("a",), 2, {"a": (1.0,)})
 
 
 def test_placement_sum_is_reported_as_added_left_to_right():

@@ -17,7 +17,9 @@ import pkgutil
 import subprocess
 import sys
 import weakref
+from functools import cached_property
 from pathlib import Path
+from types import MemberDescriptorType
 
 import pytest
 
@@ -96,9 +98,12 @@ def fields_of(record) -> list:
 
 @pytest.mark.parametrize("name", RECORD_CLASSES)
 def test_a_record_keeps_its_fields_in_slots(samples, name):
-    record = samples[RECORD_CLASSES[name]]
-    if name == "bpmn.ProcessModelGraph":  # cached_property keeps the index in it
-        assert set(vars(record)) <= {"index"}
+    cls = RECORD_CLASSES[name]
+    record = samples[cls]
+    assert all(isinstance(vars(cls)[field], MemberDescriptorType) for field in cls._fields)
+    cached = {key for key, value in vars(cls).items() if isinstance(value, cached_property)}
+    if cached:  # a cached_property needs a __dict__, which holds nothing else
+        assert set(vars(record)) <= cached
     else:
         assert not hasattr(record, "__dict__")
         with pytest.raises(TypeError):
@@ -114,8 +119,7 @@ def test_a_copied_record_is_equal_and_frozen(samples, name, clone):
     record = samples[RECORD_CLASSES[name]]
     copied = clone(record)
     assert type(copied) is type(record) and fields_of(copied) == fields_of(record)
-    if name != "bpmn.GraphIndex":  # compared by identity
-        assert copied == record
+    assert copied == record and hash(copied) == hash(record)
     first = record._fields[0]
     with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{first}'"):
         setattr(copied, first, None)
@@ -130,12 +134,10 @@ def small_graph(warnings=()):
 
 
 def test_equal_records_hash_equal(samples):
+    assert set(samples) == set(RECORD_CLASSES.values())
     for record in samples.values():  # every record class hashes
         equal = copy.deepcopy(record)  # equal field by field, and no field shared
-        if isinstance(record, GraphIndex):  # compared by identity, see below
-            assert equal != record and hash(equal) != hash(record)
-        else:
-            assert equal == record and hash(equal) == hash(record)
+        assert equal == record and hash(equal) == hash(record)
     a = MetricResult("m", "M", MetricSource.MODEL_DERIVED, 5.0, raw=3.0)
     b = MetricResult(id="m", name="M", source=MetricSource.MODEL_DERIVED, score=5.0, weight=1.0, raw=3.0)
     assert a == b and hash(a) == hash(b)
@@ -221,22 +223,16 @@ def test_the_constructor_keeps_its_signature_errors_and_post_init(samples, name,
     assert fields_of(rebuilt) == fields_of(record)
 
 
-def test_compare_false_fields_do_not_affect_equality_or_hash():
+def test_warnings_and_placements_count_in_equality_and_hash():
     graph, warned = small_graph(), small_graph(warnings=("dangling flow",))
-    assert graph == warned and hash(graph) == hash(warned)
-    assert warned.warnings == ("dangling flow",)
+    assert graph != warned and hash(graph) != hash(warned)
+    assert warned == small_graph(warnings=("dangling flow",))
+    assert graph.index == warned.index  # the index holds no warnings
     first = SurveyDataset(("a", "b"), 2, {"a": (1.0, 0.0), "b": (0.0, 1.0)})
     second = SurveyDataset(("a", "b"), 2, {"a": (0.5, 0.5), "b": (0.5, 0.5)})
-    assert first == second
-    assert first != SurveyDataset(("b", "a"), 2, first.placements)
-
-
-def test_graph_index_is_compared_by_identity():
-    graph = small_graph()
-    index, rebuilt = graph.index, GraphIndex.of(graph)
-    assert index is graph.index
-    assert index != rebuilt and index == index
-    assert hash(index) == object.__hash__(index)
+    assert first != second and hash(first) != hash(second)
+    reordered = SurveyDataset(("a", "b"), 2, dict(reversed(first.placements.items())))
+    assert first == reordered and hash(first) == hash(reordered)
 
 
 @pytest.mark.parametrize("record, name", [(Node("t", NodeKind.TASK), "kind"), (small_graph(), "nodes"),
@@ -262,6 +258,15 @@ def test_repr_is_the_dataclass_format():
         "RankMethod(kind=<MethodKind.DNLOG: 'dnlog'>, param=10.0)")
 
 
+def test_a_required_field_after_a_defaulted_one_is_refused():
+    message = "[.]Late: field 'required' without a default follows one with a default$"
+    with pytest.raises(TypeError, match=message):
+        @procomp.records.record
+        class Late:
+            defaulted: int = 0
+            required: int
+
+
 def test_construction_errors_name_the_class():
     with pytest.raises(TypeError, match=r"Node.__init__\(\) missing 2 required positional arguments"):
         Node()
@@ -276,13 +281,17 @@ def test_replace_runs_post_init(modeler_schema):
         replace(question, levels=1)
 
 
-def test_pickled_graph_keeps_its_cached_index():
-    graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
+def test_a_copied_graph_builds_its_index_once_on_first_use(monkeypatch):
+    graph = replace(parse_model_file(FIXTURES / "order_fulfillment.bpmn"), warnings=("dangling flow",))
     index = graph.index
-    clone = pickle.loads(pickle.dumps(graph))
-    assert clone == graph and clone.warnings == graph.warnings
-    assert clone.index is clone.index
-    assert clone.index.position == index.position and clone.index.in_degree == index.in_degree
+    built, original = [], GraphIndex.of
+    monkeypatch.setattr(GraphIndex, "of", lambda graph: built.append(graph) or original(graph))
+    for clone in (pickle.loads(pickle.dumps(graph)), copy.copy(graph), copy.deepcopy(graph)):
+        assert clone == graph and hash(clone) == hash(graph) and clone.warnings == graph.warnings
+        assert vars(clone) == {}  # the copy carries the fields alone
+        assert clone.index is clone.index and built[-1] is clone
+        assert clone.index == index and clone.index is not index
+    assert len(built) == 3
 
 
 STARTUP_PROBE = """\

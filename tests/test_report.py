@@ -70,6 +70,13 @@ def test_summary_without_flags_has_explicit_no_noise_line():
     assert "No noise detected" in body
 
 
+def test_summary_lists_only_the_perspectives_that_hold_criteria():
+    modeler_only = replace(reference_evaluation(), criteria=reference_evaluation().criteria[:1])
+    body = render_summary(modeler_only).body
+    assert "  Criterion scores:\n    modeler:\n      Information   5.01\n\n" in body
+    assert "reader:" not in body
+
+
 def test_summary_lists_flags_with_paths(evaluation):
     body = render_summary(evaluation).body
     assert "Noise below threshold 4.00" in body

@@ -100,6 +100,16 @@ def test_empty_criterion_rejected():
         aggregate_criterion([], [])
 
 
+def test_scores_and_weights_of_different_lengths_rejected():
+    with pytest.raises(ScoringError, match="^2 scores vs 1 weights$"):
+        aggregate_criterion([5.0, 6.0], [1.0])
+
+
+def test_perspective_without_criteria_rejected():
+    with pytest.raises(ScoringError, match="^perspective incomplete: no criterion scores$"):
+        perspective_score([], [])
+
+
 def test_nonpositive_weight_rejected():
     with pytest.raises(ScoringError):
         aggregate_criterion([5.0], [0.0])
