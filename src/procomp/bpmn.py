@@ -29,7 +29,7 @@ from xml.parsers import expat
 from .errors import ModelParseError
 from .records import record
 
-LANGUAGE = "BPMN 2.0"  # the language of every graph the parser builds
+LANGUAGE = "BPMN 2.0"  # the scoring language when none is given: the one the parser reads
 
 
 class NodeKind(str, enum.Enum):
@@ -145,7 +145,6 @@ class GraphIndex:
 class ProcessModelGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
-    language: str = LANGUAGE
     warnings: tuple[str, ...] = ()
 
     @cached_property

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import defaults
-from .bpmn import parse_model_file
+from .bpmn import LANGUAGE, parse_model_file
 from .errors import ExtractionError, ProcompError, ResponseError, ScoringError
 from .documents import read_document
 from .ett import build_ett, load_ett_file, validate_ett
@@ -346,7 +346,7 @@ def _cmd_model_inspect(args) -> int:
     graph = parse_model_file(args.model)
     if args.format == "json":
         document = {
-            "language": graph.language,
+            "language": LANGUAGE,
             "nodes": [
                 {"id": n.id, "kind": n.kind.value, "label": n.label, "parent": n.parent}
                 for n in graph.nodes
@@ -360,7 +360,7 @@ def _cmd_model_inspect(args) -> int:
         }
         _emit(json.dumps(document, indent=2) + "\n", args.output)
         return EXIT_OK
-    lines = [f"model: {args.model} ({graph.language})", "", "nodes:"]
+    lines = [f"model: {args.model} ({LANGUAGE})", "", "nodes:"]
     for node in graph.nodes:
         label = f"  {node.label!r}" if node.label else ""
         nested = f"  (in {node.parent})" if node.parent else ""
@@ -463,7 +463,7 @@ def _add_score(sub) -> None:
     score.add_argument("--schema-modeler", help="modeler questionnaire schema file")
     score.add_argument("--schema-reader", help="reader questionnaire schema file")
     score.add_argument("--languages", nargs="+", help="language descriptor file(s)")
-    score.add_argument("--language", help="override the model's language name")
+    score.add_argument("--language", help=f"language to score the model in (default: {LANGUAGE})")
     score.add_argument("--format", default="text",
                        choices=[f.value for f in ReportFormat])
     score.add_argument("--output", help="write the report here instead of stdout")

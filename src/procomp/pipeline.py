@@ -96,25 +96,18 @@ class ScoringPlan:
     criterion that holds only questionnaire metrics is already a result;
     any other is its metrics, the questionnaire and registry ones already
     results (reader scores averaged across respondents) and the
-    model-derived ones still to score. ``language`` is the ``language``
-    the plan was compiled with: None means ``bpmn.LANGUAGE``, and then a
-    graph that declares another language is refused. The plan is plain
-    data, so it can be pickled into worker processes and evaluate any
-    number of models.
+    model-derived ones still to score. The plan is plain data, so it can
+    be pickled into worker processes and evaluate any number of models.
     """
 
     tree: EvaluationTheoryTree
     criteria: tuple[CriterionResult | tuple[MetricResult | QualityMetric, ...], ...]
     noise_threshold: float
-    language: str | None
 
     def evaluate(self, graph: ProcessModelGraph, *, model_id: str = "model") -> ComprehensionEvaluation:
         """Extract, normalize and aggregate what depends on one model, then
         combine and flag; ``compile_plan`` has scored the rest and proved
         that every metric has a value."""
-        if self.language is None and graph.language != LANGUAGE:
-            raise ConfigError(f"model language {graph.language!r} is not {LANGUAGE!r}, "
-                              "the language of a plan compiled without one")
         raw_values = extract_metrics(graph, self.tree)
         criteria_results: list[CriterionResult] = []
         for criterion, planned in zip(self.tree.criteria, self.criteria):
@@ -198,8 +191,7 @@ def compile_plan(
                         for metric in criterion.metrics)
         criteria.append(planned if any(isinstance(m, QualityMetric) for m in planned)
                         else _criterion_result(criterion, planned))
-    return ScoringPlan(tree=tree, criteria=tuple(criteria), noise_threshold=noise_threshold,
-                       language=language)
+    return ScoringPlan(tree=tree, criteria=tuple(criteria), noise_threshold=noise_threshold)
 
 
 def evaluate_model(graph: ProcessModelGraph, *config, model_id: str = "model",
@@ -207,7 +199,5 @@ def evaluate_model(graph: ProcessModelGraph, *config, model_id: str = "model",
     """Run the whole scoring pipeline for one model: ``config`` and
     ``options`` are ``compile_plan``'s arguments (the tree, the registry,
     the modeler and reader responses and the two schemas; then
-    ``noise_threshold``, ``interaction_weights`` and ``language``, which
-    defaults to the graph's own)."""
-    options["language"] = options.get("language") or graph.language
+    ``noise_threshold``, ``interaction_weights`` and ``language``)."""
     return compile_plan(*config, **options).evaluate(graph, model_id=model_id)

@@ -110,12 +110,15 @@ def method_weight(method: RankMethod, n: int, k: int) -> float:
 class SurveyDataset:
     """Aggregated placements: fraction of respondents per (item, rank).
 
-    ``placements[item]`` holds one fraction per rank 1..n and must sum to 1.
+    ``placements[item]`` holds the item's ``(rank, fraction)`` pairs, ranks
+    ascending within 1..n, and its fractions must sum to 1. Pairs with a
+    zero fraction are dropped, so two datasets are equal when their
+    fractions are, whether or not they list the zeros.
     """
 
     items: tuple[str, ...]
     n: int
-    placements: dict[str, tuple[float, ...]]
+    placements: dict[str, tuple[tuple[int, float], ...]]
 
     def __post_init__(self):
         if self.n < 1:
@@ -123,20 +126,23 @@ class SurveyDataset:
         if len(set(self.items)) != len(self.items):
             raise ConfigError("duplicate item ids in survey dataset")
         for item in self.items:
-            ps = self.placements.get(item)
-            if ps is None:
+            pairs = self.placements.get(item)
+            if pairs is None:
                 raise ConfigError(f"no placements for item {item!r}")
-            if len(ps) != self.n:
-                raise ConfigError(
-                    f"item {item!r} has {len(ps)} placements, expected {self.n}"
-                )
-            if any(p < 0 for p in ps):
+            ranks = [rank for rank, _ in pairs]
+            if any(not a < b for a, b in zip(ranks, ranks[1:])):
+                raise ConfigError(f"ranks of item {item!r} are not strictly ascending")
+            if ranks and not 1 <= ranks[0] <= ranks[-1] <= self.n:
+                raise ConfigError(f"item {item!r} has a rank outside [1, {self.n}]")
+            if any(p < 0 for _, p in pairs):
                 raise ConfigError(f"negative placement fraction for item {item!r}")
-            total = left_sum(ps)
+            total = left_sum(p for _, p in pairs)
             if abs(total - 1.0) > PLACEMENT_SUM_TOL:
                 raise ConfigError(
                     f"placements for item {item!r} sum to {total!r}, expected 1"
                 )
+        object.__setattr__(self, "placements", {item: tuple((rank, p) for rank, p in pairs if p)
+                                                for item, pairs in self.placements.items()})
 
 
 def load_survey_csv(path: str | Path) -> SurveyDataset:
@@ -144,7 +150,8 @@ def load_survey_csv(path: str | Path) -> SurveyDataset:
     ConfigError naming the file.
 
     A rank above the number of data rows is refused: a complete table has
-    one row per item and rank, so it never holds one.
+    one row per item and rank, so it never holds one. So is a second row
+    for the same item and rank.
     """
     import csv  # only `survey rank` reads a CSV: import on first use
 
@@ -179,18 +186,18 @@ def _survey_dataset(reader: csv.DictReader) -> SurveyDataset:
         if not 1 <= rank <= len(rows):
             raise ConfigError(f"rank {rank} of item {item!r} is outside [1, {len(rows)}], "
                               "the number of data rows", path=f"line {lineno}")
-    n = max(rank for _, _, rank, _ in rows)
-    items: list[str] = []
-    placements: dict[str, list[float]] = {}
-    for _, item, rank, fraction in rows:
-        if item not in placements:
-            items.append(item)
-            placements[item] = [0.0] * n
-        placements[item][rank - 1] = fraction
+    first_line: dict[tuple[str, int], int] = {}
+    placements: dict[str, list[tuple[int, float]]] = {}
+    for lineno, item, rank, fraction in rows:
+        earlier = first_line.setdefault((item, rank), lineno)
+        if earlier != lineno:
+            raise ConfigError(f"item {item!r} is placed at rank {rank} again, "
+                              f"first at line {earlier}", path=f"line {lineno}")
+        placements.setdefault(item, []).append((rank, fraction))
     return SurveyDataset(
-        items=tuple(items),
-        n=n,
-        placements={item: tuple(ps) for item, ps in placements.items()},
+        items=tuple(placements),
+        n=max(rank for _, _, rank, _ in rows),
+        placements={item: tuple(sorted(pairs)) for item, pairs in placements.items()},
     )
 
 
@@ -208,8 +215,9 @@ def weighted_mean_rank(placements: tuple[float, ...] | list[float],
 def rank_items(dataset: SurveyDataset, method: RankMethod) -> list[tuple[str, float]]:
     """Score every item and order by score descending, ties by item id."""
     weights = [method_weight(method, dataset.n, k) for k in range(1, dataset.n + 1)]
+    total = left_sum(weights)
     scored = [
-        (item, weighted_mean_rank(dataset.placements[item], weights))
+        (item, left_sum(weights[rank - 1] * p for rank, p in dataset.placements[item]) / total)
         for item in dataset.items
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))

@@ -94,10 +94,14 @@ def brute_force_weighted_mean(placements, weights) -> float:
 
 
 def brute_force_ordering(dataset, weights) -> list[tuple[str, float]]:
-    """Score every item with the weighted mean and sort (score desc, id asc)."""
+    """Score every item with the weighted mean over one fraction per rank,
+    zeros included, and sort (score desc, id asc)."""
     scored = []
     for item in dataset.items:
-        scored.append((item, brute_force_weighted_mean(dataset.placements[item], weights)))
+        dense = [0.0] * len(weights)
+        for rank, fraction in dataset.placements[item]:
+            dense[rank - 1] = fraction
+        scored.append((item, brute_force_weighted_mean(dense, weights)))
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
 
@@ -187,10 +191,12 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
                          modeler_schema, reader_schema, *, noise_threshold=4.0,
                          interaction_weights=None, language=None, model_id="model"):
     """Score one model by normalizing and aggregating every metric of the
-    tree, with the registry values of its language computed afresh, as
+    tree, with the registry values of ``language`` (``bpmn.LANGUAGE`` if
+    None) computed afresh, as
     ``ScoringPlan.evaluate`` did before ``compile_plan`` pre-scored the
     config-only parts. Config errors are left to ``compile_plan``."""
     from procomp import replace
+    from procomp.bpmn import LANGUAGE
     from procomp.errors import ConfigError
     from procomp.ett import MetricSource, Perspective, ensure_weighted
     from procomp.languages import control_flow_percentage, normalize_complexity
@@ -210,7 +216,7 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
                                  for key in reader_scores[0]})
 
     raw_values = extract_metrics(graph, tree)
-    language = language or graph.language
+    language = language or LANGUAGE
     by_name = {d.name: d for d in registry}
     if language not in by_name:
         raise ConfigError(f"language {language!r} not registered (known: {', '.join(sorted(by_name))})")

@@ -101,7 +101,7 @@ def test_02_weighted_mean_matches_brute_force_on_1000_datasets():
                 for cut in cuts + [1.0]:
                     fractions.append(cut - previous)
                     previous = cut
-                placements[item] = tuple(fractions)
+                placements[item] = tuple(enumerate(fractions, 1))
             dataset = SurveyDataset(items, n, placements)
             weights = [dnlog_weight(n, k, 10.0) for k in range(1, n + 1)]
             expected = brute_force_ordering(dataset, weights)

@@ -244,6 +244,17 @@ def test_a_bad_survey_row_exits_2_naming_its_line(capsys, tmp_path, row, message
     assert run(capsys, "survey", "rank", path) == (2, "", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("rows, message", [
+    # once the last row silently won: 0.5 + 0.5 passed the sum check, and exit 0
+    ("a,1,0.5\na,1,0.5\na,2,0.5", "line 3: item 'a' is placed at rank 1 again, first at line 2"),
+    ("a,1,1.0\nb,2,1.0\na,1,0.0", "line 4: item 'a' is placed at rank 1 again, first at line 2"),
+], ids=["same-fraction", "later-zero"])
+def test_a_repeated_survey_row_exits_2_naming_both_lines(capsys, tmp_path, rows, message):
+    path = tmp_path / "survey.csv"
+    path.write_text(f"item,rank,fraction\n{rows}\n", encoding="utf-8")
+    assert run(capsys, "survey", "rank", path) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_a_complete_survey_table_is_never_refused(capsys, tmp_path):
     # one item with one row per rank: the highest rank equals the row count
     path = tmp_path / "survey.csv"

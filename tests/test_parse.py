@@ -11,12 +11,14 @@ from __future__ import annotations
 import copy
 import gc
 import random
+import re
 import tracemalloc
 import xml.etree.ElementTree as ElementTree
 
 import pytest
 
 from procomp.bpmn import _CHUNK_BYTES, parse_model, parse_model_file
+from procomp.cli import main
 from procomp.defaults import builtin_language_registry
 from procomp.errors import ModelParseError
 from procomp.pipeline import compile_plan
@@ -114,6 +116,61 @@ def test_parse_rules_hold_on_hand_written_documents(tmp_path):
     document = (f'<definitions xmlns="{BPMN}"><process id="p"><task id="t"/><task id="t"/></process>'
                 '<collaboration id="c"><messageFlow id="m" sourceRef="t"/></collaboration></definitions>')
     assert assert_parsers_agree(document, path) == "messageFlow lacks sourceRef/targetRef (m)"
+
+
+# ---------------------------------------------------------------------------
+# Diagram interchange: the layout every BPMN editor writes next to the model
+
+DI_NAMESPACES = ('xmlns:bpmndi="http://www.omg.org/spec/BPMN/20100524/DI" '
+                 'xmlns:dc="http://www.omg.org/spec/DD/20100524/DC" '
+                 'xmlns:di="http://www.omg.org/spec/DD/20100524/DI"')
+
+
+def diagram(graph) -> str:
+    """A bpmn.io-style ``BPMNDiagram`` of ``graph``: per node a shape with
+    bounds and a label, per flow an edge with three waypoints."""
+    shapes = "".join(
+        f'<bpmndi:BPMNShape id="shape{i}" bpmnElement="{node.id}">'
+        f'<dc:Bounds x="{100 + 150 * i}" y="80" width="100" height="80"/>'
+        f'<bpmndi:BPMNLabel><dc:Bounds x="{105 + 150 * i}" y="165" width="90" height="14"/>'
+        "</bpmndi:BPMNLabel></bpmndi:BPMNShape>" for i, node in enumerate(graph.nodes))
+    edges = "".join(
+        f'<bpmndi:BPMNEdge id="edge{i}" bpmnElement="{edge.id}">'
+        + "".join(f'<di:waypoint x="{200 + 150 * i + 25 * k}" y="120"/>' for k in range(3))
+        + "</bpmndi:BPMNEdge>" for i, edge in enumerate(graph.edges))
+    return (f'<bpmndi:BPMNDiagram id="diagram" {DI_NAMESPACES}><bpmndi:BPMNPlane id="plane">'
+            f"{shapes}{edges}</bpmndi:BPMNPlane></bpmndi:BPMNDiagram>")
+
+
+def with_diagram(document: str, place: str) -> str:
+    """``document`` with its diagram at the end, or before its first process."""
+    at = (document.rindex("</definitions>") if place == "end"
+          else re.search(r"<process[\s>]", document).start())
+    return document[:at] + diagram(parse_model(document)) + document[at:]
+
+
+def test_a_diagram_at_the_end_or_before_a_process_changes_no_graph():
+    documents = [(FIXTURES / f"{name}.bpmn").read_text(encoding="utf-8") for name in FIXTURE_NAMES]
+    rng = random.Random(35)
+    documents += [random_bpmn_document(rng) for _ in range(200)]
+    for document in documents:
+        graph = parse_model(document)
+        for place in ("end", "before-process"):
+            laid_out = with_diagram(document, place)
+            assert laid_out.count("<bpmndi:BPMNShape ") == len(graph.nodes)
+            assert parse_model(laid_out) == graph
+
+
+def test_a_diagram_changes_no_byte_of_model_inspect(capsys, tmp_path):
+    document = (FIXTURES / "order_fulfillment.bpmn").read_text(encoding="utf-8")
+    outputs = []
+    for text in (document, with_diagram(document, "end"), with_diagram(document, "before-process")):
+        path = tmp_path / "order_fulfillment.bpmn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["model", "inspect", str(path), "--format", "json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out and not outputs[0].err
+    assert outputs[1] == outputs[2] == outputs[0]
 
 
 def test_unreadable_files_fail_with_the_os_error(tmp_path):

@@ -24,6 +24,14 @@ DNLOG = RankMethod(MethodKind.DNLOG)
 RANK_SUM = RankMethod(MethodKind.RANK_SUM)
 
 
+def dense(dataset, item):
+    """The item's fractions, one per rank 1..n, zeros included."""
+    fractions = [0.0] * dataset.n
+    for rank, fraction in dataset.placements[item]:
+        fractions[rank - 1] = fraction
+    return fractions
+
+
 def random_dataset(rng, max_items=8, max_ranks=6):
     n = rng.randint(1, max_ranks)
     items = [f"item-{i}" for i in range(rng.randint(1, max_items))]
@@ -35,7 +43,7 @@ def random_dataset(rng, max_items=8, max_ranks=6):
         for cut in cuts + [1.0]:
             fractions.append(cut - previous)
             previous = cut
-        placements[item] = tuple(fractions)
+        placements[item] = tuple(enumerate(fractions, 1))
     rng.randint(1, 200)  # the draw of the dropped respondent count, kept so the datasets stay the same
     return SurveyDataset(tuple(items), n, placements)
 
@@ -142,8 +150,9 @@ def test_weight_scale_invariance():
         item = dataset.items[0]
         weights = [dnlog_weight(dataset.n, k, 10.0) for k in range(1, dataset.n + 1)]
         scale = rng.uniform(0.01, 100.0)
-        base = weighted_mean_rank(dataset.placements[item], weights)
-        scaled = weighted_mean_rank(dataset.placements[item], [scale * w for w in weights])
+        fractions = dense(dataset, item)
+        base = weighted_mean_rank(fractions, weights)
+        scaled = weighted_mean_rank(fractions, [scale * w for w in weights])
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -152,7 +161,7 @@ def test_weight_scale_invariance():
 
 
 def test_dominant_item_wins_under_every_method():
-    placements = {"always-first": (1.0, 0.0), "always-second": (0.0, 1.0)}
+    placements = {"always-first": ((1, 1.0),), "always-second": ((2, 1.0),)}
     dataset = SurveyDataset(("always-first", "always-second"), 2, placements)
     for method in default_methods():
         assert rank_items(dataset, method)[0][0] == "always-first"
@@ -164,7 +173,7 @@ def test_empty_item_list_gives_empty_result():
 
 
 def test_ties_break_by_item_id():
-    placements = {"b": (0.5, 0.5), "a": (0.5, 0.5), "c": (1.0, 0.0)}
+    placements = {"b": ((1, 0.5), (2, 0.5)), "a": ((1, 0.5), (2, 0.5)), "c": ((1, 1.0),)}
     dataset = SurveyDataset(("b", "a", "c"), 2, placements)
     assert [item for item, _ in rank_items(dataset, DNLOG)] == ["c", "a", "b"]
 
@@ -181,25 +190,65 @@ def test_ordering_matches_brute_force_on_random_datasets():
             assert abs(got - want) <= 1e-9
 
 
+def test_ranking_is_bit_identical_to_a_dense_oracle_on_random_tables(tmp_path):
+    # each item is placed at some of the ranks; of the others, the table lists
+    # some as zero rows and omits the rest, and the rows come shuffled
+    rng = random.Random(29)
+    listed, omitted = tmp_path / "listed.csv", tmp_path / "omitted.csv"
+    methods = [*default_methods(), RankMethod(MethodKind.DNLOG, 3.0),
+               RankMethod(MethodKind.RANK_EXPONENT, 0.5)]
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        dense: dict[str, list[float]] = {}
+        rows, zero_rows = [], []
+        for i in range(rng.randint(1, 8)):
+            # the first item is placed at every rank, so no table holds fewer rows than ranks
+            ranks = sorted(rng.sample(range(1, n + 1), rng.randint(1, n) if i else n))
+            cuts = sorted(rng.random() for _ in ranks[1:])
+            dense[f"item-{i}"] = fractions = [0.0] * n
+            for rank, low, high in zip(ranks, [0.0, *cuts], [*cuts, 1.0]):
+                fractions[rank - 1] = high - low
+                rows.append(f"item-{i},{rank},{high - low!r}")
+            zero_rows += [f"item-{i},{rank},0.0" for rank in range(1, n + 1)
+                          if rank not in ranks and rng.random() < 0.5]
+        table = rows + zero_rows
+        rng.shuffle(table)
+        for path, lines in ((listed, table), (omitted, [row for row in table if row not in zero_rows])):
+            path.write_text("item,rank,fraction\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        dataset, without_zeros = load_survey_csv(listed), load_survey_csv(omitted)
+        assert dataset.items == tuple(dict.fromkeys(row.split(",")[0] for row in table))
+        assert (dataset.n, dataset.placements) == (without_zeros.n, without_zeros.placements)
+        assert all(all(p for _, p in pairs) for pairs in dataset.placements.values())
+        for method in methods:
+            weights = [method_weight(method, n, k) for k in range(1, n + 1)]
+            expected = sorted(((item, brute_force_weighted_mean(fractions, weights))
+                               for item, fractions in dense.items()), key=lambda pair: (-pair[1], pair[0]))
+            assert rank_items(dataset, method) == expected
+
+
 def test_dataset_invariants_enforced():
     with pytest.raises(ConfigError):
-        SurveyDataset(("a",), 2, {"a": (0.7, 0.2)})  # sums to 0.9
+        SurveyDataset(("a",), 2, {"a": ((1, 0.7), (2, 0.2))})  # sums to 0.9
     with pytest.raises(ConfigError):
-        SurveyDataset(("a",), 2, {"a": (-0.1, 1.1)})
+        SurveyDataset(("a",), 2, {"a": ((1, -0.1), (2, 1.1))})
     with pytest.raises(ConfigError):
         SurveyDataset(("a",), 0, {"a": ()})
     with pytest.raises(ConfigError, match="^duplicate item ids in survey dataset$"):
-        SurveyDataset(("a", "a"), 2, {"a": (1.0, 0.0)})
+        SurveyDataset(("a", "a"), 2, {"a": ((1, 1.0),)})
     with pytest.raises(ConfigError, match="^no placements for item 'b'$"):
-        SurveyDataset(("a", "b"), 2, {"a": (1.0, 0.0)})
-    with pytest.raises(ConfigError, match="^item 'a' has 1 placements, expected 2$"):
-        SurveyDataset(("a",), 2, {"a": (1.0,)})
+        SurveyDataset(("a", "b"), 2, {"a": ((1, 1.0),)})
+    for pairs in (((2, 0.5), (1, 0.5)), ((1, 0.5), (1, 0.5))):
+        with pytest.raises(ConfigError, match="^ranks of item 'a' are not strictly ascending$"):
+            SurveyDataset(("a",), 2, {"a": pairs})
+    for rank in (0, 3):
+        with pytest.raises(ConfigError, match=r"^item 'a' has a rank outside \[1, 2\]$"):
+            SurveyDataset(("a",), 2, {"a": ((rank, 1.0),)})
 
 
 def test_placement_sum_is_reported_as_added_left_to_right():
     # sum() from Python 3.12 on gives 0.6 here
     with pytest.raises(ConfigError, match=r"sum to 0\.6000000000000001, expected 1"):
-        SurveyDataset(("a",), 3, {"a": (0.1, 0.2, 0.3)})
+        SurveyDataset(("a",), 3, {"a": ((1, 0.1), (2, 0.2), (3, 0.3))})
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +301,7 @@ def test_csv_roundtrip(tmp_path):
     dataset = load_survey_csv(path)
     assert dataset.items == ("information", "errors", "person")
     assert dataset.n == 3
-    assert dataset.placements["errors"] == (0.25, 0.5, 0.25)
+    assert dataset.placements["errors"] == ((1, 0.25), (2, 0.5), (3, 0.25))
 
 
 def test_csv_missing_columns_rejected(tmp_path):

@@ -77,7 +77,7 @@ def samples(ett, modeler_schema, reader_schema):
                         [make_responses(reader_schema, "r-1", 0)], modeler_schema, reader_schema)
     graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
     evaluation = plan.evaluate(graph, model_id="order_fulfillment")
-    survey = SurveyDataset(("a", "b"), 2, {"a": (0.75, 0.25), "b": (0.25, 0.75)})
+    survey = SurveyDataset(("a", "b"), 2, {"a": ((1, 0.75), (2, 0.25)), "b": ((1, 0.25), (2, 0.75))})
     responses = ResponseSet("m-2", modeler_schema.version, {})  # every answer missing
     return reachable_records(
         plan, graph, graph.index, evaluation, export(evaluation, "json"), registry,
@@ -161,7 +161,7 @@ SIGNATURES = {
     "bpmn.Edge": "(id, source, target, kind)",
     "bpmn.GraphIndex": "(flow_nodes, position, gateways, sequence_edges, in_degree, out_degree, kind_counts)",
     "bpmn.Node": "(id, kind, label='', parent=None)",
-    "bpmn.ProcessModelGraph": "(nodes, edges, language='BPMN 2.0', warnings=())",
+    "bpmn.ProcessModelGraph": "(nodes, edges, warnings=())",
     "ett.EvaluationTheoryTree": "(version, criteria, survey_d=10.0, interaction_weights=(0.156, 0.844))",
     "ett.NormalizationSpec": "(kind, lo=None, hi=None)",
     "ett.QualityCriterion": "(id, name, perspective, rank, metrics, weight=None)",
@@ -173,7 +173,7 @@ SIGNATURES = {
     "languages.LanguageDescriptor": "(name, elements, characteristics, relations, patterns)",
     "languages.PatternEntry": "(id, type, support, name='')",
     "languages.PatternSupportTable": "(entries, catalog_sizes)",
-    "pipeline.ScoringPlan": "(tree, criteria, noise_threshold, language)",
+    "pipeline.ScoringPlan": "(tree, criteria, noise_threshold)",
     "questionnaire.Question": "(id, text, kind, metric_id, levels=None, "
                               "polarity=<QuestionPolarity.POSITIVE: 'positive'>)",
     "questionnaire.QuestionnaireSchema": "(version, perspective, questions)",
@@ -228,11 +228,13 @@ def test_warnings_and_placements_count_in_equality_and_hash():
     assert graph != warned and hash(graph) != hash(warned)
     assert warned == small_graph(warnings=("dangling flow",))
     assert graph.index == warned.index  # the index holds no warnings
-    first = SurveyDataset(("a", "b"), 2, {"a": (1.0, 0.0), "b": (0.0, 1.0)})
-    second = SurveyDataset(("a", "b"), 2, {"a": (0.5, 0.5), "b": (0.5, 0.5)})
+    first = SurveyDataset(("a", "b"), 2, {"a": ((1, 1.0),), "b": ((2, 1.0),)})
+    second = SurveyDataset(("a", "b"), 2, {"a": ((1, 0.5), (2, 0.5)), "b": ((1, 0.5), (2, 0.5))})
     assert first != second and hash(first) != hash(second)
     reordered = SurveyDataset(("a", "b"), 2, dict(reversed(first.placements.items())))
     assert first == reordered and hash(first) == hash(reordered)
+    zeros_listed = SurveyDataset(("a", "b"), 2, {"a": ((1, 1.0), (2, 0.0)), "b": ((1, 0.0), (2, 1.0))})
+    assert first == zeros_listed and hash(first) == hash(zeros_listed)
 
 
 @pytest.mark.parametrize("record, name", [(Node("t", NodeKind.TASK), "kind"), (small_graph(), "nodes"),

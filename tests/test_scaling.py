@@ -1,0 +1,176 @@
+"""No layer may cost more than near-linearly in the size of its input.
+
+Cost is counted, not timed: ``sys.settrace`` line events for the model
+layers and the ``tracemalloc`` peak for survey ranking. Both are exact and
+do not depend on the host, but their absolute values change between Python
+versions, so the gate bounds the ratio between sizes: each 4x step in size
+may cost at most ``STEP_BOUND`` times as much. A layer that fails it is a
+defect to mend, not a bound to loosen.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import tracemalloc
+
+import pytest
+
+from procomp.bpmn import parse_model
+from procomp.defaults import builtin_language_registry
+from procomp.metrics import EXTRACTORS
+from procomp.pipeline import compile_plan
+from procomp.ranking import MethodKind, RankMethod, load_survey_csv, rank_items
+from procomp.report import export
+
+from conftest import make_responses
+
+STEP_BOUND = 4.6
+SIZES = (1, 4, 16)  # in segments or spokes, each about 40 flow nodes
+
+
+def _document(processes: str) -> bytes:
+    return ('<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d">'
+            f'<process id="p">{processes}</process></definitions>').encode()
+
+
+def _flows(pairs: list[tuple[str, str]]) -> str:
+    return "".join(f'<sequenceFlow id="f{i}" sourceRef="{a}" targetRef="{b}"/>'
+                   for i, (a, b) in enumerate(pairs))
+
+
+def nested_block_chain(size: int) -> bytes:
+    """A sequence of 4 * size segments, about 10 flow nodes each: an exclusive
+    block whose one branch is a parallel block of two tasks and whose other is
+    a sub-process holding a labeled task."""
+    elements, pairs, previous = ['<startEvent id="s"/>'], [], "s"
+    for i in range(4 * size):
+        elements.append(
+            f'<exclusiveGateway id="xs{i}"/><exclusiveGateway id="xj{i}"/>'
+            f'<parallelGateway id="as{i}"/><parallelGateway id="aj{i}"/>'
+            f'<task id="ta{i}" name="Check {i}"/><task id="tb{i}"/>'
+            f'<subProcess id="sp{i}" name="Handle {i}"><startEvent id="ss{i}"/>'
+            f'<task id="st{i}" name="Do {i}"/><endEvent id="se{i}"/>'
+            f'<sequenceFlow id="sf{i}a" sourceRef="ss{i}" targetRef="st{i}"/>'
+            f'<sequenceFlow id="sf{i}b" sourceRef="st{i}" targetRef="se{i}"/></subProcess>')
+        pairs += [(previous, f"xs{i}"), (f"xs{i}", f"as{i}"), (f"as{i}", f"ta{i}"),
+                  (f"as{i}", f"tb{i}"), (f"ta{i}", f"aj{i}"), (f"tb{i}", f"aj{i}"),
+                  (f"aj{i}", f"xj{i}"), (f"xs{i}", f"sp{i}"), (f"sp{i}", f"xj{i}")]
+        previous = f"xj{i}"
+    elements.append('<endEvent id="e"/>')
+    return _document("".join(elements) + _flows(pairs + [(previous, "e")]))
+
+
+def wide_star(size: int) -> bytes:
+    """One parallel split into 40 * size - 4 tasks, all closed by one join."""
+    spokes = 40 * size - 4
+    elements = ['<startEvent id="s"/><parallelGateway id="split"/>'
+                '<parallelGateway id="join"/><endEvent id="e"/>']
+    pairs = [("s", "split"), ("join", "e")]
+    for i in range(spokes):
+        elements.append(f'<task id="t{i}" name="Task {i}"/>')
+        pairs += [("split", f"t{i}"), (f"t{i}", "join")]
+    return _document("".join(elements) + _flows(pairs))
+
+
+SHAPES = {"nested-block-chain": nested_block_chain, "wide-star": wide_star}
+
+
+def line_events(call) -> int:
+    """The number of line events that ``call()`` runs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def assert_near_linear(costs: list[int], what: str) -> None:
+    for smaller, larger in zip(costs, costs[1:]):
+        assert larger <= STEP_BOUND * smaller, f"{what}: {costs}, more than {STEP_BOUND}x per 4x step"
+
+
+@pytest.fixture(scope="module")
+def plan(ett, modeler_schema, reader_schema):
+    return compile_plan(ett, builtin_language_registry(), make_responses(modeler_schema, "m-1", 1),
+                        [make_responses(reader_schema, "r-1", 0)], modeler_schema, reader_schema)
+
+
+@pytest.fixture(scope="module", params=SHAPES)
+def documents(request):
+    return request.param, [SHAPES[request.param](size) for size in SIZES]
+
+
+def test_the_shapes_have_about_40_160_and_640_flow_nodes(documents):
+    shape, docs = documents
+    counts = [len(parse_model(doc).flow_nodes()) for doc in docs]
+    assert counts == {"nested-block-chain": [42, 162, 642], "wide-star": [40, 160, 640]}[shape]
+
+
+def test_parse_is_near_linear(documents):
+    shape, docs = documents
+    assert_near_linear([line_events(lambda: parse_model(doc)) for doc in docs], f"parse {shape}")
+
+
+@pytest.mark.parametrize("key", ["graph-index", *EXTRACTORS])
+def test_each_extractor_is_near_linear_on_a_fresh_graph(documents, key):
+    # the graph is fresh, so its index is built on first use and counted too
+    shape, docs = documents
+    costs = []
+    for doc in docs:
+        graph = parse_model(doc)
+        extract = (lambda: graph.index) if key == "graph-index" else (lambda: EXTRACTORS[key](graph))
+        costs.append(line_events(extract))
+    assert_near_linear(costs, f"{key} on {shape}")
+
+
+def test_plan_evaluate_and_both_exports_are_near_linear(documents, plan):
+    shape, docs = documents
+    costs: dict[str, list[int]] = {"evaluate": [], "json": [], "csv": []}
+    for doc in docs:
+        graph = parse_model(doc)
+        evaluation = None
+
+        def evaluate():
+            nonlocal evaluation
+            evaluation = plan.evaluate(graph, model_id=shape)
+
+        costs["evaluate"].append(line_events(evaluate))
+        for fmt in ("json", "csv"):
+            costs[fmt].append(line_events(lambda: export(evaluation, fmt)))
+    for step, counts in costs.items():
+        assert_near_linear(counts, f"{step} on {shape}")
+
+
+def survey_table(rows: int) -> str:
+    """``rows - 1`` items placed only at rank 1, and one placed only at rank
+    ``rows``: the highest rank the row count allows."""
+    return ("item,rank,fraction\n" + "".join(f"i{j},1,1.0\n" for j in range(rows - 1))
+            + f"last,{rows},1.0\n")
+
+
+def test_survey_ranking_memory_is_near_linear_in_rows(tmp_path):
+    import csv  # noqa: F401  -- loaded on first use: keep the import out of the peaks
+    peaks = []
+    for rows in (250, 1_000, 4_000):
+        path = tmp_path / f"survey-{rows}.csv"
+        path.write_text(survey_table(rows), encoding="utf-8")
+        gc.collect()  # empties the free lists, so no size reuses what an earlier one freed
+        tracemalloc.start()
+        try:
+            ranked = rank_items(load_survey_csv(path), RankMethod(MethodKind.DNLOG))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == rows and ranked[0][0] == "i0"
+    assert_near_linear(peaks, "load_survey_csv + rank_items peak bytes")
