@@ -27,6 +27,7 @@ from .defaults import (
 from .errors import (
     ConfigError,
     ExtractionError,
+    Finding,
     ModelParseError,
     ProcompError,
     ResponseError,

@@ -298,9 +298,10 @@ def _cmd_ett_validate(args) -> int:
     # built without load_ett's invariant checks, so that every violation is reported
     tree = _config(args.ett, "ett.json", lambda path: read_document(path, build_ett),
                    defaults.default_ett)
-    report = validate_ett(tree)
-    print(report.render())
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    findings = validate_ett(tree)
+    print("\n".join(f"{f.severity}: [{f.code}] {f.path}: {f.message}" for f in findings)
+          or "tree is valid")
+    return EXIT_VALIDATION if any(f.severity == "error" for f in findings) else EXIT_OK
 
 
 def _cmd_survey_rank(args) -> int:
@@ -585,11 +586,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ResponseError, ScoringError, ExtractionError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
-        report = getattr(exc, "report", None)
-        if report:
-            for issue in report:
-                question = f" ({issue.question_id})" if issue.question_id else ""
-                print(f"  {issue.code}{question}: {issue.message}", file=sys.stderr)
+        for finding in getattr(exc, "report", ()):
+            path = f" ({finding.path})" if finding.path else ""
+            print(f"  {finding.code}{path}: {finding.message}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ProcompError, ValueError, OSError) as exc:  # config and model errors among them
         print(f"error: {exc}", file=sys.stderr)

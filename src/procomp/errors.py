@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .records import record
+
 
 class ProcompError(Exception):
     """Base class for all errors raised by this package."""
@@ -41,12 +43,24 @@ class ExtractionError(ProcompError):
         return (ExtractionError, (self.metric_ids,))
 
 
-class ResponseError(ProcompError):
-    """A response set failed validation; carries the validation report."""
+@record
+class Finding:
+    """One problem a check found in the config: ``code`` names the rule,
+    ``path`` the place (a tree path or a question id, empty for none)."""
 
-    def __init__(self, message: str, report=None):
+    code: str
+    path: str
+    message: str
+    severity: str = "error"  # "error" | "warning"
+
+
+class ResponseError(ProcompError):
+    """Responses or a questionnaire schema failed validation; ``report``
+    holds the findings, whose count ends the message."""
+
+    def __init__(self, message: str, report: tuple[Finding, ...] = ()):
         self.report = report
-        super().__init__(message)
+        super().__init__(f"{message} ({len(report)} issue(s))" if report else message)
 
 
 class ScoringError(ProcompError):

@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 
 from .documents import read_document, read_field
-from .errors import ConfigError
+from .errors import ConfigError, Finding
 from .ranking import dnlog_weight
 from .records import record, replace
 
@@ -206,19 +206,25 @@ def build_ett(document: dict) -> EvaluationTheoryTree:
                                 interaction_weights=(w_m, w_r))
 
 
+def _sibling_groups(tree: EvaluationTheoryTree):
+    """Each group of ranked siblings, as (rank rule code, path, siblings)."""
+    for perspective in Perspective:
+        yield "criterion-rank-permutation", f"criteria({perspective.value})", tree.criteria_for(perspective)
+    for criterion in tree.criteria:
+        yield "rank-permutation", f"criteria[{criterion.id}].metrics", criterion.metrics
+
+
 def _tree_violations(tree: EvaluationTheoryTree):
-    """Every broken structural invariant of a tree, as (code, path, message).
+    """Every broken structural invariant of a tree, as findings.
 
     Sibling ranks must be permutations of 1..n, criterion and metric ids
     must be unique, and weights, where present, must be finite and > 0.
     """
-    ranked = [("criterion-rank-permutation", f"criteria({p.value})", tree.criteria_for(p))
-              for p in Perspective]
-    ranked += [("rank-permutation", f"criteria[{c.id}].metrics", c.metrics) for c in tree.criteria]
-    for code, path, siblings in ranked:
+    for code, path, siblings in _sibling_groups(tree):
         ranks = sorted(s.rank for s in siblings)
         if ranks != list(range(1, len(ranks) + 1)):
-            yield code, path, f"rank permutation violation: ranks {ranks} are not a permutation of 1..{len(ranks)}"
+            yield Finding(code, path, f"rank permutation violation: ranks {ranks} "
+                                      f"are not a permutation of 1..{len(ranks)}")
     first_seen: dict[tuple[str, str], str] = {}
     for criterion in tree.criteria:
         cpath = f"criteria[{criterion.id}]"
@@ -226,18 +232,20 @@ def _tree_violations(tree: EvaluationTheoryTree):
         nodes += [("metric", m, f"{cpath}.metrics[{m.id}]") for m in criterion.metrics]
         for kind, node, path in nodes:
             if (kind, node.id) in first_seen:
-                yield (f"duplicate-{kind}-id", path,
-                       f"duplicate {kind} id {node.id!r} (also at {first_seen[kind, node.id]})")
+                yield Finding(f"duplicate-{kind}-id", path,
+                              f"duplicate {kind} id {node.id!r} (also at {first_seen[kind, node.id]})")
             first_seen.setdefault((kind, node.id), path)
             if node.weight is not None and not 0 < node.weight < math.inf:
                 rule = "finite" if node.weight == math.inf else "> 0"
-                yield "nonpositive-weight", f"{path}.weight", f"weight must be {rule}, got {node.weight!r}"
+                yield Finding("nonpositive-weight", f"{path}.weight",
+                              f"weight must be {rule}, got {node.weight!r}")
 
 
 def scoring_violations(tree: EvaluationTheoryTree):
-    """Why a tree, however well formed, cannot be scored, as (code, path, message):
+    """Why a tree, however well formed, cannot be scored, as findings:
     interaction weights that are negative or do not sum to 1, a survey_d of at
-    most 1 or of inf while some weight is still to be derived, a perspective
+    most 1 or of inf while some weight is still to be derived, a sibling group
+    whose weighted sum of scores up to 10 would overflow a float, a perspective
     without criteria, a criterion without metrics, and a binding to an unknown
     extractor or registry value.
 
@@ -248,15 +256,23 @@ def scoring_violations(tree: EvaluationTheoryTree):
     yield from interaction_weight_violations(*tree.interaction_weights)
     if not 1 < tree.survey_d < math.inf and not tree.fully_weighted():
         rule = "finite" if tree.survey_d == math.inf else "> 1"
-        yield "survey-d-range", "survey_d", f"survey_d must be {rule}, got {tree.survey_d}"
+        yield Finding("survey-d-range", "survey_d", f"survey_d must be {rule}, got {tree.survey_d}")
+    # a derived weight is at most survey_d; a weight out of range is reported elsewhere
+    d = tree.survey_d if 1 < tree.survey_d < math.inf else 0.0
+    for _code, path, siblings in _sibling_groups(tree):
+        weights = [d if s.weight is None else s.weight for s in siblings]
+        largest = max((w for w in weights if 0 < w < math.inf), default=0.0)
+        if 10.0 * len(siblings) * largest == math.inf:
+            yield Finding("weight-overflow", path, f"weights of {path} up to {largest} overflow "
+                                                   f"a weighted sum of {len(siblings)} scores up to 10")
     for perspective in Perspective:
         if not tree.criteria_for(perspective):
-            yield ("perspective-incomplete", f"criteria({perspective.value})",
-                   f"perspective incomplete: no {perspective.value} criteria")
+            yield Finding("perspective-incomplete", f"criteria({perspective.value})",
+                          f"perspective incomplete: no {perspective.value} criteria")
     for criterion in tree.criteria:
         if not criterion.metrics:
-            yield ("empty-criterion", f"criteria[{criterion.id}]",
-                   f"criterion unscored: {criterion.id!r} holds no metrics")
+            yield Finding("empty-criterion", f"criteria[{criterion.id}]",
+                          f"criterion unscored: {criterion.id!r} holds no metrics")
     bindings = ((MetricSource.MODEL_DERIVED, EXTRACTORS, "unknown-extractor", "extractor {!r}"),
                 (MetricSource.LANGUAGE_REGISTRY, REGISTRY_BINDINGS, "unknown-registry-value",
                  "registry value {!r} (known: " + ", ".join(REGISTRY_BINDINGS) + ")"))
@@ -264,8 +280,9 @@ def scoring_violations(tree: EvaluationTheoryTree):
         for criterion in tree.criteria:
             for metric in criterion.metrics:
                 if metric.source is source and metric.binding_key not in known:
-                    yield (code, f"criteria[{criterion.id}].metrics[{metric.id}].binding",
-                           f"metric {metric.id!r} binds to unknown " + unknown.format(metric.binding_key))
+                    yield Finding(code, f"criteria[{criterion.id}].metrics[{metric.id}].binding",
+                                  f"metric {metric.id!r} binds to unknown "
+                                  + unknown.format(metric.binding_key))
 
 
 def load_ett(document: dict) -> EvaluationTheoryTree:
@@ -274,8 +291,8 @@ def load_ett(document: dict) -> EvaluationTheoryTree:
     Weights are optional; absent weights are derived later by assign_weights.
     """
     tree = build_ett(document)
-    for _code, path, message in _tree_violations(tree):
-        raise ConfigError(message, path=path)
+    for finding in _tree_violations(tree):
+        raise ConfigError(finding.message, path=finding.path)
     return tree
 
 
@@ -333,62 +350,30 @@ def ensure_weighted(tree: EvaluationTheoryTree) -> EvaluationTheoryTree:
 
 def interaction_weight_violations(w_m: float, w_r: float):
     """How a (modeler, reader) pair of interaction weights breaks the rule
-    that both are >= 0 and sum to 1, as (code, path, message)."""
+    that both are >= 0 and sum to 1, as findings."""
     # written so that a NaN weight fails every comparison and is reported
     if not abs(w_m + w_r - 1.0) <= INTERACTION_SUM_TOL:
-        yield ("interaction-weights-sum", "interaction_weights",
-               f"interaction weights must sum to 1, got {w_m} + {w_r}")
+        yield Finding("interaction-weights-sum", "interaction_weights",
+                      f"interaction weights must sum to 1, got {w_m} + {w_r}")
     if not (w_m >= 0 and w_r >= 0):
-        yield ("interaction-weights-range", "interaction_weights",
-               f"interaction weights must be >= 0, got ({w_m}, {w_r})")
+        yield Finding("interaction-weights-range", "interaction_weights",
+                      f"interaction weights must be >= 0, got ({w_m}, {w_r})")
 
 
-@record
-class ValidationEntry:
-    severity: str  # "error" | "warning"
-    code: str
-    path: str
-    message: str
-
-
-@record
-class ValidationReport:
-    entries: tuple[ValidationEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not any(e.severity == "error" for e in self.entries)
-
-    @property
-    def empty(self) -> bool:
-        return not self.entries
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def render(self) -> str:
-        if self.empty:
-            return "tree is valid"
-        return "\n".join(f"{e.severity}: [{e.code}] {e.path}: {e.message}" for e in self.entries)
-
-
-def validate_ett(tree: EvaluationTheoryTree) -> ValidationReport:
+def validate_ett(tree: EvaluationTheoryTree) -> tuple[Finding, ...]:
     """Every invariant violation of an already-constructed tree.
 
     scoring_violations and structural violations are errors; non-canonical
     catalog shapes (metric counts differing from the shipped 96 = 54 + 42)
     are warnings only, since the catalog is meant to be extended.
     """
-    entries = [ValidationEntry("error", *error)
-               for error in (*scoring_violations(tree), *_tree_violations(tree))]
-
+    findings = (*scoring_violations(tree), *_tree_violations(tree))
     total = tree.metric_count()
     modeler = tree.metric_count(Perspective.MODELER)
     reader = tree.metric_count(Perspective.READER)
     if (total, modeler, reader) != (CANONICAL_TOTAL, CANONICAL_MODELER, CANONICAL_READER):
-        entries.append(ValidationEntry(
-            "warning", "non-canonical-metric-count", "criteria",
-            f"catalog holds {total} metrics ({modeler} modeler / {reader} reader); "
-            f"the shipped default holds {CANONICAL_TOTAL} "
-            f"({CANONICAL_MODELER} / {CANONICAL_READER})"))
-    return ValidationReport(tuple(entries))
+        findings += (Finding("non-canonical-metric-count", "criteria",
+                             f"catalog holds {total} metrics ({modeler} modeler / {reader} reader); "
+                             f"the shipped default holds {CANONICAL_TOTAL} "
+                             f"({CANONICAL_MODELER} / {CANONICAL_READER})", "warning"),)
+    return findings

@@ -160,27 +160,24 @@ def compile_plan(
     replace the tree's."""
     if interaction_weights is not None:
         tree = replace(tree, interaction_weights=interaction_weights)
-    for _code, _path, message in scoring_violations(tree):
-        raise ScoringError(message)
+    for finding in scoring_violations(tree):
+        raise ScoringError(finding.message)
     if not reader_responses:
         raise ResponseError("at least one reader response set is required")
     tree = ensure_weighted(tree)
 
     for schema in (modeler_schema, reader_schema):
-        issues = validate_schema(schema, tree)
-        if issues:
-            raise ResponseError(
-                f"{schema.perspective.value} questionnaire does not fit the tree "
-                f"({len(issues)} issue(s))",
-                report=issues,
-            )
+        findings = validate_schema(schema, tree)
+        if findings:
+            raise ResponseError(f"{schema.perspective.value} questionnaire does not fit the tree",
+                                tuple(findings))
 
     questionnaire_scores = score_responses(modeler_schema, modeler_responses)
     reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
     questionnaire_scores.update({key: left_sum(s[key] for s in reader_scores) / len(reader_scores)
                                  for key in reader_scores[0]})
 
-    registry_values = language_metric_values(tuple(registry), language or LANGUAGE)
+    registry_values = language_metric_values(tuple(registry), LANGUAGE if language is None else language)
 
     criteria: list[CriterionResult | tuple[MetricResult | QualityMetric, ...]] = []
     for criterion in tree.criteria:

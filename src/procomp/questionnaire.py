@@ -11,7 +11,7 @@ import enum
 from pathlib import Path
 
 from .documents import read_document, read_field
-from .errors import ConfigError, ResponseError
+from .errors import ConfigError, Finding, ResponseError
 from .ett import EvaluationTheoryTree, MetricSource, Perspective
 from .ranking import left_sum
 from .records import record
@@ -71,40 +71,29 @@ class ResponseSet:
     answers: dict[str, bool | int]
 
 
-@record
-class ResponseIssue:
-    code: str  # missing-answer | out-of-range | unknown-question | wrong-type
-    question_id: str
-    message: str
-
-
-def validate_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> list[ResponseIssue]:
-    """Missing answers, unknown ids, wrong answer types, out-of-range levels."""
-    issues: list[ResponseIssue] = []
+def validate_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> list[Finding]:
+    """Missing answers, unknown ids, wrong answer types, out-of-range levels,
+    each at its question id."""
+    findings: list[Finding] = []
     questions = {q.id for q in schema.questions}
     for question_id in responses.answers:
         if question_id not in questions:
-            issues.append(ResponseIssue("unknown-question", question_id,
-                                        f"answer for unknown question {question_id!r}"))
+            findings.append(Finding("unknown-question", question_id,
+                                    f"answer for unknown question {question_id!r}"))
     for question in schema.questions:
         if question.id not in responses.answers:
-            issues.append(ResponseIssue("missing-answer", question.id,
-                                        f"missing answer: {question.id}"))
+            findings.append(Finding("missing-answer", question.id, f"missing answer: {question.id}"))
             continue
         answer = responses.answers[question.id]
         if question.kind is QuestionKind.TRUE_FALSE:
             if not isinstance(answer, bool):
-                issues.append(ResponseIssue("wrong-type", question.id,
-                                            f"expected true/false, got {answer!r}"))
-        else:
-            if isinstance(answer, bool) or not isinstance(answer, int):
-                issues.append(ResponseIssue("wrong-type", question.id,
-                                            f"expected an integer level, got {answer!r}"))
-            elif not 1 <= answer <= question.levels:
-                issues.append(ResponseIssue(
-                    "out-of-range", question.id,
-                    f"level {answer} outside [1, {question.levels}]"))
-    return issues
+                findings.append(Finding("wrong-type", question.id, f"expected true/false, got {answer!r}"))
+        elif isinstance(answer, bool) or not isinstance(answer, int):
+            findings.append(Finding("wrong-type", question.id, f"expected an integer level, got {answer!r}"))
+        elif not 1 <= answer <= question.levels:
+            findings.append(Finding("out-of-range", question.id,
+                                    f"level {answer} outside [1, {question.levels}]"))
+    return findings
 
 
 def question_score(question: Question, answer: bool | int) -> float:
@@ -122,13 +111,9 @@ def score_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> dict
 
     Rejects response sets that do not validate cleanly.
     """
-    issues = validate_responses(schema, responses)
-    if issues:
-        raise ResponseError(
-            f"response set {responses.respondent!r} failed validation "
-            f"({len(issues)} issue(s))",
-            report=issues,
-        )
+    findings = validate_responses(schema, responses)
+    if findings:
+        raise ResponseError(f"response set {responses.respondent!r} failed validation", tuple(findings))
     per_metric: dict[str, list[float]] = {}
     for question in schema.questions:
         score = question_score(question, responses.answers[question.id])
@@ -136,14 +121,15 @@ def score_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> dict
     return {metric: left_sum(scores) / len(scores) for metric, scores in per_metric.items()}
 
 
-def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> list[ResponseIssue]:
+def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> list[Finding]:
     """Cross-check question bindings against the evaluation tree.
 
     Every question must target an existing metric whose source matches the
     schema's perspective; every metric with that source must be covered by
-    at least one question, whichever perspective's criterion holds it.
+    at least one question, whichever perspective's criterion holds it. A
+    finding is at its question id; an uncovered metric has none.
     """
-    issues: list[ResponseIssue] = []
+    findings: list[Finding] = []
     covered: set[str] = set()
     expected_source = schema.expected_source
     all_metrics = tree.all_metrics()
@@ -151,20 +137,18 @@ def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> 
     for question in schema.questions:
         metric = metrics.get(question.metric_id)
         if metric is None:
-            issues.append(ResponseIssue("unknown-metric", question.id,
-                                        f"question targets unknown metric {question.metric_id!r}"))
+            findings.append(Finding("unknown-metric", question.id,
+                                    f"question targets unknown metric {question.metric_id!r}"))
             continue
         if metric.source is not expected_source:
-            issues.append(ResponseIssue(
-                "source-mismatch", question.id,
-                f"metric {metric.id!r} has source {metric.source.value}, "
-                f"expected {expected_source.value}"))
+            findings.append(Finding("source-mismatch", question.id,
+                                    f"metric {metric.id!r} has source {metric.source.value}, "
+                                    f"expected {expected_source.value}"))
         covered.add(question.metric_id)
     for metric in all_metrics:
         if metric.source is expected_source and metric.id not in covered:
-            issues.append(ResponseIssue("uncovered-metric", "",
-                                        f"no question covers metric {metric.id!r}"))
-    return issues
+            findings.append(Finding("uncovered-metric", "", f"no question covers metric {metric.id!r}"))
+    return findings
 
 
 # ---------------------------------------------------------------------------

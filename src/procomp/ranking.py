@@ -213,9 +213,18 @@ def weighted_mean_rank(placements: tuple[float, ...] | list[float],
 
 
 def rank_items(dataset: SurveyDataset, method: RankMethod) -> list[tuple[str, float]]:
-    """Score every item and order by score descending, ties by item id."""
-    weights = [method_weight(method, dataset.n, k) for k in range(1, dataset.n + 1)]
+    """Score every item and order by score descending, ties by item id.
+
+    Raises ValueError when a weight of the dataset's ranks, or their sum,
+    is past the largest float: every score would be 0 or undefined.
+    """
+    try:
+        weights = [method_weight(method, dataset.n, k) for k in range(1, dataset.n + 1)]
+    except OverflowError:  # a power past the largest float
+        weights = [math.inf]
     total = left_sum(weights)
+    if total == math.inf:
+        raise ValueError(f"{method.label} weights of {dataset.n} ranks overflow a float")
     scored = [
         (item, left_sum(weights[rank - 1] * p for rank, p in dataset.placements[item]) / total)
         for item in dataset.items

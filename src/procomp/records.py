@@ -26,7 +26,8 @@ does.
 Here one ``exec`` per shape (field count, and whether ``__post_init__``
 runs) compiles an ``__init__``; each class gets a copy of its code with
 the parameters renamed to its fields, and the slot setters as globals.
-The comparison key is an ``operator.attrgetter``, and the rest is shared.
+The comparison key is an ``operator.attrgetter`` of the fields, a tuple
+since every record has two or more, and the rest is shared.
 """
 
 from functools import cached_property
@@ -124,7 +125,6 @@ def record(cls):
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _setattr, _delattr
     cls.__getstate__, cls.__setstate__ = _getstate, _setstate
-    # attrgetter of one name gives the bare value; the class pads that key to a tuple
-    cls._key = attrgetter(*fields) if len(fields) > 1 else attrgetter(*fields, "__class__")
+    cls._key = attrgetter(*fields)
     cls.__eq__, cls.__hash__ = _eq, _hash
     return cls

@@ -292,13 +292,16 @@ def test_batch_output_to_a_fifo_is_written_once_complete(capsys, response_bundle
     argv = batch_args(response_bundle, FIXTURE_MODELS[:2], "--format", "csv", "--jobs", "2")
     code, expected, err = run(capsys, *argv)
     assert code == 0, err
-    received = []
-    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
-    reader.start()
-    assert run(capsys, *argv, "--output", str(fifo))[0] == 0
-    reader.join(timeout=60)
-    assert not reader.is_alive()
-    assert received == [expected]
+    # the reader is a child process: a thread here would run while --jobs 2 forks
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+    try:
+        assert run(capsys, *argv, "--output", str(fifo))[0] == 0
+        received, _ = reader.communicate(timeout=60)
+    finally:
+        reader.kill()
+        reader.wait()
+    assert reader.returncode == 0
+    assert received.decode("utf-8") == expected
     assert list(fifo.parent.iterdir()) == [fifo]
 
 
@@ -701,7 +704,7 @@ def test_interaction_weights_not_summing_to_1_are_reported_before_any_model_is_p
                                      "got 0.9 + 0.9\n")
 
 
-@pytest.mark.parametrize("case", ["no-control-flow-catalog", "unregistered"])
+@pytest.mark.parametrize("case", ["no-control-flow-catalog", "unregistered", "empty-name"])
 def test_the_scoring_language_is_checked_before_any_model_is_parsed(capsys, response_bundle,
                                                                     tmp_path, case):
     if case == "no-control-flow-catalog":
@@ -713,10 +716,10 @@ def test_the_scoring_language_is_checked_before_any_model_is_parsed(capsys, resp
         descriptor.write_text(json.dumps(bpmn))
         extra = ["--languages", str(descriptor)]
         message = "error: descriptor 'BPMN 2.0' has no control-flow pattern catalog\n"
-    else:
-        extra = ["--language", "Nope"]
-        message = ("error: language 'Nope' not registered "
-                   "(known: BPMN 2.0, EPC, UML Activity Diagram)\n")
+    else:  # an empty name is a name too: only an absent --language means BPMN 2.0
+        name = "Nope" if case == "unregistered" else ""
+        extra = ["--language", name]
+        message = f"error: language {name!r} not registered (known: BPMN 2.0, EPC, UML Activity Diagram)\n"
     broken = tmp_path / "broken.bpmn"
     broken.write_text("<definitions", encoding="utf-8")
     for models in ([broken], [broken, FIXTURE_MODELS[0]]):
@@ -796,6 +799,7 @@ AGREEMENT_EDITS = {
     "unknown-extractor": lambda d: _rebind(d, "m-err-or-routing", "no-such-binding"),
     "unknown-registry-value": lambda d: _rebind(d, "m-lang-complexity", "no-such-binding"),
     "survey-d-range": lambda d: d.update(survey_d=0.5),
+    "weight-overflow": lambda d: d.update(survey_d=1e308),
 }
 
 
@@ -806,8 +810,10 @@ AGREEMENT_EDITS = {
     ("unknown-registry-value", "metric 'm-lang-complexity' binds to unknown registry value "
                                "'no-such-binding' (known: complexity, control-flow-pattern-support)"),
     ("survey-d-range", "survey_d must be > 1, got 0.5"),
+    ("weight-overflow", "weights of criteria(modeler) up to 1e+308 overflow a weighted sum of 6 scores "
+                        "up to 10"),
 ], ids=["no-reader-criteria", "empty-criterion", "unknown-extractor", "unknown-registry-value",
-        "survey-d-below-1"])
+        "survey-d-below-1", "survey-d-overflow"])
 def test_ett_validate_and_score_agree_on_an_incomplete_tree(capsys, tmp_path, response_bundle,
                                                             code, message):
     from procomp.defaults import default_ett_document
@@ -985,6 +991,20 @@ def test_survey_compare_lists_five_methods(capsys, tmp_path):
     assert len(lines) == 5
     assert any("exponential" in line for line in lines)
     assert any("linear-like" in line for line in lines)
+
+
+@pytest.mark.parametrize("ranks, flags, label", [
+    (2, ["--method", "rank-exponent", "--p", "2000"], "rank-exponent(p=2000)"),
+    (1000, ["--method", "dnlog", "--d", "1e308"], "dnlog(d=1e+308)"),
+    (2, ["--method", "dnlog", "--d", "1.7976931348623157e308"], "dnlog(d=1.79769e+308)"),
+], ids=["rank-exponent-power", "dnlog-sum", "dnlog-power"])
+def test_survey_rank_weights_that_overflow_exit_2(capsys, tmp_path, ranks, flags, label):
+    # a weight past the largest float raised OverflowError; a sum of them made every score 0
+    path = tmp_path / "survey.csv"
+    path.write_text("item,rank,fraction\n" + "".join(f"i{k},{k},1\n" for k in range(1, ranks + 1)),
+                    encoding="utf-8")
+    assert run(capsys, "survey", "rank", str(path), *flags) == (
+        2, "", f"error: {label} weights of {ranks} ranks overflow a float\n")
 
 
 def run_to_exit(capsys, *argv):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -170,17 +171,14 @@ def test_weight_monotonicity_and_geometric_spacing():
 
 
 def test_default_tree_validates_clean():
-    report = validate_ett(default_ett())
-    assert report.empty
-    assert report.ok
+    assert validate_ett(default_ett()) == ()
 
 
 def test_interaction_weight_sum_violation():
     document = default_ett_document()
     document["interaction_weights"] = {"modeler": 0.3, "reader": 0.3}
-    report = validate_ett(load_ett(document))
-    assert not report.ok
-    assert any(e.code == "interaction-weights-sum" for e in report)
+    findings = validate_ett(load_ett(document))
+    assert any(f.severity == "error" and f.code == "interaction-weights-sum" for f in findings)
 
 
 @pytest.mark.parametrize("weights, path", [
@@ -208,10 +206,9 @@ def test_non_canonical_count_is_warning_not_error():
     metrics.pop()
     for rank, metric in enumerate(metrics, start=1):
         metric["rank"] = rank
-    report = validate_ett(load_ett(document))
-    assert report.ok
-    assert [e.code for e in report] == ["non-canonical-metric-count"]
-    assert "95" in report.entries[0].message
+    [finding] = validate_ett(load_ett(document))
+    assert (finding.severity, finding.code) == ("warning", "non-canonical-metric-count")
+    assert "95" in finding.message
 
 
 def test_validate_reports_every_structural_violation():
@@ -221,9 +218,8 @@ def test_validate_reports_every_structural_violation():
     document["criteria"].append(twin)
     with pytest.raises(ConfigError, match="rank permutation violation"):
         load_ett(document)
-    report = validate_ett(build_ett(document))
-    assert not report.ok
-    assert [e.code for e in report if e.severity == "error"] == [
+    findings = validate_ett(build_ett(document))
+    assert [f.code for f in findings if f.severity == "error"] == [
         "perspective-incomplete", "rank-permutation", "rank-permutation", "nonpositive-weight",
         "duplicate-criterion-id", "duplicate-metric-id", "duplicate-metric-id",
         "nonpositive-weight",
@@ -256,11 +252,39 @@ def test_validate_reports_what_scoring_needs_of_a_tree():
     # the minimal tree has no reader criteria; give it an empty modeler criterion too
     document = minimal_document()
     document["criteria"].append({"id": "c2", "perspective": "modeler", "rank": 2, "metrics": []})
-    report = validate_ett(load_ett(document))
-    assert [(e.severity, e.code, e.path) for e in report][:2] == [
+    findings = validate_ett(load_ett(document))
+    assert [(f.severity, f.code, f.path) for f in findings][:2] == [
         ("error", "perspective-incomplete", "criteria(reader)"),
         ("error", "empty-criterion", "criteria[c2]"),
     ]
+
+
+def test_weights_that_overflow_a_weighted_sum_of_scores_are_reported():
+    # per sibling group, 10 x its size x its largest weight must be finite; survey_d bounds
+    # the derived weights, and a weight out of range is reported by its own rule alone
+    document = default_ett_document()
+    document["survey_d"] = 1e308
+    findings = validate_ett(load_ett(document))
+    groups = [f"criteria({p.value})" for p in Perspective] + [
+        f"criteria[{c['id']}].metrics" for c in sorted(document["criteria"],
+                                                        key=lambda c: (c["perspective"], c["rank"]))]
+    assert [(f.code, f.path) for f in findings] == [("weight-overflow", path) for path in groups]
+    assert findings[0].message == ("weights of criteria(modeler) up to 1e+308 overflow a weighted "
+                                   "sum of 6 scores up to 10")
+    document["survey_d"] = 1e300
+    assert validate_ett(load_ett(document)) == ()
+    document = pinned_ett_document()
+    document["survey_d"] = 1e308  # no weight is derived with it
+    assert validate_ett(load_ett(document)) == ()
+    metrics = document["criteria"][0]["metrics"]
+    metrics[0]["weight"] = sys.float_info.max / 5 / len(metrics)
+    findings = validate_ett(load_ett(document))
+    assert [(f.code, f.path) for f in findings] == [
+        ("weight-overflow", f"criteria[{document['criteria'][0]['id']}].metrics")]
+    metrics[0]["weight"] = sys.float_info.max / 11 / len(metrics)
+    assert validate_ett(load_ett(document)) == ()
+    document["criteria"][0]["weight"] = math.inf
+    assert [f.code for f in validate_ett(build_ett(document))] == ["nonpositive-weight"]
 
 
 def test_assign_weights_refuses_a_criterion_with_no_metrics():

@@ -3,7 +3,9 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +15,7 @@ from procomp.defaults import builtin_language_registry, default_ett_document
 from procomp.errors import (
     ConfigError,
     ExtractionError,
+    Finding,
     ModelParseError,
     ResponseError,
     ScoringError,
@@ -26,7 +29,6 @@ from procomp.questionnaire import (
     QuestionKind,
     QuestionnaireSchema,
     QuestionPolarity,
-    ResponseIssue,
     ResponseSet,
     score_responses,
 )
@@ -337,8 +339,8 @@ ERRORS = [
     (ConfigError("bad weight", path="criteria[0].weight"), {"path": "criteria[0].weight"}),
     (ModelParseError("dangling reference", context="flow f1"), {"context": "flow f1"}),
     (ExtractionError(["m-err-or-routing", "m-x"]), {"metric_ids": ["m-err-or-routing", "m-x"]}),
-    (ResponseError("1 issue(s)", report=[ResponseIssue("missing-answer", "q1", "missing")]),
-     {"report": [ResponseIssue("missing-answer", "q1", "missing")]}),
+    (ResponseError("response set 'r' failed validation", (Finding("missing-answer", "q1", "missing"),)),
+     {"report": (Finding("missing-answer", "q1", "missing"),)}),
     (ScoringError("criterion unscored"), {}),
 ]
 
@@ -429,10 +431,10 @@ def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
         for _ in range(rng.choice([1, 2])):
             _edit_tree_document(rng, document)
         try:
-            report = validate_ett(build_ett(document))
+            findings = validate_ett(build_ett(document))
         except ConfigError:
-            report = None
-        errors = [] if report is None else [e for e in report if e.severity == "error"]
+            findings = None
+        errors = [] if findings is None else [f for f in findings if f.severity == "error"]
         codes.update(e.code for e in errors)
         infinite += sum("must be finite" in e.message for e in errors)
         try:
@@ -448,7 +450,7 @@ def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
                 scored = False
             else:
                 plan.evaluate(GRAPHS[-1])  # a tree both accept scores a model
-        accepted = report is not None and report.ok
+        accepted = findings is not None and not errors
         assert accepted == scored, (case, base, [e.code for e in errors])
         verdicts[accepted, scored] += 1
     assert min(verdicts.values()) >= 100, verdicts
@@ -457,3 +459,37 @@ def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
                      "perspective-incomplete", "empty-criterion", "unknown-extractor",
                      "unknown-registry-value", "rank-permutation", "criterion-rank-permutation",
                      "duplicate-metric-id", "duplicate-criterion-id", "nonpositive-weight"}, codes
+
+
+def _exact_mean(results) -> float:
+    """The results' weighted mean score in exact rational arithmetic, rounded once."""
+    weights = [Fraction(r.weight) for r in results]
+    return float(sum(w * Fraction(r.score) for r, w in zip(results, weights)) / sum(weights))
+
+
+def test_a_tree_that_validates_aggregates_without_overflow():
+    # weights near the largest float: a weighted sum that overflowed was clamped to a
+    # plausible score, so every tree ett validate accepts must aggregate as exact arithmetic does
+    rng = random.Random(2626)
+    verdicts = {True: 0, False: 0}
+    for case in range(60):
+        document = pinned_ett_document() if case % 2 else default_ett_document()
+        document["survey_d"] = 10.0 ** rng.uniform(*rng.choice([(1.0, 300.0), (305.0, 308.25)]))
+        for node in (n for c in document["criteria"] for n in (c, *c["metrics"])):
+            if "weight" in node and rng.random() < 0.1:
+                node["weight"] *= 10.0 ** rng.uniform(295.0, 307.0)
+        tree = load_ett(document)
+        errors = [f for f in validate_ett(tree) if f.severity == "error"]
+        verdicts[not errors] += 1
+        if errors:
+            assert {f.code for f in errors} == {"weight-overflow"}
+            with pytest.raises(ScoringError, match=f"^{re.escape(errors[0].message)}$"):
+                compile_plan(tree, *_fitting_config(tree))
+            continue
+        evaluation = compile_plan(tree, *_fitting_config(tree)).evaluate(GRAPHS[-1])
+        for criterion in evaluation.criteria:
+            assert criterion.score == pytest.approx(_exact_mean(criterion.metrics), rel=1e-12), case
+        for perspective, score in zip(Perspective, (evaluation.s_m, evaluation.s_r)):
+            group = [c for c in evaluation.criteria if c.perspective is perspective]
+            assert score == pytest.approx(_exact_mean(group), rel=1e-12), case
+    assert min(verdicts.values()) >= 15, verdicts

@@ -49,7 +49,7 @@ def test_missing_answer_reported(modeler_schema):
     del answers["mq-07"]
     issues = validate_responses(
         modeler_schema, ResponseSet("m", "1", answers))
-    assert [(i.code, i.question_id) for i in issues] == [("missing-answer", "mq-07")]
+    assert [(i.code, i.path) for i in issues] == [("missing-answer", "mq-07")]
     assert "missing answer: mq-07" in issues[0].message
 
 

@@ -28,7 +28,7 @@ from procomp import replace
 from procomp.bpmn import Edge, EdgeKind, GraphIndex, Node, NodeKind, ProcessModelGraph, parse_model_file
 from procomp.defaults import builtin_language_registry
 from procomp.errors import ConfigError
-from procomp.ett import MetricSource, ValidationEntry, ValidationReport
+from procomp.ett import MetricSource
 from procomp.pipeline import compile_plan
 from procomp.questionnaire import QuestionKind, ResponseSet, validate_responses
 from procomp.ranking import MethodKind, RankMethod, SurveyDataset, compare_methods
@@ -82,12 +82,11 @@ def samples(ett, modeler_schema, reader_schema):
     return reachable_records(
         plan, graph, graph.index, evaluation, export(evaluation, "json"), registry,
         modeler_schema, responses, validate_responses(modeler_schema, responses),
-        ValidationReport((ValidationEntry("warning", "code", "path", "message"),)),
         survey, compare_methods(survey), RankMethod(MethodKind.DNLOG))
 
 
 def test_the_samples_hold_every_record_class(samples):
-    assert len(RECORD_CLASSES) == 26
+    assert len(RECORD_CLASSES) == 24
     assert set(samples) == set(RECORD_CLASSES.values())
     assert RECORD_CLASSES["bpmn.ProcessModelGraph"] is ProcessModelGraph
 
@@ -162,14 +161,13 @@ SIGNATURES = {
     "bpmn.GraphIndex": "(flow_nodes, position, gateways, sequence_edges, in_degree, out_degree, kind_counts)",
     "bpmn.Node": "(id, kind, label='', parent=None)",
     "bpmn.ProcessModelGraph": "(nodes, edges, warnings=())",
+    "errors.Finding": "(code, path, message, severity='error')",
     "ett.EvaluationTheoryTree": "(version, criteria, survey_d=10.0, interaction_weights=(0.156, 0.844))",
     "ett.NormalizationSpec": "(kind, lo=None, hi=None)",
     "ett.QualityCriterion": "(id, name, perspective, rank, metrics, weight=None)",
     "ett.QualityMetric": "(id, name, description, source, rank, normalization=NormalizationSpec("
                          "kind=<NormalizationKind.IDENTITY: 'identity'>, lo=None, hi=None), "
                          "polarity=<Polarity.HIGHER_IS_BETTER: 'higher-is-better'>, weight=None, binding=None)",
-    "ett.ValidationEntry": "(severity, code, path, message)",
-    "ett.ValidationReport": "(entries)",
     "languages.LanguageDescriptor": "(name, elements, characteristics, relations, patterns)",
     "languages.PatternEntry": "(id, type, support, name='')",
     "languages.PatternSupportTable": "(entries, catalog_sizes)",
@@ -177,7 +175,6 @@ SIGNATURES = {
     "questionnaire.Question": "(id, text, kind, metric_id, levels=None, "
                               "polarity=<QuestionPolarity.POSITIVE: 'positive'>)",
     "questionnaire.QuestionnaireSchema": "(version, perspective, questions)",
-    "questionnaire.ResponseIssue": "(code, question_id, message)",
     "questionnaire.ResponseSet": "(respondent, schema_version, answers)",
     "ranking.MethodComparison": "(method, growth, ordering)",
     "ranking.RankMethod": "(kind, param=None)",
@@ -313,6 +310,7 @@ def counted(self, *args, **kwargs):
     parsers.append(1)
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counted
+baseline = gc.get_freeze_count()  # not 0 on every Python: a fresh 3.12.1 reports 375
 codes = [main(sys.argv[1:])]
 in_process = gc.get_freeze_count()
 parsers.clear()
@@ -325,7 +323,8 @@ codes.append(main([*sys.argv[1:], "--model", model.replace("order_fulfillment", 
                    "--jobs", "2", "--output", output + ".batch"]))
 pooled = [m for m in ("concurrent.futures", "logging", "queue") if m in sys.modules and m not in before]
 print(json.dumps({"compiles": imported, "records": len(records), "shapes": len(shapes), "loaded": unloaded,
-                  "codes": codes, "in_process": in_process, "frozen": gc.get_freeze_count(),
+                  "codes": codes, "baseline": baseline, "in_process": in_process,
+                  "frozen": gc.get_freeze_count(),
                   "parsers": program_parsers, "single": single, "pooled": pooled}))
 """
 
@@ -353,7 +352,7 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path, response_bundle):
     # scoring one model starts no process machinery; a --jobs 2 batch runs without an executor
     assert probe["single"] is False and probe["pooled"] == []
     # main(argv) never freezes; main() as the program does, and builds the parser of `score` alone
-    assert probe["in_process"] == 0 and probe["frozen"] > 0
+    assert probe["in_process"] == probe["baseline"] < probe["frozen"]
     assert probe["parsers"] == 2
     assert out.read_bytes() == golden.read_bytes()
     assert Path(f"{out}.program").read_bytes() == golden.read_bytes()
