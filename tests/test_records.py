@@ -26,9 +26,9 @@ import pytest
 import procomp
 from procomp import replace
 from procomp.bpmn import Edge, EdgeKind, GraphIndex, Node, NodeKind, ProcessModelGraph, parse_model_file
-from procomp.defaults import builtin_language_registry
+from procomp.defaults import builtin_language_registry, default_ett_document
 from procomp.errors import ConfigError
-from procomp.ett import MetricSource
+from procomp.ett import MetricSource, load_ett, validate_ett
 from procomp.pipeline import compile_plan
 from procomp.questionnaire import QuestionKind, ResponseSet, validate_responses
 from procomp.ranking import MethodKind, RankMethod, SurveyDataset, compare_methods
@@ -85,6 +85,23 @@ def samples(ett, modeler_schema, reader_schema):
         survey, compare_methods(survey), RankMethod(MethodKind.DNLOG))
 
 
+# The findings that tree and response validation return keep the case names
+# of the two records that Finding replaced.
+FINDING_CASES = ("ett.ValidationEntry", "questionnaire.ResponseIssue")
+
+
+@pytest.fixture(scope="module")
+def cases(samples, modeler_schema):
+    """A record for each case name: the sample of each record class, and a
+    finding from each validation that returns findings."""
+    document = default_ett_document()
+    document["interaction_weights"] = {"modeler": 0.3, "reader": 0.3}
+    [tree_finding] = validate_ett(load_ett(document))
+    response_finding = validate_responses(modeler_schema, ResponseSet("m-2", modeler_schema.version, {}))[0]
+    return {**{name: samples[cls] for name, cls in RECORD_CLASSES.items()},
+            "ett.ValidationEntry": tree_finding, "questionnaire.ResponseIssue": response_finding}
+
+
 def test_the_samples_hold_every_record_class(samples):
     assert len(RECORD_CLASSES) == 24
     assert set(samples) == set(RECORD_CLASSES.values())
@@ -95,10 +112,10 @@ def fields_of(record) -> list:
     return [getattr(record, name) for name in record._fields]
 
 
-@pytest.mark.parametrize("name", RECORD_CLASSES)
-def test_a_record_keeps_its_fields_in_slots(samples, name):
-    cls = RECORD_CLASSES[name]
-    record = samples[cls]
+@pytest.mark.parametrize("name", [*RECORD_CLASSES, *FINDING_CASES])
+def test_a_record_keeps_its_fields_in_slots(cases, name):
+    record = cases[name]
+    cls = type(record)
     assert all(isinstance(vars(cls)[field], MemberDescriptorType) for field in cls._fields)
     cached = {key for key, value in vars(cls).items() if isinstance(value, cached_property)}
     if cached:  # a cached_property needs a __dict__, which holds nothing else
@@ -111,11 +128,11 @@ def test_a_record_keeps_its_fields_in_slots(samples, name):
         weakref.ref(record)
 
 
-@pytest.mark.parametrize("name", RECORD_CLASSES)
+@pytest.mark.parametrize("name", [*RECORD_CLASSES, *FINDING_CASES])
 @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
                          ids=["pickle", "copy", "deepcopy"])
-def test_a_copied_record_is_equal_and_frozen(samples, name, clone):
-    record = samples[RECORD_CLASSES[name]]
+def test_a_copied_record_is_equal_and_frozen(cases, name, clone):
+    record = cases[name]
     copied = clone(record)
     assert type(copied) is type(record) and fields_of(copied) == fields_of(record)
     assert copied == record and hash(copied) == hash(record)
