@@ -96,18 +96,21 @@ class GraphIndex:
     """What the structural metrics share, built in one pass over the nodes
     and one over the edges.
 
-    ``position`` maps each flow-node id to its place in ``flow_nodes``, and
-    ``gateways`` holds the places of the gateways. ``in_degree`` and
+    ``gateways`` holds the places of the gateways in ``flow_nodes``.
+    ``flow_sources`` and ``flow_targets`` hold the places of the two ends of
+    each sequence flow whose ends are both flow nodes, in edge order;
+    ``sequence_count`` counts every sequence flow. ``in_degree`` and
     ``out_degree`` count sequence flows per place; a flow whose end is not
     a flow node adds nothing to that end. ``kind_counts`` covers every
-    node, flow node or not. The dicts are shared by every reader of the
-    graph and must not be changed.
+    node, flow node or not, and is shared by every reader of the graph: it
+    must not be changed.
     """
 
     flow_nodes: tuple[Node, ...]
-    position: dict[str, int]
     gateways: tuple[int, ...]
-    sequence_edges: tuple[Edge, ...]
+    flow_sources: tuple[int, ...]
+    flow_targets: tuple[int, ...]
+    sequence_count: int
     in_degree: tuple[int, ...]
     out_degree: tuple[int, ...]
     kind_counts: dict[NodeKind, int]
@@ -127,18 +130,23 @@ class GraphIndex:
         position = {node.id: i for i, node in enumerate(flow_nodes)}
         in_degree = [0] * len(flow_nodes)
         out_degree = [0] * len(flow_nodes)
-        sequence_edges: list[Edge] = []
+        sources: list[int] = []
+        targets: list[int] = []
+        sequence_count = 0
         sequence = EdgeKind.SEQUENCE
         for edge in graph.edges:
             if edge.kind is sequence:
-                sequence_edges.append(edge)
+                sequence_count += 1
                 source, target = position.get(edge.source), position.get(edge.target)
                 if source is not None:
                     out_degree[source] += 1
                 if target is not None:
                     in_degree[target] += 1
-        return cls(tuple(flow_nodes), position, tuple(gateways), tuple(sequence_edges),
-                   tuple(in_degree), tuple(out_degree), kind_counts)
+                    if source is not None:
+                        sources.append(source)
+                        targets.append(target)
+        return cls(tuple(flow_nodes), tuple(gateways), tuple(sources), tuple(targets),
+                   sequence_count, tuple(in_degree), tuple(out_degree), kind_counts)
 
 
 @record
@@ -154,9 +162,6 @@ class ProcessModelGraph:
 
     def flow_nodes(self) -> tuple[Node, ...]:
         return self.index.flow_nodes
-
-    def sequence_edges(self) -> tuple[Edge, ...]:
-        return self.index.sequence_edges
 
 
 _NODE_TAGS: dict[str, NodeKind] = {

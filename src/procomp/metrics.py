@@ -63,7 +63,7 @@ def node_count(graph: ProcessModelGraph) -> float:
 
 
 def edge_count(graph: ProcessModelGraph) -> float:
-    return float(len(graph.index.sequence_edges))
+    return float(graph.index.sequence_count)
 
 
 def gateway_count(graph: ProcessModelGraph) -> float:
@@ -124,7 +124,7 @@ def density(graph: ProcessModelGraph) -> float:
     n = len(index.flow_nodes)
     if n <= 1:
         return 0.0
-    return len(index.sequence_edges) / (n * (n - 1))
+    return index.sequence_count / (n * (n - 1))
 
 
 def block_structuredness(graph: ProcessModelGraph) -> float:
@@ -156,21 +156,15 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
     is never entered: it holds no split.
     """
     index = graph.index
-    nodes, position = index.flow_nodes, index.position
+    nodes, sources, targets = index.flow_nodes, index.flow_sources, index.flow_targets
     size = len(nodes)
     indeg = [0] * size
     outdeg = [0] * size
     after = [0] * size  # the target of each node's last flow: the next node on a chain
-    sources: list[int] = []  # the flows between flow nodes, as positions
-    targets: list[int] = []
-    for edge in index.sequence_edges:
-        u, w = position.get(edge.source), position.get(edge.target)
-        if u is not None and w is not None:
-            sources.append(u)
-            targets.append(w)
-            outdeg[u] += 1
-            indeg[w] += 1
-            after[u] = w
+    for u, w in zip(sources, targets):
+        outdeg[u] += 1
+        indeg[w] += 1
+        after[u] = w
     kinds: dict[int, NodeKind | None] = {}  # the nodes kept, which are on no chain
     for v in range(size):
         if indeg[v] != 1 or outdeg[v] != 1 or after[v] == v:

@@ -58,7 +58,7 @@ def test_minimal_sequence_parses():
 def test_xor_loop_fixture_hand_counts():
     graph = parse_model_file(FIXTURES / "xor_loop.bpmn")
     assert len(graph.flow_nodes()) == 5
-    assert len(graph.sequence_edges()) == 5
+    assert graph.index.sequence_count == 5
     assert sum(1 for n in graph.nodes if n.kind is NodeKind.GATEWAY_XOR) == 2
 
 
@@ -636,7 +636,7 @@ def test_sequence_flows_touching_non_flow_nodes():
     graph = ProcessModelGraph(nodes=nodes, edges=edges)
     index = graph.index
     assert [n.id for n in index.flow_nodes] == ["s", "g", "t", "e"]
-    assert index.position == {"s": 0, "g": 1, "t": 2, "e": 3}
+    assert (index.flow_sources, index.flow_targets, index.sequence_count) == ((0, 1, 2), (1, 2, 3), 6)
     assert index.gateways == (1,)
     assert index.in_degree == (0, 1, 2, 1)
     assert index.out_degree == (1, 2, 1, 0)
@@ -661,7 +661,6 @@ def test_graph_index_is_built_once_per_graph(ett, monkeypatch):
     extract_metrics(graph, ett)
     assert len(built) == 1 and built[0] is graph
     assert graph.flow_nodes() is graph.flow_nodes()
-    assert graph.sequence_edges() is graph.index.sequence_edges
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ def test_a_dict_field_hashes_by_its_items():
 # each constructor's parameters and defaults, as ``dataclasses`` built them
 SIGNATURES = {
     "bpmn.Edge": "(id, source, target, kind)",
-    "bpmn.GraphIndex": "(flow_nodes, position, gateways, sequence_edges, in_degree, out_degree, kind_counts)",
+    "bpmn.GraphIndex": ("(flow_nodes, gateways, flow_sources, flow_targets, sequence_count, in_degree, "
+                        "out_degree, kind_counts)"),
     "bpmn.Node": "(id, kind, label='', parent=None)",
     "bpmn.ProcessModelGraph": "(nodes, edges, warnings=())",
     "errors.Finding": "(code, path, message, severity='error')",
