@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from pathlib import Path
 
 from .documents import read_document, read_field
@@ -214,30 +215,38 @@ def _sibling_groups(tree: EvaluationTheoryTree):
         yield "rank-permutation", f"criteria[{criterion.id}].metrics", criterion.metrics
 
 
-def _tree_violations(tree: EvaluationTheoryTree):
+def _node_path(kind: str, criterion_id: str, node_id: str) -> str:
+    """The path of a criterion, or of a metric of the criterion ``criterion_id``."""
+    cpath = f"criteria[{criterion_id}]"
+    return cpath if kind == "criterion" else f"{cpath}.metrics[{node_id}]"
+
+
+def tree_violations(tree: EvaluationTheoryTree):
     """Every broken structural invariant of a tree, as findings.
 
     Sibling ranks must be permutations of 1..n, criterion and metric ids
     must be unique, and weights, where present, must be finite and > 0.
+    compile_plan checks every tree it is given, so a node's path is
+    formatted only for a finding.
     """
     for code, path, siblings in _sibling_groups(tree):
-        ranks = sorted(s.rank for s in siblings)
-        if ranks != list(range(1, len(ranks) + 1)):
+        ranks = sorted([s.rank for s in siblings])
+        if ranks != [*range(1, len(ranks) + 1)]:
             yield Finding(code, path, f"rank permutation violation: ranks {ranks} "
                                       f"are not a permutation of 1..{len(ranks)}")
-    first_seen: dict[tuple[str, str], str] = {}
+    first_seen: dict[tuple[str, str], str] = {}  # (kind, id) -> the criterion id of its first node
     for criterion in tree.criteria:
-        cpath = f"criteria[{criterion.id}]"
-        nodes = [("criterion", criterion, cpath)]
-        nodes += [("metric", m, f"{cpath}.metrics[{m.id}]") for m in criterion.metrics]
-        for kind, node, path in nodes:
-            if (kind, node.id) in first_seen:
-                yield Finding(f"duplicate-{kind}-id", path,
-                              f"duplicate {kind} id {node.id!r} (also at {first_seen[kind, node.id]})")
-            first_seen.setdefault((kind, node.id), path)
+        for kind, node in (("criterion", criterion), *[("metric", m) for m in criterion.metrics]):
+            key = (kind, node.id)
+            if key in first_seen:
+                yield Finding(f"duplicate-{kind}-id", _node_path(kind, criterion.id, node.id),
+                              f"duplicate {kind} id {node.id!r} "
+                              f"(also at {_node_path(kind, first_seen[key], node.id)})")
+            else:
+                first_seen[key] = criterion.id
             if node.weight is not None and not 0 < node.weight < math.inf:
                 rule = "finite" if node.weight == math.inf else "> 0"
-                yield Finding("nonpositive-weight", f"{path}.weight",
+                yield Finding("nonpositive-weight", f"{_node_path(kind, criterion.id, node.id)}.weight",
                               f"weight must be {rule}, got {node.weight!r}")
 
 
@@ -245,9 +254,10 @@ def scoring_violations(tree: EvaluationTheoryTree):
     """Why a tree, however well formed, cannot be scored, as findings:
     interaction weights that are negative or do not sum to 1, a survey_d of at
     most 1 or of inf while some weight is still to be derived, a sibling group
-    whose weighted sum of scores up to 10 would overflow a float, a perspective
-    without criteria, a criterion without metrics, and a binding to an unknown
-    extractor or registry value.
+    whose weighted sum of scores up to 10 would overflow a float or that holds
+    a subnormal weight (its products with scores lose precision), a
+    perspective without criteria, a criterion without metrics, and a binding
+    to an unknown extractor or registry value.
 
     compile_plan raises the first of them; validate_ett reports them all.
     """
@@ -260,11 +270,16 @@ def scoring_violations(tree: EvaluationTheoryTree):
     # a derived weight is at most survey_d; a weight out of range is reported elsewhere
     d = tree.survey_d if 1 < tree.survey_d < math.inf else 0.0
     for _code, path, siblings in _sibling_groups(tree):
-        weights = [d if s.weight is None else s.weight for s in siblings]
-        largest = max((w for w in weights if 0 < w < math.inf), default=0.0)
+        weights = [w for w in (d if s.weight is None else s.weight for s in siblings) if 0 < w < math.inf]
+        if not weights:
+            continue
+        largest, smallest = max(weights), min(weights)
         if 10.0 * len(siblings) * largest == math.inf:
             yield Finding("weight-overflow", path, f"weights of {path} up to {largest} overflow "
                                                    f"a weighted sum of {len(siblings)} scores up to 10")
+        if smallest < sys.float_info.min:
+            yield Finding("weight-underflow", path, f"weights of {path} down to {smallest} are below "
+                                                    f"the smallest normal float {sys.float_info.min}")
     for perspective in Perspective:
         if not tree.criteria_for(perspective):
             yield Finding("perspective-incomplete", f"criteria({perspective.value})",
@@ -291,7 +306,7 @@ def load_ett(document: dict) -> EvaluationTheoryTree:
     Weights are optional; absent weights are derived later by assign_weights.
     """
     tree = build_ett(document)
-    for finding in _tree_violations(tree):
+    for finding in tree_violations(tree):
         raise ConfigError(finding.message, path=finding.path)
     return tree
 
@@ -310,8 +325,9 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
 
     Within each group of n ranked siblings, rank 1 gets weight d, rank n
     gets weight 1, with a constant ratio in between; a singleton group gets
-    d. ``dnlog_weight`` rejects a d that is not finite and > 1, once a
-    weight is to be derived with it.
+    d. ``dnlog_weight`` raises ValueError, once a weight is to be derived
+    with d, for a d that is not finite and > 1 or a weight past the
+    largest float.
     """
     if d is None:
         d = tree.survey_d
@@ -367,7 +383,7 @@ def validate_ett(tree: EvaluationTheoryTree) -> tuple[Finding, ...]:
     catalog shapes (metric counts differing from the shipped 96 = 54 + 42)
     are warnings only, since the catalog is meant to be extended.
     """
-    findings = (*scoring_violations(tree), *_tree_violations(tree))
+    findings = (*scoring_violations(tree), *tree_violations(tree))
     total = tree.metric_count()
     modeler = tree.metric_count(Perspective.MODELER)
     reader = tree.metric_count(Perspective.READER)

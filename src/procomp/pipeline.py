@@ -31,6 +31,7 @@ from .ett import (
     QualityMetric,
     ensure_weighted,
     scoring_violations,
+    tree_violations,
 )
 from .languages import (
     LanguageDescriptor,
@@ -152,16 +153,19 @@ def compile_plan(
     interaction_weights: tuple[float, float] | None = None,
     language: str | None = None,
 ) -> ScoringPlan:
-    """Check the tree (its first scoring_violations entry is raised), weight
-    it, check both schemas against it, score every response set and the
-    registry metrics of ``language`` (``bpmn.LANGUAGE`` if None), once for
-    all the models the plan will evaluate, so that every config error is
-    found before a model is parsed. ``interaction_weights``, if given,
-    replace the tree's."""
+    """Check the tree, weight it, check both schemas against it, score
+    every response set and the registry metrics of ``language``
+    (``bpmn.LANGUAGE`` if None), once for all the models the plan will
+    evaluate, so that every config error is found before a model is parsed.
+    The tree check raises the first error validate_ett reports: a
+    ScoringError for a scoring rule, the ConfigError load_ett raises for a
+    structural one. ``interaction_weights``, if given, replace the tree's."""
     if interaction_weights is not None:
         tree = replace(tree, interaction_weights=interaction_weights)
     for finding in scoring_violations(tree):
         raise ScoringError(finding.message)
+    for finding in tree_violations(tree):
+        raise ConfigError(finding.message, path=finding.path)
     if not reader_responses:
         raise ResponseError("at least one reader response set is required")
     tree = ensure_weighted(tree)

@@ -76,11 +76,16 @@ def left_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0.0)
 
 
+def _overflow(label: str, n: int) -> ValueError:
+    return ValueError(f"{label} weights of {n} ranks overflow a float")
+
+
 def dnlog_weight(n: int, k: int, d: float) -> float:
     """Exponential rank weight: 10 ** ((n - k) * log10(d) / (n - 1)).
 
     Rank 1 gets weight d, rank n gets weight 1, and consecutive ranks keep a
-    constant ratio. A singleton group (n == 1) gets the full weight d.
+    constant ratio. A singleton group (n == 1) gets the full weight d. A
+    weight past the largest float raises ValueError.
     """
     if not 1 < d < math.inf:
         raise ValueError(f"dnlog top weight d must be finite and > 1, got {d}")
@@ -88,11 +93,15 @@ def dnlog_weight(n: int, k: int, d: float) -> float:
         raise ValueError(f"rank k={k} out of range [1, {n}]")
     if n == 1:
         return d
-    return 10.0 ** ((n - k) * (math.log10(d) / (n - 1)))
+    try:
+        return 10.0 ** ((n - k) * (math.log10(d) / (n - 1)))
+    except OverflowError:
+        raise _overflow(f"dnlog(d={d:g})", n) from None
 
 
 def method_weight(method: RankMethod, n: int, k: int) -> float:
-    """Weight of rank k among n ranks under the given method."""
+    """Weight of rank k among n ranks under the given method. A weight past
+    the largest float raises ValueError."""
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} out of range [1, {n}]")
     if method.kind is MethodKind.RANK_SUM:
@@ -100,7 +109,10 @@ def method_weight(method: RankMethod, n: int, k: int) -> float:
     if method.kind is MethodKind.RECIPROCAL_RANK:
         return 1.0 / k
     if method.kind is MethodKind.RANK_EXPONENT:
-        return float(n - k + 1) ** method.param
+        try:
+            return float(n - k + 1) ** method.param
+        except OverflowError:
+            raise _overflow(method.label, n) from None
     if method.kind is MethodKind.DCG:
         return 1.0 / math.log2(k + 1)
     return dnlog_weight(n, k, method.param)
@@ -218,13 +230,10 @@ def rank_items(dataset: SurveyDataset, method: RankMethod) -> list[tuple[str, fl
     Raises ValueError when a weight of the dataset's ranks, or their sum,
     is past the largest float: every score would be 0 or undefined.
     """
-    try:
-        weights = [method_weight(method, dataset.n, k) for k in range(1, dataset.n + 1)]
-    except OverflowError:  # a power past the largest float
-        weights = [math.inf]
+    weights = [method_weight(method, dataset.n, k) for k in range(1, dataset.n + 1)]
     total = left_sum(weights)
     if total == math.inf:
-        raise ValueError(f"{method.label} weights of {dataset.n} ranks overflow a float")
+        raise _overflow(method.label, dataset.n)
     scored = [
         (item, left_sum(weights[rank - 1] * p for rank, p in dataset.placements[item]) / total)
         for item in dataset.items

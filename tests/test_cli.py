@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -825,6 +826,46 @@ def test_ett_validate_and_score_agree_on_an_incomplete_tree(capsys, tmp_path, re
     assert validated == 1 and f"[{code}]" in out and message in out, out
     assert run(capsys, *score_args(response_bundle, "--ett", str(path))) == (
         1, "", f"validation failure: {message}\n")
+
+
+def _scaled_metric_weights(factor: float) -> dict:
+    """The pinned default tree document with every metric weight times ``factor``."""
+    document = pinned_ett_document()
+    for mdoc in (m for c in document["criteria"] for m in c["metrics"]):
+        mdoc["weight"] *= factor
+    return document
+
+
+def test_subnormal_weights_fail_ett_validate_and_score(capsys, tmp_path, response_bundle):
+    # weight x score rounded to a multiple of 5e-324, so S_m of this model and these answers
+    # moved 7.688622421844907 -> 7.688637504810904 under a tree ett validate accepted
+    path = tmp_path / "ett.json"
+    path.write_text(json.dumps(_scaled_metric_weights(1e-320)))
+    validated, out, _ = run(capsys, "ett", "validate", "--ett", str(path))
+    errors = out.splitlines()
+    assert validated == 1 and len(errors) == 13, out  # one line per criterion's metrics
+    assert all(re.match(r"error: \[weight-underflow\] criteria\[([\w-]+)\]\.metrics: weights of "
+                        r"criteria\[\1\]\.metrics down to \S+ are below the smallest normal "
+                        r"float 2\.2250738585072014e-308$", line) for line in errors), out
+    message = errors[0].split(": ", 2)[2]
+    assert run(capsys, *score_args(response_bundle, "--ett", str(path))) == (
+        1, "", f"validation failure: {message}\n")
+
+
+def test_weights_scaled_by_a_power_of_two_score_the_same(capsys, tmp_path, response_bundle):
+    # a normal weight keeps the weighted mean's scale invariance, 2 ** -1000 included
+    scores = []
+    for factor in (1.0, 2.0 ** -1000):
+        path = tmp_path / f"ett-{factor}.json"
+        path.write_text(json.dumps(_scaled_metric_weights(factor)))
+        assert run(capsys, "ett", "validate", "--ett", str(path)) == (0, "tree is valid\n", "")
+        code, out, err = run(capsys, *score_args(response_bundle, "--ett", str(path), "--format", "json"))
+        assert code == 0, err
+        evaluation = json.loads(out)
+        for metric in (m for c in evaluation["criteria"] for m in c["metrics"]):
+            metric["weight"] = None if metric["weight"] is None else metric["weight"] / factor
+        scores.append(evaluation)
+    assert scores[0] == scores[1]
 
 
 def test_survey_d_below_1_is_no_error_when_every_weight_is_pinned(capsys, tmp_path,

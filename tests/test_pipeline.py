@@ -20,7 +20,15 @@ from procomp.errors import (
     ResponseError,
     ScoringError,
 )
-from procomp.ett import MetricSource, Perspective, build_ett, load_ett, validate_ett
+from procomp.ett import (
+    MetricSource,
+    Perspective,
+    build_ett,
+    load_ett,
+    scoring_violations,
+    tree_violations,
+    validate_ett,
+)
 from procomp.languages import LanguageDescriptor, PatternSupportTable
 from procomp.metrics import EXTRACTORS
 from procomp.pipeline import compile_plan, evaluate_model
@@ -363,7 +371,7 @@ def _fitting_config(tree):
     """The default registry, and schemas with a question for every
     questionnaire metric of ``tree``, with responses to them."""
     questions = {perspective: [] for perspective in Perspective}
-    for metric in tree.all_metrics():
+    for metric in {m.id: m for m in tree.all_metrics()}.values():  # one question per metric id
         if metric.source in QUESTIONNAIRE_SOURCES:
             questions[QUESTIONNAIRE_SOURCES[metric.source]].append(Question(
                 id=f"q-{metric.id}", text="?", kind=QuestionKind.TRUE_FALSE, metric_id=metric.id))
@@ -422,18 +430,22 @@ def _edit_tree_document(rng: random.Random, document: dict) -> None:
 
 
 def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
+    # a tree loaded from its document, or built in code with build_ett alone: compile_plan
+    # raises the first error ett validate reports, a scoring rule's or a structural one's
     rng = random.Random(1313)
     bases = {"default": default_ett_document(), "pinned": pinned_ett_document()}
     verdicts, codes, infinite = {(True, True): 0, (False, False): 0}, set(), 0
+    refused_as_built: set[str] = set()
     for case in range(400):
         base = "pinned" if case % 2 else "default"
         document = copy.deepcopy(bases[base])
         for _ in range(rng.choice([1, 2])):
             _edit_tree_document(rng, document)
         try:
-            findings = validate_ett(build_ett(document))
+            built = build_ett(document)
         except ConfigError:
-            findings = None
+            built = None
+        findings = None if built is None else validate_ett(built)
         errors = [] if findings is None else [f for f in findings if f.severity == "error"]
         codes.update(e.code for e in errors)
         infinite += sum("must be finite" in e.message for e in errors)
@@ -453,12 +465,58 @@ def test_validate_accepts_exactly_the_trees_compile_plan_accepts():
         accepted = findings is not None and not errors
         assert accepted == scored, (case, base, [e.code for e in errors])
         verdicts[accepted, scored] += 1
+        if built is not None:
+            config = _fitting_config(built)
+            try:
+                compile_plan(built, *config)
+            except ScoringError as exc:
+                assert str(exc) == errors[0].message and errors[0] in scoring_violations(built), case
+            except ConfigError as exc:
+                assert (exc.path, str(exc)) == (errors[0].path, f"{errors[0].path}: {errors[0].message}")
+                assert errors[0] in tree_violations(built), case
+                refused_as_built.add(errors[0].code)
+            else:
+                assert accepted, (case, base, [e.code for e in errors])
     assert min(verdicts.values()) >= 100, verdicts
     assert infinite >= 10, infinite
     assert codes >= {"interaction-weights-sum", "interaction-weights-range", "survey-d-range",
                      "perspective-incomplete", "empty-criterion", "unknown-extractor",
                      "unknown-registry-value", "rank-permutation", "criterion-rank-permutation",
                      "duplicate-metric-id", "duplicate-criterion-id", "nonpositive-weight"}, codes
+    assert refused_as_built >= {"rank-permutation", "duplicate-metric-id", "nonpositive-weight"}, \
+        refused_as_built
+
+
+def test_compile_plan_refuses_a_code_built_tree_with_a_duplicate_metric_id():
+    # both metrics scored the raw value of the last one's binding, keyed by their shared id
+    document = default_ett_document()
+    model_derived = [(c, m) for c in document["criteria"] for m in c["metrics"]
+                     if m["source"] == MetricSource.MODEL_DERIVED.value]
+    (first_criterion, first), (last_criterion, last) = model_derived[0], model_derived[-1]
+    assert (first["id"], first["binding"], last["binding"]) == ("m-err-or-routing", "or-gateway-count",
+                                                                "density")
+    last["id"] = first["id"]
+    tree = build_ett(document)
+    assert [f.code for f in validate_ett(tree) if f.severity == "error"] == ["duplicate-metric-id"]
+    path = f"criteria[{last_criterion['id']}].metrics[m-err-or-routing]"
+    with pytest.raises(ConfigError) as raised:
+        compile_plan(tree, *_fitting_config(tree))
+    assert raised.value.path == path
+    assert str(raised.value) == (f"{path}: duplicate metric id 'm-err-or-routing' "
+                                 f"(also at criteria[{first_criterion['id']}].metrics[m-err-or-routing])")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["criteria"][0]["metrics"][0].update(weight=float("nan")), "weight must be > 0, got nan"),
+    (lambda d: d["criteria"][0].update(weight=-1.0), "weight must be > 0, got -1.0"),
+])
+def test_compile_plan_refuses_a_code_built_tree_with_a_weight_out_of_range(edit, message):
+    # the failure came only from evaluate, once per model
+    document = pinned_ett_document()
+    edit(document)
+    tree = build_ett(document)
+    with pytest.raises(ConfigError, match=f"\\.weight: {re.escape(message)}$"):
+        compile_plan(tree, *_fitting_config(tree))
 
 
 def _exact_mean(results) -> float:

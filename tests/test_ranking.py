@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+from procomp import replace
+from procomp.defaults import default_ett
 from procomp.errors import ConfigError
+from procomp.ett import assign_weights
 from procomp.ranking import (
     MethodKind,
     RankMethod,
@@ -309,3 +312,18 @@ def test_csv_missing_columns_rejected(tmp_path):
     path.write_text("foo,bar\n1,2\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="columns"):
         load_survey_csv(path)
+
+
+def test_dnlog_weights_that_overflow_raise_value_error():
+    # assign_weights ended in OverflowError from dnlog_weight's power
+    tree = replace(default_ett(), survey_d=1.7976931348623157e308)
+    with pytest.raises(ValueError,
+                       match=r"^dnlog\(d=1\.79769e\+308\) weights of \d+ ranks overflow a float$"):
+        assign_weights(tree)
+
+
+def test_rank_exponent_weights_that_overflow_raise_value_error():
+    # classify_growth ended in OverflowError from method_weight's power; it probes 5 ranks
+    with pytest.raises(ValueError,
+                       match=r"^rank-exponent\(p=2000\) weights of 5 ranks overflow a float$"):
+        classify_growth(RankMethod(MethodKind.RANK_EXPONENT, 2000.0), 2)

@@ -16,14 +16,23 @@ import tracemalloc
 
 import pytest
 
-from procomp.bpmn import parse_model
+from procomp.bpmn import parse_model, parse_model_file
 from procomp.defaults import builtin_language_registry
+from procomp.ett import (
+    REGISTRY_BINDINGS,
+    EvaluationTheoryTree,
+    MetricSource,
+    Perspective,
+    QualityCriterion,
+    QualityMetric,
+)
 from procomp.metrics import EXTRACTORS
 from procomp.pipeline import compile_plan
+from procomp.questionnaire import Question, QuestionKind, QuestionnaireSchema
 from procomp.ranking import MethodKind, RankMethod, load_survey_csv, rank_items
 from procomp.report import export
 
-from conftest import make_responses
+from conftest import FIXTURES, make_responses
 
 STEP_BOUND = 4.6
 SIZES = (1, 4, 16)  # in segments or spokes, each about 40 flow nodes
@@ -150,6 +159,59 @@ def test_plan_evaluate_and_both_exports_are_near_linear(documents, plan):
             costs[fmt].append(line_events(lambda: export(evaluation, fmt)))
     for step, counts in costs.items():
         assert_near_linear(counts, f"{step} on {shape}")
+
+
+QUESTIONNAIRE = {Perspective.MODELER: MetricSource.MODELER_QUESTIONNAIRE,
+                 Perspective.READER: MetricSource.READER_QUESTIONNAIRE}
+
+
+def scaled_config(size: int) -> tuple:
+    """A tree of 4 * size criteria per perspective, each of two model-derived,
+    one registry and three questionnaire metrics, with the registry and the
+    two schemas and their responses that fit it."""
+    extractors, criteria = list(EXTRACTORS), []
+    questions: dict[Perspective, list[Question]] = {p: [] for p in Perspective}
+    for perspective in Perspective:
+        for c in range(4 * size):
+            cid = f"{perspective.value}-{c}"
+            sources = [MetricSource.MODEL_DERIVED] * 2 + [MetricSource.LANGUAGE_REGISTRY]
+            sources += [QUESTIONNAIRE[perspective]] * 3
+            metrics = []
+            for rank, source in enumerate(sources, start=1):
+                mid = f"{cid}-m{rank}"
+                binding = (extractors[(2 * c + rank) % len(extractors)]
+                           if source is MetricSource.MODEL_DERIVED
+                           else REGISTRY_BINDINGS[c % 2] if source is MetricSource.LANGUAGE_REGISTRY
+                           else None)
+                metrics.append(QualityMetric(mid, mid, "", source, rank, binding=binding))
+                if binding is None:
+                    questions[perspective].append(
+                        Question(f"q-{mid}", "?", QuestionKind.TRUE_FALSE, mid))
+            criteria.append(QualityCriterion(cid, cid, perspective, c + 1, tuple(metrics)))
+    tree = EvaluationTheoryTree("scaled", tuple(criteria))
+    modeler_schema, reader_schema = (QuestionnaireSchema("1", p, tuple(questions[p]))
+                                     for p in Perspective)
+    return (tree, builtin_language_registry(), make_responses(modeler_schema, "m-1", 1),
+            [make_responses(reader_schema, "r-1", 0)], modeler_schema, reader_schema)
+
+
+def test_compile_plan_and_plan_evaluate_are_near_linear_in_tree_size():
+    graph = parse_model_file(FIXTURES / "order_fulfillment.bpmn")
+    graph.index  # built here, so that no evaluate counts it
+    costs: dict[str, list[int]] = {"compile_plan": [], "evaluate": []}
+    for size in SIZES:
+        config = scaled_config(size)
+        plan = None
+
+        def compile():
+            nonlocal plan
+            plan = compile_plan(*config)
+
+        costs["compile_plan"].append(line_events(compile))
+        costs["evaluate"].append(line_events(lambda: plan.evaluate(graph)))
+        assert len(plan.tree.all_metrics()) == 48 * size
+    for step, counts in costs.items():
+        assert_near_linear(counts, f"{step} on a tree of {SIZES} x 48 metrics")
 
 
 def survey_table(rows: int) -> str:
