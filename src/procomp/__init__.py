@@ -26,7 +26,6 @@ from .defaults import (
 )
 from .errors import (
     ConfigError,
-    ExtractionError,
     Finding,
     ModelParseError,
     ProcompError,

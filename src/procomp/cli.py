@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 from . import defaults
 from .bpmn import LANGUAGE, parse_model_file
-from .errors import ExtractionError, ProcompError, ResponseError, ScoringError
+from .errors import ProcompError, ResponseError, ScoringError
 from .documents import read_document
 from .ett import build_ett, load_ett_file, validate_ett
 from .languages import (
@@ -58,6 +58,7 @@ from .ranking import (
     load_survey_csv,
     rank_items,
 )
+from .records import replace
 from .report import ReportFormat, batch_entry, export, frame_batch
 from .scoring import DEFAULT_NOISE_THRESHOLD
 
@@ -69,21 +70,33 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C
 CONFIG_DIR_ENV = "PROCOMP_CONFIG_DIR"
 
 
-def _config(path, name: str, load, default):
-    """A config document: ``load(path)`` if ``path`` is given, else ``load``
-    of ``name`` in the config directory if it exists there, else ``default()``."""
+def _load_registry(source: list[str] | Path) -> tuple[LanguageDescriptor, ...]:
+    """The descriptor files listed, or those in a directory; the built-in registry if none."""
+    paths = sorted(source.glob("*.json")) if isinstance(source, Path) else source
+    return tuple(load_descriptor_file(p) for p in paths) or defaults.builtin_language_registry()
+
+
+# each config document: its name in the config directory and in what init
+# writes, its reader, and its built-in default
+_CONFIG = {
+    "ett": ("ett.json", load_ett_file, defaults.default_ett),
+    "modeler": ("questionnaire_modeler.json", load_schema_file, defaults.default_modeler_schema),
+    "reader": ("questionnaire_reader.json", load_schema_file, defaults.default_reader_schema),
+    "registry": ("languages", _load_registry, defaults.builtin_language_registry),
+}
+
+
+def _config(document: str, path=None, load=None):
+    """The config ``document``: ``load``, or else its reader, of ``path`` if
+    given, else of its file in the config directory if it exists there,
+    else its built-in default."""
+    name, read, default = _CONFIG[document]
     if not path:
         directory = os.environ.get(CONFIG_DIR_ENV)
         path = Path(directory) / name if directory else None
         if not (path and path.exists()):
             return default()
-    return load(path)
-
-
-def _load_registry(source: list[str] | Path) -> tuple[LanguageDescriptor, ...]:
-    """The descriptor files listed, or those in a directory; the built-in registry if none."""
-    paths = sorted(source.glob("*.json")) if isinstance(source, Path) else source
-    return tuple(load_descriptor_file(p) for p in paths) or defaults.builtin_language_registry()
+    return (load or read)(path)
 
 
 def _finite_float(value: str) -> float:
@@ -258,13 +271,12 @@ def _check_model_ids(models: list[str]) -> None:
 def _cmd_score(args) -> int:
     models: list[str] = args.model
     _check_model_ids(models)
-    tree = _config(args.ett, "ett.json", load_ett_file, defaults.default_ett)
-    modeler_schema = _config(args.schema_modeler, "questionnaire_modeler.json", load_schema_file,
-                             defaults.default_modeler_schema)
-    reader_schema = _config(args.schema_reader, "questionnaire_reader.json", load_schema_file,
-                            defaults.default_reader_schema)
-    registry = _config(args.languages, "languages", _load_registry,
-                       defaults.builtin_language_registry)
+    tree = _config("ett", args.ett)
+    if args.weights is not None:
+        tree = replace(tree, interaction_weights=args.weights)
+    modeler_schema = _config("modeler", args.schema_modeler)
+    reader_schema = _config("reader", args.schema_reader)
+    registry = _config("registry", args.languages)
     modeler_responses = load_responses_file(args.modeler_responses)
     reader_responses = [load_responses_file(p) for p in args.reader_responses]
     plan = compile_plan(
@@ -275,7 +287,6 @@ def _cmd_score(args) -> int:
         modeler_schema,
         reader_schema,
         noise_threshold=args.threshold,
-        interaction_weights=args.weights,
         language=args.language,
     )
 
@@ -296,8 +307,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_ett_validate(args) -> int:
     # built without load_ett's invariant checks, so that every violation is reported
-    tree = _config(args.ett, "ett.json", lambda path: read_document(path, build_ett),
-                   defaults.default_ett)
+    tree = _config("ett", args.ett, load=lambda path: read_document(path, build_ett))
     findings = validate_ett(tree)
     print("\n".join(f"{f.severity}: [{f.code}] {f.path}: {f.message}" for f in findings)
           or "tree is valid")
@@ -324,8 +334,7 @@ def _cmd_survey_rank(args) -> int:
 
 
 def _cmd_language_compare(args) -> int:
-    registry = _config(args.languages, "languages", _load_registry,
-                       defaults.builtin_language_registry)
+    registry = _config("registry", args.languages)
     normalized = normalize_complexity(registry, full_range=args.full_range)
     lines = [f"{'language':<24} {'norm':>8} {'score':>6} {'patterns':>8}  support per type"]
     for descriptor in sorted(registry, key=lambda d: d.name):
@@ -380,14 +389,8 @@ def _cmd_model_inspect(args) -> int:
 
 
 def _cmd_questionnaire_fill(args) -> int:
-    if args.schema == "modeler":
-        schema = _config(None, "questionnaire_modeler.json", load_schema_file,
-                         defaults.default_modeler_schema)
-    elif args.schema == "reader":
-        schema = _config(None, "questionnaire_reader.json", load_schema_file,
-                         defaults.default_reader_schema)
-    else:
-        schema = load_schema_file(args.schema)
+    schema = (_config(args.schema) if args.schema in ("modeler", "reader")
+              else load_schema_file(args.schema))
     answers: dict[str, bool | int] = {}
     print(f"{schema.perspective.value} questionnaire, {len(schema.questions)} questions")
     for index, question in enumerate(schema.questions, start=1):
@@ -430,12 +433,12 @@ def _cmd_questionnaire_fill(args) -> int:
 def _cmd_init(args) -> int:
     target = Path(args.directory)
     files: dict[Path, dict] = {
-        target / "ett.json": defaults.default_ett_document(),
-        target / "questionnaire_modeler.json": defaults.modeler_questionnaire_document(),
-        target / "questionnaire_reader.json": defaults.reader_questionnaire_document(),
+        target / _CONFIG["ett"][0]: defaults.default_ett_document(),
+        target / _CONFIG["modeler"][0]: defaults.modeler_questionnaire_document(),
+        target / _CONFIG["reader"][0]: defaults.reader_questionnaire_document(),
     }
     for slug, document in defaults.default_language_documents().items():
-        files[target / "languages" / f"{slug}.json"] = document
+        files[target / _CONFIG["registry"][0] / f"{slug}.json"] = document
     existing = [str(path) for path in files if path.exists()]
     if existing and not args.force:
         raise ProcompError(
@@ -584,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().parse_args(argv)  # exits with the full parser's usage and error
     try:
         return args.handler(args)
-    except (ResponseError, ScoringError, ExtractionError) as exc:
+    except (ResponseError, ScoringError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         for finding in getattr(exc, "report", ()):
             path = f" ({finding.path})" if finding.path else ""

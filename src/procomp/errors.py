@@ -31,18 +31,6 @@ class ModelParseError(ProcompError):
         super().__init__(f"{message} ({context})" if context else message)
 
 
-class ExtractionError(ProcompError):
-    """A model-derived metric has no registered extractor."""
-
-    def __init__(self, metric_ids: list[str]):
-        self.metric_ids = list(metric_ids)
-        super().__init__("unextractable metric(s): " + ", ".join(self.metric_ids))
-
-    def __reduce__(self):
-        # unpickling calls the class with ``args``, here the formatted message
-        return (ExtractionError, (self.metric_ids,))
-
-
 @record
 class Finding:
     """One problem a check found in the config: ``code`` names the rule,

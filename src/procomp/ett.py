@@ -340,8 +340,6 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
     for perspective in Perspective:
         group = tree.criteria_for(perspective)
         for criterion in group:
-            if not criterion.metrics:
-                raise ConfigError(f"criterion {criterion.id!r} has no metrics to weight")
             n_metrics = len(criterion.metrics)
             metrics = tuple(
                 QualityMetric(id=m.id, name=m.name, description=m.description, source=m.source,

@@ -39,13 +39,14 @@ from operator import add
 from typing import Callable
 
 from .bpmn import ACTIVITY_KINDS, FLOW_NODE_KINDS, GATEWAY_KINDS, NodeKind, ProcessModelGraph
-from .errors import ExtractionError, ModelParseError
+from .errors import ModelParseError, ScoringError
 from .ett import (
     EvaluationTheoryTree,
     MetricSource,
     NormalizationKind,
     NormalizationSpec,
     Polarity,
+    scoring_violations,
 )
 
 
@@ -250,9 +251,11 @@ EXTRACTORS: dict[str, Callable[[ProcessModelGraph], float]] = {
 def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> dict[str, float]:
     """The raw value of every model-derived metric in the tree, by metric id.
 
-    Metrics resolve to extractors through their binding key; any metric
-    without a matching extractor makes the whole extraction fail. Each
-    binding key is extracted once, however many metrics share it.
+    Metrics resolve to extractors through their binding key. A metric
+    without a matching extractor raises the ScoringError that compile_plan
+    raises for it: the message of the tree's first unknown-extractor
+    finding. Each binding key is extracted once, however many metrics
+    share it.
     """
     values: dict[str, float] = {}
     raw: dict[str, float] = {}
@@ -260,10 +263,9 @@ def extract_metrics(graph: ProcessModelGraph, tree: EvaluationTheoryTree) -> dic
         if metric.source is MetricSource.MODEL_DERIVED:
             key = metric.binding_key
             if key not in values:
-                if key not in EXTRACTORS:  # name every unbound metric
-                    raise ExtractionError([m.id for m in tree.all_metrics()
-                                           if m.source is MetricSource.MODEL_DERIVED
-                                           and m.binding_key not in EXTRACTORS])
+                if key not in EXTRACTORS:
+                    raise ScoringError(next(f.message for f in scoring_violations(tree)
+                                            if f.code == "unknown-extractor"))
                 values[key] = EXTRACTORS[key](graph)
             raw[metric.id] = values[key]
     return raw

@@ -46,7 +46,7 @@ from .questionnaire import (
     validate_schema,
 )
 from .ranking import left_sum
-from .records import record, replace
+from .records import record
 from .scoring import (
     DEFAULT_NOISE_THRESHOLD,
     ComprehensionEvaluation,
@@ -150,7 +150,6 @@ def compile_plan(
     reader_schema: QuestionnaireSchema,
     *,
     noise_threshold: float = DEFAULT_NOISE_THRESHOLD,
-    interaction_weights: tuple[float, float] | None = None,
     language: str | None = None,
 ) -> ScoringPlan:
     """Check the tree, weight it, check both schemas against it, score
@@ -159,9 +158,8 @@ def compile_plan(
     evaluate, so that every config error is found before a model is parsed.
     The tree check raises the first error validate_ett reports: a
     ScoringError for a scoring rule, the ConfigError load_ett raises for a
-    structural one. ``interaction_weights``, if given, replace the tree's."""
-    if interaction_weights is not None:
-        tree = replace(tree, interaction_weights=interaction_weights)
+    structural one. The plan combines the perspectives with the tree's own
+    interaction weights."""
     for finding in scoring_violations(tree):
         raise ScoringError(finding.message)
     for finding in tree_violations(tree):
@@ -200,5 +198,5 @@ def evaluate_model(graph: ProcessModelGraph, *config, model_id: str = "model",
     """Run the whole scoring pipeline for one model: ``config`` and
     ``options`` are ``compile_plan``'s arguments (the tree, the registry,
     the modeler and reader responses and the two schemas; then
-    ``noise_threshold``, ``interaction_weights`` and ``language``)."""
+    ``noise_threshold`` and ``language``)."""
     return compile_plan(*config, **options).evaluate(graph, model_id=model_id)

@@ -158,8 +158,8 @@ class SurveyDataset:
 
 
 def load_survey_csv(path: str | Path) -> SurveyDataset:
-    """Read a dataset from a CSV with columns item, rank, fraction. Raises
-    ConfigError naming the file.
+    """Read a dataset from a UTF-8 CSV, with or without a byte-order mark,
+    with columns item, rank, fraction. Raises ConfigError naming the file.
 
     A rank above the number of data rows is refused: a complete table has
     one row per item and rank, so it never holds one. So is a second row
@@ -167,7 +167,7 @@ def load_survey_csv(path: str | Path) -> SurveyDataset:
     """
     import csv  # only `survey rank` reads a CSV: import on first use
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             return _survey_dataset(reader)

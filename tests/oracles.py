@@ -189,7 +189,7 @@ def naive_block_structuredness(graph, rng=None) -> float:
 
 def per_model_evaluation(graph, tree, registry, modeler_responses, reader_responses,
                          modeler_schema, reader_schema, *, noise_threshold=4.0,
-                         interaction_weights=None, language=None, model_id="model"):
+                         language=None, model_id="model"):
     """Score one model by normalizing and aggregating every metric of the
     tree, with the registry values of ``language`` (``bpmn.LANGUAGE`` if
     None) computed afresh, as
@@ -208,8 +208,6 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
                                  perspective_score)
 
     tree = ensure_weighted(tree)
-    if interaction_weights is not None:
-        tree = replace(tree, interaction_weights=interaction_weights)
     questionnaire_scores = score_responses(modeler_schema, modeler_responses)
     reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
     questionnaire_scores.update({key: left_sum(s[key] for s in reader_scores) / len(reader_scores)

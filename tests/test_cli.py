@@ -1008,6 +1008,19 @@ def test_survey_rank_of_a_header_only_table_exits_2(capsys, tmp_path):
         2, "", f"error: {path}: survey CSV contains no data rows\n")
 
 
+@pytest.mark.parametrize("flags", [[], ["--compare"]])
+def test_survey_rank_reads_a_table_with_a_byte_order_mark_as_one_without(capsys, tmp_path, flags):
+    # spreadsheet programs save "CSV UTF-8" with a byte-order mark before the header
+    table = "item,rank,fraction\na,1,0.5\na,2,0.5\nb,1,0.5\nb,2,0.5\nc,1,1.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(table, encoding="utf-8")
+    marked.write_text(table, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run(capsys, "survey", "rank", str(plain), *flags)
+    assert expected[0] == 0, expected[2]
+    assert run(capsys, "survey", "rank", str(marked), *flags) == expected
+
+
 def test_survey_compare_output(capsys, tmp_path):
     path = tmp_path / "survey.csv"
     path.write_text("item,rank,fraction\na,1,0.5\na,2,0.3\na,3,0.2\nb,1,0.2\nb,2,0.5\nb,3,0.3\n"
@@ -1331,26 +1344,45 @@ def test_a_true_false_question_with_levels_exits_2_naming_its_file(capsys, tmp_p
         2, "", f"error: {schema}: question {question['id']!r}: true/false takes no levels\n")
 
 
-@pytest.mark.parametrize("name, flag", [
-    ("ett.json", "--ett"),
-    ("questionnaire_modeler.json", "--schema-modeler"),
-    ("questionnaire_reader.json", "--schema-reader"),
-    ("languages/bpmn.json", "--languages"),
-])
+# a score case's id is its file and flag; it reads each of the four documents
+CONFIG_LOOKUPS = [
+    *(pytest.param("score", name, flag, id=f"{name}-{flag}") for name, flag in [
+        ("ett.json", "--ett"),
+        ("questionnaire_modeler.json", "--schema-modeler"),
+        ("questionnaire_reader.json", "--schema-reader"),
+        ("languages/bpmn.json", "--languages"),
+    ]),
+    pytest.param("ett validate", "ett.json", "--ett", id="ett-validate"),
+    pytest.param("language compare", "languages/bpmn.json", "--languages", id="language-compare"),
+    *(pytest.param("questionnaire fill", f"questionnaire_{perspective}.json", "--schema",
+                   id=f"questionnaire-fill-{perspective}") for perspective in ("modeler", "reader")),
+]
+
+
+@pytest.mark.parametrize("command, name, flag", CONFIG_LOOKUPS)
 def test_each_config_document_is_found_in_the_config_dir_and_its_flag_wins(
-        capsys, tmp_path, monkeypatch, response_bundle, name, flag):
+        capsys, tmp_path, monkeypatch, response_bundle, command, name, flag):
     config, other = tmp_path / "config", tmp_path / "other"
     for target in (config, other):
         assert main(["init", str(target)]) == 0
     capsys.readouterr()
     (config / name).write_text("{", encoding="utf-8")
     monkeypatch.setenv("PROCOMP_CONFIG_DIR", str(config))
-    code, out, err = run(capsys, *score_args(response_bundle))
+    argv = {"score": score_args(response_bundle),
+            "questionnaire fill": ["questionnaire", "fill", "--respondent", "r-1",
+                                   "--output", str(tmp_path / "responses.json"),
+                                   "--schema", name[len("questionnaire_"):-len(".json")]],
+            }.get(command, command.split())
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {config / name}: malformed JSON document")
-    code, out, err = run(capsys, *score_args(response_bundle, flag, str(other / name)))
+    # "1" answers a true/false question (yes) and a Likert question (level 1) alike;
+    # the last --schema given is the one questionnaire fill reads
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n" * 100))
+    code, out, err = run(capsys, *argv, flag, str(other / name))
     assert (code, err) == (0, "")
-    assert "Modeler score  (S_m):" in out
+    assert {"score": "Modeler score  (S_m):", "ett validate": "tree is valid\n",
+            "language compare": "BPMN 2.0", "questionnaire fill": "wrote "}[command] in out
 
 
 def command_paths(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):

@@ -287,9 +287,14 @@ def test_weights_that_overflow_a_weighted_sum_of_scores_are_reported():
     assert [f.code for f in validate_ett(build_ett(document))] == ["nonpositive-weight"]
 
 
-def test_assign_weights_refuses_a_criterion_with_no_metrics():
+def test_a_criterion_with_no_metrics_is_weighted_and_left_to_the_empty_criterion_rule():
     # build_ett checks no invariant, so the empty criterion reaches the weighting
     document = default_ett_document()
     next(c for c in document["criteria"] if c["id"] == "r-representation")["metrics"] = []
-    with pytest.raises(ConfigError, match="^criterion 'r-representation' has no metrics to weight$"):
-        assign_weights(build_ett(document))
+    tree = build_ett(document)
+    weighted = next(c for c in assign_weights(tree).criteria if c.id == "r-representation")
+    assert weighted.metrics == ()
+    assert weighted.weight is not None
+    assert [(f.code, f.path, f.message) for f in validate_ett(tree) if f.severity == "error"] == [
+        ("empty-criterion", "criteria[r-representation]",
+         "criterion unscored: 'r-representation' holds no metrics")]

@@ -16,17 +16,19 @@ from procomp.bpmn import (
     parse_model,
     parse_model_file,
 )
-from procomp.defaults import default_ett_document
-from procomp.errors import ExtractionError, ModelParseError
+from procomp.defaults import builtin_language_registry, default_ett_document
+from procomp.errors import ModelParseError, ScoringError
 from procomp.ett import (
     NormalizationKind,
     NormalizationSpec,
     Polarity,
     load_ett,
+    validate_ett,
 )
 from procomp.metrics import EXTRACTORS, extract_metrics, normalize_metric
+from procomp.pipeline import compile_plan
 
-from conftest import (FIXTURES, namespace_documents, nested_subprocess_document,
+from conftest import (FIXTURES, make_responses, namespace_documents, nested_subprocess_document,
                       random_bpmn_document)
 from oracles import naive_block_structuredness, naive_counts
 
@@ -709,20 +711,30 @@ def test_unextractable_metric_is_reported():
     }
     tree = load_ett(document)
     graph = parse_model_file(FIXTURES / "sequence.bpmn")
-    with pytest.raises(ExtractionError, match="strange-metric"):
+    with pytest.raises(ScoringError,
+                       match="^metric 'strange-metric' binds to unknown extractor 'strange-metric'$"):
         extract_metrics(graph, tree)
 
 
-def test_every_unbound_metric_is_named_however_far_the_walk_got():
+def test_an_unbound_metric_fails_extraction_with_the_error_compile_plan_raises(
+        modeler_schema, reader_schema):
     document = default_ett_document()
     unbound = {"m-err-labeling": "no-such-extractor", "r-rep-density": "nor-this-one"}
     for criterion in document["criteria"]:
         for metric in criterion["metrics"]:
             if metric["id"] in unbound:
                 metric["binding"] = unbound[metric["id"]]
-    with pytest.raises(ExtractionError) as exc:
-        extract_metrics(parse_model_file(FIXTURES / "sequence.bpmn"), load_ett(document))
-    assert exc.value.metric_ids == ["m-err-labeling", "r-rep-density"]
+    tree = load_ett(document)
+    with pytest.raises(ScoringError) as extracted:
+        extract_metrics(parse_model_file(FIXTURES / "sequence.bpmn"), tree)
+    with pytest.raises(ScoringError) as compiled:
+        compile_plan(tree, builtin_language_registry(), make_responses(modeler_schema, "m-1", 1),
+                     [make_responses(reader_schema, "r-1", 0)], modeler_schema, reader_schema)
+    # the first of the two unknown-extractor findings, whatever the walk extracted before it
+    findings = [f.message for f in validate_ett(tree) if f.code == "unknown-extractor"]
+    assert str(extracted.value) == str(compiled.value) == findings[0] == (
+        "metric 'm-err-labeling' binds to unknown extractor 'no-such-extractor'")
+    assert len(findings) == 2
 
 
 # ---------------------------------------------------------------------------

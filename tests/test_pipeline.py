@@ -14,7 +14,6 @@ from procomp.bpmn import Node, NodeKind, ProcessModelGraph, parse_model, parse_m
 from procomp.defaults import builtin_language_registry, default_ett_document
 from procomp.errors import (
     ConfigError,
-    ExtractionError,
     Finding,
     ModelParseError,
     ResponseError,
@@ -126,12 +125,16 @@ def test_plan_evaluate_scores_only_the_model_derived_metrics(config, monkeypatch
 
 def test_evaluate_model_takes_compile_plan_arguments(config):
     graph = parse_model_file(FIXTURES / "xor_loop.bpmn")
-    options = {"noise_threshold": 5.0, "interaction_weights": (0.3, 0.7), "language": "BPMN 2.0"}
-    assert (evaluate_model(graph, *config, model_id="xor_loop", **options)
-            == compile_plan(*config, **options).evaluate(graph, model_id="xor_loop"))
+    options = {"noise_threshold": 5.0, "language": "BPMN 2.0"}
+    # the interaction weights are the tree's own: no keyword sets them
+    config = (replace(config[0], interaction_weights=(0.3, 0.7)), *config[1:])
+    evaluation = evaluate_model(graph, *config, model_id="xor_loop", **options)
+    assert evaluation == compile_plan(*config, **options).evaluate(graph, model_id="xor_loop")
+    assert (evaluation.w_m, evaluation.w_r) == (0.3, 0.7)
     assert evaluate_model(graph, *config) == compile_plan(*config).evaluate(graph)
-    with pytest.raises(TypeError, match="noise_treshold"):
-        evaluate_model(graph, *config, noise_treshold=5.0)
+    for unknown in ("noise_treshold", "interaction_weights"):
+        with pytest.raises(TypeError, match=unknown):
+            evaluate_model(graph, *config, **{unknown: 5.0})
 
 
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
@@ -308,9 +311,10 @@ def test_plan_on_random_trees_matches_per_model_scoring():
         graphs = [rng.choice(GRAPHS), parse_model(random_bpmn_document(rng).encode())]
         language = rng.choice([None, "BPMN 2.0", "EPC", "UML Activity Diagram"])
         weights = rng.choice([None, (0.3, 0.7)])
+        if weights is not None:
+            config = (replace(config[0], interaction_weights=weights), *config[1:])
         _assert_plan_matches_per_model_scoring(
-            config, graphs, language=language, interaction_weights=weights,
-            noise_threshold=rng.choice([4.0, 6.5, 10.0]))
+            config, graphs, language=language, noise_threshold=rng.choice([4.0, 6.5, 10.0]))
     assert seen == {*Perspective, "all sources in one criterion", "all pinned", "derived"}
 
 
@@ -346,7 +350,6 @@ def test_a_language_without_a_control_flow_catalog_fails_only_its_own_models(con
 ERRORS = [
     (ConfigError("bad weight", path="criteria[0].weight"), {"path": "criteria[0].weight"}),
     (ModelParseError("dangling reference", context="flow f1"), {"context": "flow f1"}),
-    (ExtractionError(["m-err-or-routing", "m-x"]), {"metric_ids": ["m-err-or-routing", "m-x"]}),
     (ResponseError("response set 'r' failed validation", (Finding("missing-answer", "q1", "missing"),)),
      {"report": (Finding("missing-answer", "q1", "missing"),)}),
     (ScoringError("criterion unscored"), {}),

@@ -131,13 +131,19 @@ def test_parse_is_near_linear(documents):
     assert_near_linear([line_events(lambda: parse_model(doc)) for doc in docs], f"parse {shape}")
 
 
-@pytest.mark.parametrize("key", ["graph-index", *EXTRACTORS])
-def test_each_extractor_is_near_linear_on_a_fresh_graph(documents, key):
-    # the graph is fresh, so its index is built on first use and counted too
+# each extractor twice: on a fresh graph, where its index is built on first use
+# and counted too, and with the index built first, which bounds it apart
+@pytest.mark.parametrize("key, index_built_first", [
+    *(pytest.param(key, False, id=key) for key in ["graph-index", *EXTRACTORS]),
+    *(pytest.param(key, True, id=f"{key}-index-built-first") for key in EXTRACTORS),
+])
+def test_each_extractor_is_near_linear_on_a_fresh_graph(documents, key, index_built_first):
     shape, docs = documents
     costs = []
     for doc in docs:
         graph = parse_model(doc)
+        if index_built_first:
+            graph.index
         extract = (lambda: graph.index) if key == "graph-index" else (lambda: EXTRACTORS[key](graph))
         costs.append(line_events(extract))
     assert_near_linear(costs, f"{key} on {shape}")
