@@ -9,13 +9,9 @@ collector as it was. Either way ``main`` builds the parser of the invoked
 command alone; the top-level help, and the errors of the top-level
 parser, come from the full ``build_parser()``.
 
-``score --jobs N`` scores a batch in worker processes started with the
-platform's default method, each with one one-way pipe: worker ``k`` sends
-the entries of the models at ``k, k + N, ...``, and the main process reads
-them back in ``--model`` order. The main process starts no thread, so a
-forked worker inherits no lock that another thread held. The workers
-ignore SIGINT, so Ctrl-C stops the main process alone, which stops them
-and exits 130.
+``score`` with several ``--model``s writes what ``procomp.batch.score_batch``
+yields, which runs the ``--jobs`` worker processes; that module is imported
+only then, so scoring one model loads no process machinery.
 """
 
 from __future__ import annotations
@@ -26,9 +22,9 @@ import json
 import math
 import os
 import sys
-from contextlib import closing, contextmanager, suppress
+from contextlib import closing
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import defaults
 from .bpmn import LANGUAGE, parse_model_file
@@ -43,7 +39,7 @@ from .languages import (
     pattern_score,
 )
 from .metrics import EXTRACTORS
-from .pipeline import ScoringPlan, compile_plan
+from .pipeline import compile_plan
 from .questionnaire import (
     QuestionKind,
     ResponseSet,
@@ -59,7 +55,7 @@ from .ranking import (
     rank_items,
 )
 from .records import replace
-from .report import ReportFormat, batch_entry, export, frame_batch
+from .report import ReportFormat, export
 from .scoring import DEFAULT_NOISE_THRESHOLD
 
 EXIT_OK = 0
@@ -145,7 +141,7 @@ def _write_batch(pieces: Iterable[str], output: str | None) -> None:
     which is copied to the ``output`` file, or to standard output, once the
     report is complete.
     """
-    # imported here, like multiprocessing, so that scoring one model imports neither
+    # imported here, like procomp.batch, so that scoring one model imports neither
     import shutil
     import tempfile
 
@@ -162,99 +158,6 @@ def _write_batch(pieces: Iterable[str], output: str | None) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
-
-
-def _score_entry(plan: ScoringPlan, fmt: str, model_path: str) -> str:
-    """One model's entry in a multi-model report."""
-    graph = parse_model_file(model_path)
-    return batch_entry(plan.evaluate(graph, model_id=Path(model_path).stem), fmt)
-
-
-def _score_share(plan: ScoringPlan, fmt: str, models: list[str], sender, inherited) -> None:
-    """A worker process: send each of ``models``' entries down ``sender``, or
-    the error that stopped it. ``inherited`` are the read ends a forked worker
-    holds of the main process's pipes, its own among them; once they are
-    closed, a send fails with ``EPIPE`` when the main process stops reading,
-    killed or not, and the worker ends."""
-    import signal
-
-    # fork and spawn children start with SIGINT ignored; a forkserver child has its handler restored
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for receiver in inherited:
-        receiver.close()
-    with suppress(BrokenPipeError):  # the main process failed, or is gone
-        for model in models:
-            try:
-                sender.send(_score_entry(plan, fmt, model))
-            except Exception as exc:  # the main process raises it in its turn
-                sender.send(exc)
-                break
-
-
-@contextmanager
-def _sigint_ignored():
-    """SIGINT ignored while the block starts workers, which inherit that.
-    Python sets handlers in the main thread alone; elsewhere the block runs
-    as it is."""
-    import signal
-
-    try:
-        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except ValueError:  # not the main thread
-        yield
-        return
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGINT, previous)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, which its affinity can make fewer
-    than the machine has."""
-    if hasattr(os, "process_cpu_count"):  # Python 3.13+
-        return os.process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _piped_entries(plan: ScoringPlan, fmt: str, models: list[str], workers: int) -> Iterator[str]:
-    """Each model's entry, in order: worker ``k`` scores the models at ``k,
-    k + workers, ...`` and sends them down a pipe of its own, whose buffer
-    bounds how far it runs ahead of the main process."""
-    # imported here, so that scoring one model imports no process machinery
-    import multiprocessing
-
-    # the platform's default start method: the plan pickles for spawn and forkserver
-    context = multiprocessing.get_context()
-    receivers, processes = [], []
-    try:
-        with _sigint_ignored():
-            for k in range(workers):
-                receiver, sender = context.Pipe(duplex=False)
-                receivers.append(receiver)
-                inherited = tuple(receivers) if context.get_start_method() == "fork" else ()
-                process = context.Process(target=_score_share,
-                                          args=(plan, fmt, models[k::workers], sender, inherited))
-                process.start()
-                processes.append(process)
-                sender.close()  # the worker holds the last write end: if it dies, recv sees EOF
-        for index, model in enumerate(models):
-            try:
-                entry = receivers[index % workers].recv()
-            except EOFError:  # the worker ended without sending it
-                processes[index % workers].join()
-                entry = ProcompError(f"{model}: the worker process scoring it ended with exit "
-                                     f"code {processes[index % workers].exitcode}")
-            if isinstance(entry, Exception):
-                raise entry
-            yield entry
-    finally:
-        for receiver, process in zip(receivers, processes):
-            receiver.close()
-            process.terminate()  # one that is done has exited; what a failure left is stopped
-            process.join()
 
 
 def _check_model_ids(models: list[str]) -> None:
@@ -295,13 +198,11 @@ def _cmd_score(args) -> int:
         evaluation = plan.evaluate(graph, model_id=Path(models[0]).stem)
         _emit(export(evaluation, args.format).body, args.output)
         return EXIT_OK
-    workers = min(args.jobs, len(models), _usable_cpus())
-    if workers == 1:
-        entries = (_score_entry(plan, args.format, m) for m in models)
-    else:
-        entries = _piped_entries(plan, args.format, models, workers)
-    with closing(entries):  # stops the workers, whatever ends the batch
-        _write_batch(frame_batch(entries, args.format), args.output)
+    from .batch import score_batch  # imported here, so that scoring one model loads no worker code
+
+    # closing stops the workers, whatever ends the batch
+    with closing(score_batch(plan, models, args.format, args.jobs)) as pieces:
+        _write_batch(pieces, args.output)
     return EXIT_OK
 
 

@@ -153,8 +153,6 @@ def _parse_ranked(document: dict, path: str) -> tuple[str, str, int, float | Non
     node_id = read_field(document, "id", str, path)
     name = read_field(document, "name", str, path, default=node_id)
     rank = read_field(document, "rank", int, path)
-    if rank < 1:
-        raise ConfigError(f"rank must be a positive integer, got {rank!r}", path=f"{path}.rank")
     weight = document.get("weight")
     if weight is not None and type(weight) not in (int, float):
         raise ConfigError(f"weight must be a number, got {weight!r}", path=f"{path}.weight")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from procomp import cli
+from procomp import batch, cli
 from procomp.cli import main
 from procomp.questionnaire import load_responses_file
 from procomp.report import batch_entry, export, frame_batch, parse_evaluation
@@ -320,10 +320,10 @@ def test_pooled_entries_bound_what_waits_in_the_main_process(monkeypatch):
         return model + "x" * (1 << 20)
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: fork)
-    monkeypatch.setattr(cli, "_score_entry", counting)
+    monkeypatch.setattr(batch, "_score_entry", counting)
     models = [f"m{i}" for i in range(100)]
     entries, waiting = [], []
-    for entry in cli._piped_entries(None, "json", models, 2):
+    for entry in batch._piped_entries(None, "json", models, 2):
         entries.append(entry[:-(1 << 20)])
         waiting.append(scored.value - len(entries))
     assert entries == models
@@ -399,11 +399,11 @@ def test_usable_cpus_are_the_process_count_else_the_affinity_else_the_machine(mo
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
-    assert cli._usable_cpus() == 3
+    assert batch._usable_cpus() == 3
     monkeypatch.delattr(os, "process_cpu_count")
-    assert cli._usable_cpus() == 2
+    assert batch._usable_cpus() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._usable_cpus() == 8
+    assert batch._usable_cpus() == 8
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
@@ -447,9 +447,9 @@ def test_the_first_broken_model_in_order_is_reported_at_any_jobs(capsys, respons
 WORKER_PROBE = """\
 import multiprocessing, os, signal, sys, time
 multiprocessing.set_start_method("fork")
-from procomp import cli
+from procomp import batch, cli
 case, argv = sys.argv[1], sys.argv[2:]
-score_entry, piped_entries = cli._score_entry, cli._piped_entries
+score_entry, piped_entries = batch._score_entry, batch._piped_entries
 def dying(plan, fmt, model):
     if os.path.basename(model) == "copy-9.bpmn":
         os._exit(3)
@@ -468,15 +468,15 @@ def interrupted(*args):
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     yield from entries
 if case == "dead-worker":
-    cli._score_entry = dying
+    batch._score_entry = dying
 if case in ("killed", "interrupted"):
-    cli._piped_entries = globals()[case]
+    batch._piped_entries = globals()[case]
 code = cli.main(argv)
 print(code, len(multiprocessing.active_children()))
 """
 
 needs_forked_workers = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods() or cli._usable_cpus() < 2,
+    "fork" not in multiprocessing.get_all_start_methods() or batch._usable_cpus() < 2,
     reason="needs the fork start method and two CPUs, so that --jobs 2 starts two workers")
 
 
@@ -559,14 +559,14 @@ def test_an_interrupted_command_exits_130(capsys, response_bundle, monkeypatch):
 
 def test_workers_start_with_sigint_ignored_on_the_main_thread_alone():
     handler = signal.getsignal(signal.SIGINT)
-    with cli._sigint_ignored():
+    with batch._sigint_ignored():
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     assert signal.getsignal(signal.SIGINT) is handler
     # Python sets handlers on the main thread alone: elsewhere the block runs as it is
     seen = []
 
     def elsewhere():
-        with cli._sigint_ignored():
+        with batch._sigint_ignored():
             seen.append(signal.getsignal(signal.SIGINT))
     thread = threading.Thread(target=elsewhere)
     thread.start()
@@ -896,6 +896,27 @@ def test_ett_validate_lists_every_structural_violation(capsys, tmp_path):
     assert len(errors) == 2
     assert "[rank-permutation]" in errors[0]
     assert "[nonpositive-weight]" in errors[1]
+
+
+@pytest.mark.parametrize("rank", [0, 99])
+def test_a_rank_below_1_is_reported_with_every_other_violation(capsys, tmp_path, response_bundle,
+                                                               rank):
+    from procomp.defaults import default_ett_document
+    document = default_ett_document()
+    criterion = document["criteria"][0]
+    metrics = criterion["metrics"]
+    metrics[0]["rank"] = rank
+    metrics[1]["id"] = metrics[0]["id"]
+    path = tmp_path / "ett.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "ett", "validate", "--ett", str(path))
+    assert (code, err) == (1, "")
+    assert [line.split("] ")[0] for line in out.splitlines()] == [
+        "error: [rank-permutation", "error: [duplicate-metric-id"]
+    ranks = sorted([rank, *range(2, len(metrics) + 1)])
+    assert run(capsys, *score_args(response_bundle, "--ett", str(path))) == (
+        2, "", f"error: {path}: criteria[{criterion['id']}].metrics: rank permutation violation: "
+               f"ranks {ranks} are not a permutation of 1..{len(metrics)}\n")
 
 
 # json.dumps writes no float that overflows, so this string stands for 1e400 in the text

@@ -39,7 +39,7 @@ from procomp.questionnaire import (
     ResponseSet,
     score_responses,
 )
-from procomp.report import export
+from procomp.report import ReportFormat, export
 from procomp.scoring import ComprehensionEvaluation, CriterionResult, detect_noise
 
 from conftest import FIXTURES, make_responses, pinned_ett_document, random_bpmn_document
@@ -143,7 +143,7 @@ def test_pool_workers_start_under_every_start_method(config, tmp_path, method):
     # and the pipe's write end into a freshly imported interpreter; the error
     # that stops the worker comes back through the real pipe. The worker ignores
     # SIGINT by itself, as a forkserver child has its handlers restored.
-    from procomp import cli
+    from procomp import batch
     plan = compile_plan(*config)
     broken = tmp_path / "broken.bpmn"
     broken.write_text("<definitions", encoding="utf-8")
@@ -151,7 +151,7 @@ def test_pool_workers_start_under_every_start_method(config, tmp_path, method):
     context = multiprocessing.get_context(method)
     receiver, sender = context.Pipe(duplex=False)
     inherited = (receiver,) if method == "fork" else ()
-    worker = context.Process(target=cli._score_share,
+    worker = context.Process(target=batch._score_share,
                              args=(plan, "json", [*paths, str(broken), *paths], sender, inherited))
     worker.start()
     sender.close()
@@ -170,10 +170,51 @@ def test_pool_workers_start_under_every_start_method(config, tmp_path, method):
         receiver.close()
         worker.kill()
         worker.join()
-    assert parts[:-1] == [cli._score_entry(plan, "json", path) for path in paths]
+    assert parts[:-1] == [batch._score_entry(plan, "json", path) for path in paths]
     with pytest.raises(ModelParseError) as raised:
-        cli._score_entry(plan, "json", str(broken))
+        batch._score_entry(plan, "json", str(broken))
     assert type(parts[-1]) is ModelParseError and str(parts[-1]) == str(raised.value)
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_score_batch_is_what_score_writes_under_every_start_method(config, response_bundle,
+                                                                   tmp_path, monkeypatch, method):
+    from procomp import batch
+    from procomp.cli import main
+    # the workers start with `method`, and jobs 2 starts two of them on any host
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 2)
+    monkeypatch.delenv("PROCOMP_CONFIG_DIR", raising=False)
+    plan = compile_plan(*config)  # the config that response_bundle's files hold
+    paths = [str(FIXTURES / f"{model}.bpmn") for model in MODELS]
+    responses = ["--modeler-responses", str(response_bundle["modeler"]),
+                 "--reader-responses", *[str(p) for p in response_bundle["readers"]]]
+    for fmt in (f.value for f in ReportFormat):
+        output = tmp_path / f"report.{fmt}"
+        argv = ["score", *[arg for path in paths for arg in ("--model", path)], *responses,
+                "--format", fmt, "--output", str(output)]
+        assert main(argv) == 0
+        expected = output.read_bytes().decode("utf-8")
+        for jobs in (1, 2):
+            assert "".join(batch.score_batch(plan, paths, fmt, jobs)) == expected, (fmt, jobs)
+
+    broken = tmp_path / "broken.bpmn"
+    broken.write_text("<definitions", encoding="utf-8")
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(ModelParseError) as raised:
+            "".join(batch.score_batch(plan, [paths[0], str(broken), *paths[1:]], "json", jobs))
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+    assert multiprocessing.active_children() == []
+
+    # each worker has 20 entries to send, more than its pipe holds, so both are still running
+    pieces = batch.score_batch(plan, paths * 10, "json", 2)
+    assert next(pieces) == "[\n" and next(pieces)  # the head, then the first model's entry
+    assert len(multiprocessing.active_children()) == 2
+    pieces.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_a_cycle_of_sub_process_parents_is_a_model_error(config):

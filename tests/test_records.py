@@ -321,7 +321,8 @@ imported = len(compiles)
 records = {value for name, module in list(sys.modules.items()) if name.startswith("procomp")
            for value in vars(module).values() if isinstance(value, type) and "_fields" in value.__dict__}
 shapes = {(len(cls._fields), hasattr(cls, "__post_init__")) for cls in records}
-unloaded = [m for m in ("dataclasses", "inspect", "decimal", "xml.etree", "csv", "concurrent.futures")
+unloaded = [m for m in ("dataclasses", "inspect", "decimal", "xml.etree", "csv", "concurrent.futures",
+                        "procomp.batch")
             if m in sys.modules and m not in before]
 parsers, init = [], argparse.ArgumentParser.__init__
 def counted(self, *args, **kwargs):
@@ -335,7 +336,7 @@ parsers.clear()
 output = sys.argv[1 + sys.argv.index("--output")]
 sys.argv[1 + sys.argv.index("--output")] += ".program"
 codes.append(main())
-program_parsers, single = len(parsers), "multiprocessing" in sys.modules
+program_parsers, single = len(parsers), any(m in sys.modules for m in ("multiprocessing", "procomp.batch"))
 model = sys.argv[1 + sys.argv.index("--model")]
 codes.append(main([*sys.argv[1:], "--model", model.replace("order_fulfillment", "sequence"),
                    "--jobs", "2", "--output", output + ".batch"]))

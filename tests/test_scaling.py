@@ -35,7 +35,7 @@ from procomp.report import export
 from conftest import FIXTURES, make_responses
 
 STEP_BOUND = 4.6
-SIZES = (1, 4, 16)  # in segments or spokes, each about 40 flow nodes
+SIZES = (1, 4, 16)  # about 40 flow nodes per unit of size
 
 
 def _document(processes: str) -> bytes:
@@ -82,7 +82,42 @@ def wide_star(size: int) -> bytes:
     return _document("".join(elements) + _flows(pairs))
 
 
-SHAPES = {"nested-block-chain": nested_block_chain, "wide-star": wide_star}
+def fault_ladder(size: int) -> bytes:
+    """A sequence of 10 * size exclusive diamonds of two tasks, the middle one
+    closed by a parallel join, so that no block-structuredness reduction
+    removes it."""
+    diamonds, elements, pairs, previous = 10 * size, ['<startEvent id="s"/>'], [], "s"
+    for i in range(diamonds):
+        join = "parallelGateway" if i == diamonds // 2 else "exclusiveGateway"
+        elements.append(f'<exclusiveGateway id="x{i}"/><{join} id="j{i}"/>'
+                        f'<task id="ta{i}" name="Check {i}"/><task id="tb{i}" name="Book {i}"/>')
+        pairs += [(previous, f"x{i}"), (f"x{i}", f"ta{i}"), (f"x{i}", f"tb{i}"),
+                  (f"ta{i}", f"j{i}"), (f"tb{i}", f"j{i}")]
+        previous = f"j{i}"
+    elements.append('<endEvent id="e"/>')
+    return _document("".join(elements) + _flows(pairs + [(previous, "e")]))
+
+
+def nested_sub_processes(size: int) -> bytes:
+    """10 * size sub-processes nested in one another, each a start event, a
+    labeled task, the next sub-process (but in the innermost) and an end
+    event in sequence."""
+    depth, opened, closed = 10 * size, [], []
+    for i in range(depth):
+        inner = [f"sp{i + 1}"] if i + 1 < depth else []
+        chain = [f"ss{i}", f"t{i}", *inner, f"se{i}"]
+        opened.append(f'<subProcess id="sp{i}" name="Handle {i}"><startEvent id="ss{i}"/>'
+                      f'<task id="t{i}" name="Do {i}"/>')
+        closed.append(f'<endEvent id="se{i}"/>'
+                      + "".join(f'<sequenceFlow id="sf{i}-{k}" sourceRef="{a}" targetRef="{b}"/>'
+                                for k, (a, b) in enumerate(zip(chain, chain[1:])))
+                      + "</subProcess>")
+    return _document('<startEvent id="s"/>' + "".join(opened) + "".join(reversed(closed))
+                     + '<endEvent id="e"/>' + _flows([("s", "sp0"), ("sp0", "e")]))
+
+
+SHAPES = {"nested-block-chain": nested_block_chain, "wide-star": wide_star,
+          "fault-ladder": fault_ladder, "nested-sub-processes": nested_sub_processes}
 
 
 def line_events(call) -> int:
@@ -123,7 +158,8 @@ def documents(request):
 def test_the_shapes_have_about_40_160_and_640_flow_nodes(documents):
     shape, docs = documents
     counts = [len(parse_model(doc).flow_nodes()) for doc in docs]
-    assert counts == {"nested-block-chain": [42, 162, 642], "wide-star": [40, 160, 640]}[shape]
+    assert counts == {"nested-block-chain": [42, 162, 642], "wide-star": [40, 160, 640],
+                      "fault-ladder": [42, 162, 642], "nested-sub-processes": [42, 162, 642]}[shape]
 
 
 def test_parse_is_near_linear(documents):
