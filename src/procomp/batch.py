@@ -1,14 +1,14 @@
 """Scoring a batch of models against one plan: the report ``score`` writes
 for several ``--model``s, as one library call.
 
-``score_batch`` scores in this process, or, when ``jobs``, the models and
-the CPUs allow more than one, in worker processes started with the
-platform's default method, each with one one-way pipe: worker ``k`` sends
-the entries of the models at ``k, k + N, ...``, and the main process reads
-them back in ``--model`` order. The main process starts no thread, so a
-forked worker inherits no lock that another thread held. The workers
-ignore SIGINT, so Ctrl-C stops the main process alone, which stops them
-and exits 130.
+``score_batch`` scores in this process, the empty batch included, or, when
+``jobs``, the models and the CPUs allow more than one, in worker processes
+started with the platform's default method, each with one one-way pipe:
+worker ``k`` sends the entries of the models at ``k, k + N, ...``, and the
+main process reads them back in ``--model`` order. The main process starts
+no thread, so a forked worker inherits no lock that another thread held.
+The workers ignore SIGINT, so Ctrl-C stops the main process alone, which
+stops them and exits 130.
 """
 
 from __future__ import annotations
@@ -21,20 +21,22 @@ from typing import Iterator
 from .bpmn import parse_model_file
 from .errors import ProcompError
 from .pipeline import ScoringPlan
-from .report import batch_entry, frame_batch
+from .report import ReportFormat, batch_entry, frame_batch, report_format
 
 
-def score_batch(plan: ScoringPlan, models: list[str], fmt: str, jobs: int) -> Iterator[str]:
+def score_batch(plan: ScoringPlan, models: list[str], fmt: ReportFormat | str, jobs: int) -> Iterator[str]:
     """The pieces of the multi-model report of ``models`` in format ``fmt``,
     in ``models`` order, which ``"".join`` makes the report ``score`` writes.
 
-    The models are scored in this process when ``min(jobs, len(models),
-    usable CPUs)`` is 1, and otherwise in that many worker processes. The
+    An unknown ``fmt`` raises ``ProcompError`` before any model is read. The
+    models are scored in this process when ``min(jobs, len(models), usable
+    CPUs)`` is at most 1, and otherwise in that many worker processes. The
     first model in order that fails raises its error. Closing the iterator,
     or its failing, stops the workers.
     """
+    fmt = report_format(fmt)
     workers = min(jobs, len(models), _usable_cpus())
-    if workers == 1:
+    if workers <= 1:
         entries = (_score_entry(plan, fmt, m) for m in models)
     else:
         entries = _piped_entries(plan, fmt, models, workers)
@@ -42,13 +44,13 @@ def score_batch(plan: ScoringPlan, models: list[str], fmt: str, jobs: int) -> It
         yield from frame_batch(entries, fmt)
 
 
-def _score_entry(plan: ScoringPlan, fmt: str, model_path: str) -> str:
+def _score_entry(plan: ScoringPlan, fmt: ReportFormat, model_path: str) -> str:
     """One model's entry in a multi-model report."""
     graph = parse_model_file(model_path)
     return batch_entry(plan.evaluate(graph, model_id=Path(model_path).stem), fmt)
 
 
-def _score_share(plan: ScoringPlan, fmt: str, models: list[str], sender, inherited) -> None:
+def _score_share(plan: ScoringPlan, fmt: ReportFormat, models: list[str], sender, inherited) -> None:
     """A worker process: send each of ``models``' entries down ``sender``, or
     the error that stopped it. ``inherited`` are the read ends a forked worker
     holds of the main process's pipes, its own among them; once they are
@@ -97,7 +99,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _piped_entries(plan: ScoringPlan, fmt: str, models: list[str], workers: int) -> Iterator[str]:
+def _piped_entries(plan: ScoringPlan, fmt: ReportFormat, models: list[str], workers: int) -> Iterator[str]:
     """Each model's entry, in order: worker ``k`` scores the models at ``k,
     k + workers, ...`` and sends them down a pipe of its own, whose buffer
     bounds how far it runs ahead of the main process."""

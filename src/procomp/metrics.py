@@ -148,6 +148,14 @@ def block_structuredness(graph: ProcessModelGraph) -> float:
     remains. Every rule removes a node or a flow and rules are rechecked
     only where degrees changed, so the reduction is linear in the graph.
 
+    Only a gateway is a split or a join: rules (b) and (c) and the final
+    check look at gateways alone. So a task with two outgoing flows into an
+    exclusive join scores 1.0, though BPMN reads such flows as a parallel
+    split, while an exclusive split closed by a task with two incoming flows
+    scores 0.0. Rule (c) takes a join and a split of any one kind, parallel
+    included, so a parallel join and split in a loop score 1.0. These follow
+    from the rules; no definition of block structure has confirmed them yet.
+
     Rule (a) is applied first to every chain: a run of nodes that each have
     one incoming and one outgoing flow, and no self-loop. No other rule
     touches such a node, so the chain is walked from the node before it to

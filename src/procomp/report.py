@@ -3,9 +3,8 @@
 Display values round half-up to two decimals; the JSON export keeps full
 precision and parses back into an identical evaluation. The JSON is the
 bytes ``json.dumps(document, indent=2)`` writes, filled into one ``%``
-template per object (the document, a criterion, a metric, a flag) for
-each of the two indentations written, made at import; every value is an
-argument of its template, never part of it.
+template per object (the document, a criterion, a metric, a flag), made
+at import; every value is an argument of its template, never part of it.
 """
 
 from __future__ import annotations
@@ -131,40 +130,32 @@ def _template(pad: str, fields: dict[str, str]) -> str:
     return f"{{\n{lines}\n{pad}}}"
 
 
-def _layout(pad: str) -> tuple[str, ...]:
-    """The templates of the JSON export at the indentation ``pad``: the
-    document, a criterion, a metric and a flag; then what joins two
-    criteria or flags and the template of their array; then the same for
-    metrics."""
-    pad1, pad2, pad3, pad4 = (pad + "  " * depth for depth in range(1, 5))
-    document = _template(pad, {
+# the templates of the JSON export: the document, a criterion, a metric and a flag; then
+# what joins two criteria or flags and the template of their array; then the same for metrics
+_LAYOUT = (
+    _template("", {
         "version": '"1"',
         "model": "%s",
-        "scores": _template(pad1, dict.fromkeys(("modeler", "reader", "combined"), "%s")),
-        "interaction_weights": _template(pad1, dict.fromkeys(("modeler", "reader"), "%s")),
+        "scores": _template("  ", dict.fromkeys(("modeler", "reader", "combined"), "%s")),
+        "interaction_weights": _template("  ", dict.fromkeys(("modeler", "reader"), "%s")),
         **dict.fromkeys(("noise_threshold", "criteria", "noise_flags"), "%s"),
-    })
-    criterion = _template(pad2, dict.fromkeys(
-        ("id", "name", "perspective", "weight", "score", "metrics"), "%s"))
-    metric = _template(pad4, dict.fromkeys(("id", "name", "source", "raw", "score", "weight"), "%s"))
-    flag = _template(pad2, dict.fromkeys(
-        ("kind", "id", "name", "score", "threshold", "perspective", "criterion"), "%s"))
-    return (document, criterion, metric, flag,
-            ",\n" + pad2, f"[\n{pad2}%s\n{pad1}]", ",\n" + pad4, f"[\n{pad4}%s\n{pad3}]")
-
-
-# the two indentations written: a document of its own, and an element of a batch's array
-_LAYOUTS = {pad: _layout(pad) for pad in ("", "  ")}
+    }),
+    _template(" " * 4, dict.fromkeys(("id", "name", "perspective", "weight", "score", "metrics"), "%s")),
+    _template(" " * 8, dict.fromkeys(("id", "name", "source", "raw", "score", "weight"), "%s")),
+    _template(" " * 4, dict.fromkeys(
+        ("kind", "id", "name", "score", "threshold", "perspective", "criterion"), "%s")),
+    ",\n    ", "[\n    %s\n  ]", ",\n        ", "[\n        %s\n      ]",
+)
 _ENUM_JSON = {member: encode_basestring_ascii(member.value)
               for kind in (MetricSource, Perspective) for member in kind}
 
 
-def _json_evaluation(evaluation: ComprehensionEvaluation, pad: str) -> str:
-    """The JSON export at the indentation ``pad``, written straight from the
+def _json_evaluation(evaluation: ComprehensionEvaluation) -> str:
+    """The JSON export without its final newline, written straight from the
     templates: ``json.dumps`` with an ``indent`` uses the stdlib's pure-Python
     encoder, about twice as slow."""
     s, n, e = encode_basestring_ascii, _json_number, _ENUM_JSON
-    document, criterion, metric, flag, join, array, metric_join, metric_array = _LAYOUTS[pad]
+    document, criterion, metric, flag, join, array, metric_join, metric_array = _LAYOUT
     criteria = join.join([criterion % (
         s(c.id), s(c.name), e[c.perspective], n(c.weight), n(c.score),
         metric_array % metric_join.join([metric % (
@@ -216,6 +207,7 @@ def parse_evaluation(body: str) -> ComprehensionEvaluation:
 
 
 CSV_HEADER = ("metric", "criterion", "perspective", "raw", "normalized", "weight")
+_CSV_BATCH_HEADER = ",".join(("model", *CSV_HEADER)) + "\n"
 
 
 def _csv_rows(evaluation: ComprehensionEvaluation) -> list[list[str]]:
@@ -231,29 +223,34 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def export(evaluation: ComprehensionEvaluation, format: ReportFormat | str) -> ReportDocument:
-    """Render the evaluation in the requested format."""
+def report_format(format: ReportFormat | str) -> ReportFormat:
+    """The format ``format`` names, or the ``ProcompError`` that lists the supported ones."""
     try:
-        fmt = ReportFormat(format)
+        return ReportFormat(format)
     except ValueError:
         supported = ", ".join(f.value for f in ReportFormat)
         raise ProcompError(f"unsupported format {format!r} (supported: {supported})") from None
+
+
+def export(evaluation: ComprehensionEvaluation, format: ReportFormat | str) -> ReportDocument:
+    """Render the evaluation in the requested format."""
+    fmt = report_format(format)
     if fmt is ReportFormat.TEXT:
         return render_summary(evaluation)
     if fmt is ReportFormat.MARKDOWN:
         return ReportDocument(fmt, _render_markdown(evaluation))
     if fmt is ReportFormat.JSON:
-        return ReportDocument(fmt, _json_evaluation(evaluation, "") + "\n")
+        return ReportDocument(fmt, _json_evaluation(evaluation) + "\n")
     return ReportDocument(fmt, _csv_text([CSV_HEADER, *_csv_rows(evaluation)]))
 
 
 def batch_entry(evaluation: ComprehensionEvaluation, format: ReportFormat | str) -> str:
     """One model's part of a multi-model report (see frame_batch)."""
-    fmt = ReportFormat(format)
+    fmt = report_format(format)
     if fmt is ReportFormat.CSV:
         return _csv_text([evaluation.model_id, *row] for row in _csv_rows(evaluation))
-    if fmt is ReportFormat.JSON:  # an element of the report's array, one level in
-        return "  " + _json_evaluation(evaluation, "  ")
+    if fmt is ReportFormat.JSON:  # an element of the report's array: the document one level in
+        return "  " + _json_evaluation(evaluation).replace("\n", "\n  ")
     return export(evaluation, fmt).body
 
 
@@ -261,17 +258,17 @@ def frame_batch(parts: Iterable[str], format: ReportFormat | str) -> Iterator[st
     """Pieces that concatenate the models' batch_entry parts into one report,
     each part passed on as soon as ``parts`` yields it.
 
-    JSON gives one array, byte-equal to ``json.dumps(documents, indent=2)``;
-    CSV one table whose first column is ``model``; text and markdown the
-    reports one after another.
+    JSON gives one array, byte-equal to ``json.dumps(documents, indent=2)``
+    (``[]`` for no parts); CSV one table whose first column is ``model`` (the
+    header alone for no parts); text and markdown the reports one after another.
     """
-    head, separator, tail = {
-        ReportFormat.JSON: ("[\n", ",\n", "\n]\n"),
-        ReportFormat.CSV: (",".join(("model", *CSV_HEADER)) + "\n", "", ""),
-    }.get(ReportFormat(format), ("", "\n", ""))
-    yield head
-    for index, part in enumerate(parts):
-        if index:
-            yield separator
+    head, separator, tail, empty = {
+        ReportFormat.JSON: ("[\n", ",\n", "\n]\n", "[]\n"),
+        ReportFormat.CSV: (_CSV_BATCH_HEADER, "", "", _CSV_BATCH_HEADER),
+    }.get(report_format(format), ("", "\n", "", ""))
+    framed = False
+    for part in parts:
+        yield separator if framed else head
         yield part
-    yield tail
+        framed = True
+    yield tail if framed else empty

@@ -1,14 +1,19 @@
 import copy
+import json
 import multiprocessing
 import os
 import pickle
 import random
 import re
 import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import procomp
 from procomp import replace
 from procomp.bpmn import Node, NodeKind, ProcessModelGraph, parse_model, parse_model_file
 from procomp.defaults import builtin_language_registry, default_ett_document
@@ -16,6 +21,7 @@ from procomp.errors import (
     ConfigError,
     Finding,
     ModelParseError,
+    ProcompError,
     ResponseError,
     ScoringError,
 )
@@ -39,7 +45,7 @@ from procomp.questionnaire import (
     ResponseSet,
     score_responses,
 )
-from procomp.report import ReportFormat, export
+from procomp.report import ReportFormat, batch_entry, export, frame_batch
 from procomp.scoring import ComprehensionEvaluation, CriterionResult, detect_noise
 
 from conftest import FIXTURES, make_responses, pinned_ett_document, random_bpmn_document
@@ -215,6 +221,55 @@ def test_score_batch_is_what_score_writes_under_every_start_method(config, respo
     assert len(multiprocessing.active_children()) == 2
     pieces.close()
     assert multiprocessing.active_children() == []
+
+
+EMPTY_BATCH_PROBE = """\
+import json, pickle, sys
+from procomp.batch import score_batch
+plan = pickle.load(open(sys.argv[1], "rb"))
+report = "".join(score_batch(plan, [], "json", 2))
+print(json.dumps({"report": report, "multiprocessing": "multiprocessing" in sys.modules}))
+"""
+
+
+def test_an_empty_batch_is_the_frame_of_no_parts_and_starts_no_worker(config, tmp_path, monkeypatch):
+    from procomp import batch
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 2)
+    plan = compile_plan(*config)
+    for fmt in ReportFormat:
+        for jobs in (1, 2):
+            assert "".join(batch.score_batch(plan, [], fmt.value, jobs)) == "".join(frame_batch([], fmt))
+    assert "".join(frame_batch([], "json")) == json.dumps([], indent=2) + "\n" == "[]\n"
+    assert "".join(frame_batch([], "csv")) == "model,metric,criterion,perspective,raw,normalized,weight\n"
+    assert "".join(frame_batch([], "text")) == "".join(frame_batch([], "markdown")) == ""
+
+    # a fresh interpreter, so that no other test has imported multiprocessing already
+    (tmp_path / "plan.pickle").write_bytes(pickle.dumps(plan))
+    src = str(Path(procomp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", EMPTY_BATCH_PROBE, str(tmp_path / "plan.pickle")],
+                            capture_output=True, text=True, env=env, timeout=60, check=False)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"report": "[]\n", "multiprocessing": False}
+
+
+def test_an_unknown_format_is_one_procomp_error_before_any_model_is_read(config, tmp_path):
+    from procomp import batch
+    message = "unsupported format 'xml' (supported: text, markdown, json, csv)"
+    plan = compile_plan(*config)
+    evaluation = plan.evaluate(parse_model_file(FIXTURES / "sequence.bpmn"), model_id="sequence")
+    missing = str(tmp_path / "missing.bpmn")
+    calls = [lambda: export(evaluation, "xml"), lambda: batch_entry(evaluation, "xml"),
+             lambda: "".join(frame_batch([], "xml")),
+             lambda: "".join(frame_batch([batch_entry(evaluation, "json")], "xml"))]
+    calls += [lambda jobs=jobs: "".join(batch.score_batch(plan, [missing, missing + "2"], "xml", jobs))
+              for jobs in (1, 2)]
+    for call in calls:
+        with pytest.raises(ProcompError) as raised:
+            call()
+        assert type(raised.value) is ProcompError and str(raised.value) == message
+    with pytest.raises(FileNotFoundError):  # a known format does read the models
+        "".join(batch.score_batch(plan, [missing], "json", 1))
 
 
 def test_a_cycle_of_sub_process_parents_is_a_model_error(config):

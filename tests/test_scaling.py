@@ -5,7 +5,8 @@ layers and the ``tracemalloc`` peak for survey ranking. Both are exact and
 do not depend on the host, but their absolute values change between Python
 versions, so the gate bounds the ratio between sizes: each 4x step in size
 may cost at most ``STEP_BOUND`` times as much. A layer that fails it is a
-defect to mend, not a bound to loosen.
+defect to mend, not a bound to loosen. A batch is gated by what it keeps
+alive, which must not grow with the number of models at all.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import gc
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from procomp.bpmn import parse_model, parse_model_file
+from procomp.batch import score_batch
+from procomp.bpmn import ProcessModelGraph, parse_model, parse_model_file
 from procomp.defaults import builtin_language_registry
 from procomp.ett import (
     REGISTRY_BINDINGS,
@@ -31,6 +34,7 @@ from procomp.pipeline import compile_plan
 from procomp.questionnaire import Question, QuestionKind, QuestionnaireSchema
 from procomp.ranking import MethodKind, RankMethod, load_survey_csv, rank_items
 from procomp.report import export
+from procomp.scoring import ComprehensionEvaluation
 
 from conftest import FIXTURES, make_responses
 
@@ -254,6 +258,30 @@ def test_compile_plan_and_plan_evaluate_are_near_linear_in_tree_size():
         assert len(plan.tree.all_metrics()) == 48 * size
     for step, counts in costs.items():
         assert_near_linear(counts, f"{step} on a tree of {SIZES} x 48 metrics")
+
+
+def test_a_batch_keeps_one_model_alive_in_the_main_process(plan, tmp_path):
+    # gc.get_objects, not a tracemalloc peak: the peak also holds CPython's tuple
+    # free lists, which are bounded and grow with the batch up to their bound
+    model = (FIXTURES / "order_fulfillment.bpmn").read_bytes()
+    for count in (10, 40, 160):
+        models = []
+        for i in range(count):
+            path = tmp_path / f"m{count}-{i}.bpmn"
+            path.write_bytes(model)
+            models.append(str(path))
+        pieces = 0
+        gc.collect()
+        gc.freeze()  # gc.get_objects() leaves out what is alive now: it lists what the batch made
+        try:
+            for _ in score_batch(plan, models, "json", 1):
+                pieces += 1
+                alive = Counter(map(type, gc.get_objects()))
+                assert alive[ProcessModelGraph] <= 1 and alive[ComprehensionEvaluation] <= 1, (
+                    count, pieces, alive[ProcessModelGraph], alive[ComprehensionEvaluation])
+        finally:
+            gc.unfreeze()
+        assert pieces == 2 * count + 1  # the head and the separators, the entries, the tail
 
 
 def survey_table(rows: int) -> str:
