@@ -5,7 +5,8 @@ Languages feed the tree through registry bindings ("complexity" and
 and respondents through the questionnaire scorer. Reader questionnaire
 scores are averaged per metric across respondents before aggregation,
 which (all aggregation being linear) equals averaging the per-respondent
-perspective scores.
+perspective scores. The average adds with ``math.fsum``, which rounds once,
+so the order of the readers changes no bit of a score.
 
 ``compile_plan`` does the work that depends only on the config, once: it
 resolves the scoring language, scores the questionnaire metrics and that
@@ -18,6 +19,7 @@ tracer can wrap them from outside, as ``perfbench/worker.py`` does.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .bpmn import LANGUAGE, ProcessModelGraph
@@ -45,7 +47,6 @@ from .questionnaire import (
     score_responses,
     validate_schema,
 )
-from .ranking import left_sum
 from .records import record
 from .scoring import (
     DEFAULT_NOISE_THRESHOLD,
@@ -176,7 +177,7 @@ def compile_plan(
 
     questionnaire_scores = score_responses(modeler_schema, modeler_responses)
     reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
-    questionnaire_scores.update({key: left_sum(s[key] for s in reader_scores) / len(reader_scores)
+    questionnaire_scores.update({key: math.fsum(s[key] for s in reader_scores) / len(reader_scores)
                                  for key in reader_scores[0]})
 
     registry_values = language_metric_values(tuple(registry), LANGUAGE if language is None else language)

@@ -2,18 +2,19 @@
 
 True/false answers score 10 or 1; a Likert level maps linearly onto
 [1, 10]. Reversed questions flip the score (11 - s). When several
-questions feed one metric, the metric score is their arithmetic mean.
+questions feed one metric, the metric score is their arithmetic mean,
+added with ``math.fsum``, so the order of the questions changes no bit.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from pathlib import Path
 
 from .documents import read_document, read_field
 from .errors import ConfigError, Finding, ResponseError
 from .ett import EvaluationTheoryTree, MetricSource, Perspective
-from .ranking import left_sum
 from .records import record
 
 
@@ -118,7 +119,7 @@ def score_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> dict
     for question in schema.questions:
         score = question_score(question, responses.answers[question.id])
         per_metric.setdefault(question.metric_id, []).append(score)
-    return {metric: left_sum(scores) / len(scores) for metric, scores in per_metric.items()}
+    return {metric: math.fsum(scores) / len(scores) for metric, scores in per_metric.items()}
 
 
 def validate_schema(schema: QuestionnaireSchema, tree: EvaluationTheoryTree) -> list[Finding]:

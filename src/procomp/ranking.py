@@ -71,8 +71,11 @@ def default_methods() -> tuple[RankMethod, ...]:
 
 def left_sum(values: Iterable[float]) -> float:
     """The floats added one by one from the left, the order ``sum()`` used
-    before Python 3.12, which rounds differently; every score is summed this
-    way, so that it is the same to the last bit on every Python."""
+    before Python 3.12, which rounds differently. The weighted sums of ranks
+    and scores, whose order the tree or the table fixes, are added this way,
+    so that they are the same to the last bit on every Python; the averages
+    over readers and over questions, whose order the caller chooses, use
+    ``math.fsum``, which is the same in any order."""
     return reduce(add, values, 0.0)
 
 

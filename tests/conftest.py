@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from pathlib import Path
 
 import pytest
 
+import procomp
 from procomp.defaults import (
     default_ett,
     default_ett_document,
@@ -16,6 +18,16 @@ from procomp.ett import assign_weights
 from procomp.questionnaire import QuestionKind, ResponseSet, serialize_responses
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter: it imports the ``procomp`` this
+    process imported, the checkout's or an installed one, and reads no
+    ``PROCOMP_CONFIG_DIR``."""
+    parent = str(Path(procomp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [parent, os.environ.get("PYTHONPATH")])))
+    env.pop("PROCOMP_CONFIG_DIR", None)
+    return env
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +94,13 @@ def response_bundle(tmp_path, modeler_schema, reader_schema):
             write_response_file(tmp_path / "reader2.json", reader_schema, "r-2", 2),
         ],
     }
+
+
+def survey_table(rows: int) -> str:
+    """``rows - 1`` items placed only at rank 1, and one placed only at rank
+    ``rows``: the highest rank the row count allows."""
+    return ("item,rank,fraction\n" + "".join(f"i{j},1,1.0\n" for j in range(rows - 1))
+            + f"last,{rows},1.0\n")
 
 
 def nested_subprocess_document(depth: int) -> str:

@@ -11,6 +11,7 @@ of the BPMN parser, and not the structure under test.
 from __future__ import annotations
 
 import json
+import math
 
 _FLOW_KINDS = {
     "start-event", "end-event", "intermediate-event", "task", "sub-process",
@@ -202,7 +203,6 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
     from procomp.languages import control_flow_percentage, normalize_complexity
     from procomp.metrics import extract_metrics, normalize_metric
     from procomp.questionnaire import score_responses
-    from procomp.ranking import left_sum
     from procomp.scoring import (ComprehensionEvaluation, CriterionResult, MetricResult,
                                  aggregate_criterion, combined_score, detect_noise,
                                  perspective_score)
@@ -210,7 +210,7 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
     tree = ensure_weighted(tree)
     questionnaire_scores = score_responses(modeler_schema, modeler_responses)
     reader_scores = [score_responses(reader_schema, r) for r in reader_responses]
-    questionnaire_scores.update({key: left_sum(s[key] for s in reader_scores) / len(reader_scores)
+    questionnaire_scores.update({key: math.fsum(s[key] for s in reader_scores) / len(reader_scores)
                                  for key in reader_scores[0]})
 
     raw_values = extract_metrics(graph, tree)

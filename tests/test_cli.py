@@ -6,6 +6,8 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
+import shutil
 import signal
 import stat
 import subprocess
@@ -17,12 +19,14 @@ from pathlib import Path
 
 import pytest
 
+import procomp
 from procomp import batch, cli
 from procomp.cli import main
 from procomp.questionnaire import load_responses_file
 from procomp.report import batch_entry, export, frame_batch, parse_evaluation
 
-from conftest import FIXTURES, make_answers, nested_subprocess_document, pinned_ett_document
+from conftest import (FIXTURES, child_env, make_answers, nested_subprocess_document, pinned_ett_document,
+                      survey_table)
 from oracles import brute_force_ordering, normalized_weighted_sum
 
 
@@ -485,13 +489,10 @@ def worker_probe(case, bundle, tmp_path, *extra):
     copies = [tmp_path / f"copy-{i}.bpmn" for i in range(20)]
     for copy in copies:
         copy.write_bytes(FIXTURE_MODELS[3].read_bytes())
-    src = str(Path(cli.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PROCOMP_CONFIG_DIR", None)
     argv = [sys.executable, "-c", WORKER_PROBE, case,
             *batch_args(bundle, [*copies, *extra], "--format", "json", "--jobs", "2",
                         "--output", str(tmp_path / "report.json"))]
-    return argv, env
+    return argv, child_env()
 
 
 @needs_forked_workers
@@ -729,16 +730,20 @@ def test_the_scoring_language_is_checked_before_any_model_is_parsed(capsys, resp
 
 
 def test_weights_flag_replaces_the_tree_interaction_weights(capsys, response_bundle, tmp_path):
+    # --weights scores as a tree that holds the pair does, to the byte
     from procomp.defaults import default_ett_document
     document = default_ett_document()
     document["interaction_weights"] = {"modeler": 0.9, "reader": 0.9}
-    tree = tmp_path / "ett.json"
-    tree.write_text(json.dumps(document))
-    code, out, err = run(capsys, *score_args(response_bundle, "--ett", str(tree),
-                                             "--weights", "0.5,0.5", "--format", "json"))
+    flagged, held = tmp_path / "flagged.json", tmp_path / "held.json"
+    flagged.write_text(json.dumps(document))
+    document["interaction_weights"] = {"modeler": 0.3, "reader": 0.7}
+    held.write_text(json.dumps(document))
+    code, out, err = run(capsys, *score_args(response_bundle, "--ett", str(flagged),
+                                             "--weights", "0.3,0.7", "--format", "json"))
     assert code == 0, err
     evaluation = parse_evaluation(out)
-    assert (evaluation.w_m, evaluation.w_r) == (0.5, 0.5)
+    assert (evaluation.w_m, evaluation.w_r) == (0.3, 0.7)
+    assert run(capsys, *score_args(response_bundle, "--ett", str(held), "--format", "json")) == (0, out, "")
 
 
 def test_score_compiles_the_config_once(capsys, response_bundle, monkeypatch):
@@ -1040,6 +1045,15 @@ def test_survey_rank_reads_a_table_with_a_byte_order_mark_as_one_without(capsys,
     expected = run(capsys, "survey", "rank", str(plain), *flags)
     assert expected[0] == 0, expected[2]
     assert run(capsys, "survey", "rank", str(marked), *flags) == expected
+
+
+def test_survey_rank_takes_a_table_at_the_row_count_bound(capsys, tmp_path):
+    # 1,999 items at rank 1 and one at rank 2,000
+    path = tmp_path / "bound.csv"
+    path.write_text(survey_table(2000), encoding="utf-8")
+    for flags, lines in (([], 2001), (["--compare"], 5)):
+        code, out, err = run(capsys, "survey", "rank", str(path), *flags)
+        assert (code, err, out.count("\n")) == (0, "", lines)
 
 
 def test_survey_compare_output(capsys, tmp_path):
@@ -1438,3 +1452,52 @@ def test_help_and_parse_errors_match_the_full_parser(capsys, argv):
     expected = exit_of(capsys, cli.build_parser().parse_args, argv)
     assert exit_of(capsys, main, argv) == expected
     assert expected[0] == (0 if "--help" in argv else 2)
+
+
+# what the `procomp` console script runs: main() as the program, on sys.argv
+PROGRAM = [sys.executable, "-c", "import sys; from procomp.cli import main; sys.exit(main())"]
+FULL_PARSER = [sys.executable, "-c",
+               "import sys; from procomp.cli import build_parser; build_parser().parse_args(sys.argv[1:])"]
+
+
+def run_program(command, *argv, cwd):
+    """``command`` run on ``argv`` in a child interpreter: its exit code, stdout and stderr bytes."""
+    result = subprocess.run([*command, *map(str, argv)], capture_output=True, env=child_env(), cwd=cwd,
+                            timeout=60, check=False)
+    return result.returncode, result.stdout, result.stderr
+
+
+def console_script() -> str | None:
+    """The ``procomp`` script on PATH, if its interpreter imports the ``procomp`` this process did."""
+    script = shutil.which("procomp")
+    if script is None:
+        return None
+    with open(script, "rb") as file:
+        first = file.readline()
+    if not first.startswith(b"#!"):
+        return None
+    interpreter = shlex.split(first[2:].decode())
+    probe = run_program([*interpreter, "-c", "import procomp; print(procomp.__file__)"], cwd=None)
+    return script if probe == (0, f"{procomp.__file__}\n".encode(), b"") else None
+
+
+@pytest.mark.parametrize("program", ["main()", "console-script"])
+def test_procomp_as_the_program_prints_and_scores_as_main_does(capsys, response_bundle, tmp_path,
+                                                              program):
+    # as the program, main() freezes the collector and builds the invoked command's parser
+    # alone: its help, usage, errors and scores must be the full parser's and main(argv)'s
+    if program == "main()":
+        command = PROGRAM
+    elif (script := console_script()) is not None:
+        command = [script]
+    else:
+        pytest.skip("no procomp script on PATH imports the procomp under test")
+    for argv in (["--help"], ["score", "--help"], ["ett", "validate", "--help"], ["bogus"],
+                 ["score", "--modeler-responses", "m.json", "--reader-responses", "r.json"]):
+        expected = run_program(FULL_PARSER, *argv, cwd=tmp_path)
+        assert run_program(command, *argv, cwd=tmp_path) == expected, argv
+        assert expected[0] == (0 if "--help" in argv else 2)
+    argv = batch_args(response_bundle, FIXTURE_MODELS, "--format", "json", "--jobs", "2", "--output")
+    assert run_program(command, *argv, tmp_path / "program.json", cwd=tmp_path) == (0, b"", b"")
+    assert run(capsys, *argv, str(tmp_path / "main.json")) == (0, "", "")
+    assert (tmp_path / "program.json").read_bytes() == (tmp_path / "main.json").read_bytes()

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -9,11 +10,9 @@ import signal
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import procomp
 from procomp import replace
 from procomp.bpmn import Node, NodeKind, ProcessModelGraph, parse_model, parse_model_file
 from procomp.defaults import builtin_language_registry, default_ett_document
@@ -45,10 +44,11 @@ from procomp.questionnaire import (
     ResponseSet,
     score_responses,
 )
+from procomp.ranking import left_sum
 from procomp.report import ReportFormat, batch_entry, export, frame_batch
 from procomp.scoring import ComprehensionEvaluation, CriterionResult, detect_noise
 
-from conftest import FIXTURES, make_responses, pinned_ett_document, random_bpmn_document
+from conftest import FIXTURES, child_env, make_responses, pinned_ett_document, random_bpmn_document
 from oracles import per_model_evaluation
 
 MODELS = ("sequence", "xor_loop", "and_parallel", "order_fulfillment")
@@ -66,9 +66,9 @@ def config(ett, modeler_schema, reader_schema):
     )
 
 
-def test_reader_scores_average_left_to_right(config):
-    # six-level answers (1, 2.8, 4.6, ...) that sum() from Python 3.12 on
-    # averages differently for 10 of the 24 reader metrics
+def test_reader_scores_average_with_fsum(config):
+    # six-level answers (1, 2.8, 4.6, ...): for 10 of the 24 reader metrics the sum
+    # added in reader order rounds differently, so the order of the readers showed
     tree, registry, modeler, _, modeler_schema, reader_schema = config
     reader_schema = replace(reader_schema, questions=tuple(
         replace(q, levels=6) if q.kind is QuestionKind.LIKERT else q
@@ -77,15 +77,14 @@ def test_reader_scores_average_left_to_right(config):
     per_reader = [score_responses(reader_schema, r) for r in readers]
     evaluation = compile_plan(tree, registry, modeler, readers, modeler_schema,
                               reader_schema).evaluate(parse_model_file(FIXTURES / "sequence.bpmn"))
-    averaged = 0
+    averaged = in_order = 0
     for _, metric in evaluation.metric_results():
         if metric.source is MetricSource.READER_QUESTIONNAIRE:
-            total = 0.0
-            for scores in per_reader:
-                total += scores[metric.id]
-            assert metric.score == total / len(per_reader)
+            scores = [s[metric.id] for s in per_reader]
+            assert metric.score == math.fsum(scores) / len(scores)
             averaged += 1
-    assert averaged == 24
+            in_order += metric.score == left_sum(scores) / len(scores)
+    assert (averaged, in_order) == (24, 14)
 
 
 def test_unpickled_plan_exports_the_same_bytes(config):
@@ -183,8 +182,8 @@ def test_pool_workers_start_under_every_start_method(config, tmp_path, method):
 
 
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
-def test_score_batch_is_what_score_writes_under_every_start_method(config, response_bundle,
-                                                                   tmp_path, monkeypatch, method):
+def test_score_batch_is_what_score_writes_under_every_start_method(config, response_bundle, tmp_path,
+                                                                   capsys, monkeypatch, method):
     from procomp import batch
     from procomp.cli import main
     # the workers start with `method`, and jobs 2 starts two of them on any host
@@ -196,22 +195,33 @@ def test_score_batch_is_what_score_writes_under_every_start_method(config, respo
     paths = [str(FIXTURES / f"{model}.bpmn") for model in MODELS]
     responses = ["--modeler-responses", str(response_bundle["modeler"]),
                  "--reader-responses", *[str(p) for p in response_bundle["readers"]]]
-    for fmt in (f.value for f in ReportFormat):
-        output = tmp_path / f"report.{fmt}"
-        argv = ["score", *[arg for path in paths for arg in ("--model", path)], *responses,
-                "--format", fmt, "--output", str(output)]
-        assert main(argv) == 0
-        expected = output.read_bytes().decode("utf-8")
-        for jobs in (1, 2):
-            assert "".join(batch.score_batch(plan, paths, fmt, jobs)) == expected, (fmt, jobs)
 
+    def score(models, fmt, jobs, output):
+        """``score``'s exit code and stderr, and the report it wrote to ``output``, if any."""
+        argv = ["score", *[arg for path in models for arg in ("--model", path)], *responses,
+                "--format", fmt, "--jobs", str(jobs), "--output", str(output)]
+        code = main(argv)
+        return code, capsys.readouterr().err, output.exists() and output.read_text(encoding="utf-8")
+
+    for fmt in (f.value for f in ReportFormat):
+        expected = score(paths, fmt, 1, tmp_path / f"serial.{fmt}")
+        assert expected[:2] == (0, "")
+        for jobs in (1, 2):
+            assert "".join(batch.score_batch(plan, paths, fmt, jobs)) == expected[2], (fmt, jobs)
+        assert score(paths, fmt, 2, tmp_path / f"pooled.{fmt}") == expected, fmt
+
+    # the first broken model's error comes back through the worker's pipe as one process
+    # raises it, and score writes no report
     broken = tmp_path / "broken.bpmn"
     broken.write_text("<definitions", encoding="utf-8")
+    models = [paths[0], str(broken), *paths[1:]]
     errors = []
     for jobs in (1, 2):
         with pytest.raises(ModelParseError) as raised:
-            "".join(batch.score_batch(plan, [paths[0], str(broken), *paths[1:]], "json", jobs))
+            "".join(batch.score_batch(plan, models, "json", jobs))
         errors.append(str(raised.value))
+        output = tmp_path / f"broken-{jobs}.json"
+        assert score(models, "json", jobs, output) == (2, f"error: {errors[0]}\n", False)
     assert errors[0] == errors[1]
     assert multiprocessing.active_children() == []
 
@@ -245,10 +255,8 @@ def test_an_empty_batch_is_the_frame_of_no_parts_and_starts_no_worker(config, tm
 
     # a fresh interpreter, so that no other test has imported multiprocessing already
     (tmp_path / "plan.pickle").write_bytes(pickle.dumps(plan))
-    src = str(Path(procomp.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", EMPTY_BATCH_PROBE, str(tmp_path / "plan.pickle")],
-                            capture_output=True, text=True, env=env, timeout=60, check=False)
+                            capture_output=True, text=True, env=child_env(), timeout=60, check=False)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"report": "[]\n", "multiprocessing": False}
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -98,14 +99,14 @@ def test_two_questions_one_metric_average():
     assert scores == {"m": 5.5}
 
 
-def test_questions_of_one_metric_average_left_to_right():
-    # levels 2, 4 and 3 of 6 score 2.8, 6.4 and 4.6; sum() from Python 3.12 on
-    # gives a mean of 4.6000000000000005
+def test_questions_of_one_metric_average_with_fsum():
+    # levels 2, 4 and 3 of 6 score 2.8, 6.4 and 4.6; added in question order they
+    # gave a mean of 4.6, and 4.6000000000000005 in another order
     questions = [Question(id=f"q{i}", text="?", metric_id="m", kind=QuestionKind.LIKERT, levels=6)
                  for i in range(3)]
     scores = score_responses(schema_of(*questions),
                              ResponseSet("r", "1", {"q0": 2, "q1": 4, "q2": 3}))
-    assert scores == {"m": 4.6}
+    assert scores == {"m": math.fsum([2.8, 6.4, 4.6]) / 3} == {"m": 4.6000000000000005}
 
 
 def test_invalid_responses_rejected_with_report():

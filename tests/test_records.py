@@ -11,7 +11,6 @@ import copy
 import importlib
 import inspect
 import json
-import os
 import pickle
 import pkgutil
 import subprocess
@@ -36,7 +35,7 @@ from procomp.records import FrozenInstanceError
 from procomp.report import export
 from procomp.scoring import MetricResult
 
-from conftest import FIXTURES, make_responses
+from conftest import FIXTURES, child_env, make_responses
 
 
 def record_classes() -> dict[str, type]:
@@ -353,15 +352,12 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path, response_bundle):
     # main() may run as the program there and freeze that interpreter's collector
     golden = FIXTURES / "golden" / "order_fulfillment.txt"
     out = tmp_path / "report.txt"
-    src = str(Path(procomp.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PROCOMP_CONFIG_DIR", None)
     result = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE, "score", "--model", str(FIXTURES / "order_fulfillment.bpmn"),
          "--modeler-responses", str(response_bundle["modeler"]),
          "--reader-responses", *[str(p) for p in response_bundle["readers"]],
          "--format", "text", "--output", str(out)],
-        capture_output=True, text=True, env=env, timeout=60, check=False)
+        capture_output=True, text=True, env=child_env(), timeout=60, check=False)
     assert result.returncode == 0, result.stderr
     probe = json.loads(result.stdout)
     assert probe["loaded"] == []

@@ -36,7 +36,7 @@ from procomp.ranking import MethodKind, RankMethod, load_survey_csv, rank_items
 from procomp.report import export
 from procomp.scoring import ComprehensionEvaluation
 
-from conftest import FIXTURES, make_responses
+from conftest import FIXTURES, make_responses, survey_table
 
 STEP_BOUND = 4.6
 SIZES = (1, 4, 16)  # about 40 flow nodes per unit of size
@@ -282,13 +282,6 @@ def test_a_batch_keeps_one_model_alive_in_the_main_process(plan, tmp_path):
         finally:
             gc.unfreeze()
         assert pieces == 2 * count + 1  # the head and the separators, the entries, the tail
-
-
-def survey_table(rows: int) -> str:
-    """``rows - 1`` items placed only at rank 1, and one placed only at rank
-    ``rows``: the highest rank the row count allows."""
-    return ("item,rank,fraction\n" + "".join(f"i{j},1,1.0\n" for j in range(rows - 1))
-            + f"last,{rows},1.0\n")
 
 
 def test_survey_ranking_memory_is_near_linear_in_rows(tmp_path):
