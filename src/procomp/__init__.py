@@ -85,7 +85,7 @@ from .ranking import (
     weighted_mean_rank,
 )
 from .records import replace
-from .report import ReportDocument, ReportFormat, export, parse_evaluation, render_summary
+from .report import ReportDocument, ReportFormat, export, parse_evaluation
 from .scoring import (
     ComprehensionEvaluation,
     CriterionResult,

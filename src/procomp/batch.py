@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import os
 from contextlib import closing, contextmanager, suppress
-from pathlib import Path
 from typing import Iterator
 
-from .bpmn import parse_model_file
+from .bpmn import model_id, parse_model_file
 from .errors import ProcompError
 from .pipeline import ScoringPlan
 from .report import ReportFormat, batch_entry, frame_batch, report_format
@@ -47,7 +46,7 @@ def score_batch(plan: ScoringPlan, models: list[str], fmt: ReportFormat | str, j
 def _score_entry(plan: ScoringPlan, fmt: ReportFormat, model_path: str) -> str:
     """One model's entry in a multi-model report."""
     graph = parse_model_file(model_path)
-    return batch_entry(plan.evaluate(graph, model_id=Path(model_path).stem), fmt)
+    return batch_entry(plan.evaluate(graph, model_id=model_id(model_path)), fmt)
 
 
 def _score_share(plan: ScoringPlan, fmt: ReportFormat, models: list[str], sender, inherited) -> None:

@@ -62,9 +62,7 @@ FLOW_NODE_KINDS = frozenset(
     }
 )
 
-GATEWAY_KINDS = frozenset(
-    {NodeKind.GATEWAY_XOR, NodeKind.GATEWAY_AND, NodeKind.GATEWAY_OR}
-)
+GATEWAY_KINDS = frozenset({NodeKind.GATEWAY_XOR, NodeKind.GATEWAY_AND, NodeKind.GATEWAY_OR})
 
 ACTIVITY_KINDS = frozenset({NodeKind.TASK, NodeKind.SUB_PROCESS})
 
@@ -243,6 +241,11 @@ _COLLABORATION = 5  # (_COLLABORATION, items): participants and message flows
 _NOT_READING = ("not reading",)  # never on the stack
 
 
+def _label(attrs: dict[str, str]) -> str:
+    """The label of a node, lane or pool: its ``name``, stripped; "" if it has none."""
+    return (attrs.get("name") or "").strip()
+
+
 def _read(chunks) -> ProcessModelGraph:
     """Parse the document given as ``chunks`` (bytes or str pieces) in one
     pass of expat events, then build the graph from what it recorded."""
@@ -289,7 +292,7 @@ def _read(chunks) -> ProcessModelGraph:
             else:
                 node_id = attrs.get("id")
                 if node_id is not None:
-                    label = (attrs.get("name") or "").strip()
+                    label = _label(attrs)
                     kind = _NODE_TAGS.get(local)
                     if kind is None:
                         items.append(Node(node_id, NodeKind.GENERIC, label, parent))
@@ -306,8 +309,7 @@ def _read(chunks) -> ProcessModelGraph:
             if local == "lane":
                 lane_id = attrs.get("id")
                 if lane_id:
-                    context[1].append(Node(lane_id, NodeKind.LANE,
-                                           (attrs.get("name") or "").strip(), context[2]))
+                    context[1].append(Node(lane_id, NodeKind.LANE, _label(attrs), context[2]))
         elif context[0] == _ASSOCIATION:
             if local == context[4]:
                 stack[-1] = None  # only the first such child counts
@@ -320,8 +322,7 @@ def _read(chunks) -> ProcessModelGraph:
             if local == "participant":
                 pool_id = attrs.get("id")
                 if pool_id:
-                    context[1].append(Node(pool_id, NodeKind.POOL,
-                                           (attrs.get("name") or "").strip(), None))
+                    context[1].append(Node(pool_id, NodeKind.POOL, _label(attrs), None))
             elif local == "messageFlow":
                 source, target = attrs.get("sourceRef"), attrs.get("targetRef")
                 if source and target:
@@ -449,6 +450,11 @@ def parse_model(document: bytes | str) -> ProcessModelGraph:
     element, and flows that reference missing nodes.
     """
     return _read((document,))
+
+
+def model_id(path: str | Path) -> str:
+    """The id a model file is scored under: its file name without the suffix."""
+    return Path(path).stem
 
 
 def parse_model_file(path: str | Path) -> ProcessModelGraph:

@@ -27,10 +27,10 @@ from pathlib import Path
 from typing import Iterable
 
 from . import defaults
-from .bpmn import LANGUAGE, parse_model_file
+from .bpmn import LANGUAGE, model_id, parse_model_file
 from .errors import ProcompError, ResponseError, ScoringError
 from .documents import read_document
-from .ett import build_ett, load_ett_file, validate_ett
+from .ett import DEFAULT_INTERACTION_WEIGHTS, build_ett, load_ett_file, validate_ett
 from .languages import (
     LanguageDescriptor,
     complexity_score,
@@ -43,11 +43,14 @@ from .pipeline import compile_plan
 from .questionnaire import (
     QuestionKind,
     ResponseSet,
+    level_out_of_range,
     load_responses_file,
     load_schema_file,
     serialize_responses,
 )
 from .ranking import (
+    DEFAULT_D,
+    DEFAULT_P,
     MethodKind,
     RankMethod,
     compare_methods,
@@ -64,6 +67,7 @@ EXIT_INPUT = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C stopped
 
 CONFIG_DIR_ENV = "PROCOMP_CONFIG_DIR"
+_WEIGHTS_EXAMPLE = ",".join(map(str, DEFAULT_INTERACTION_WEIGHTS))  # as --weights takes them
 
 
 def _load_registry(source: list[str] | Path) -> tuple[LanguageDescriptor, ...]:
@@ -109,7 +113,7 @@ def _parse_weights(value: str) -> tuple[float, float]:
     parts = value.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(
-            f"weights must look like '0.156,0.844', got {value!r}"
+            f"weights must look like '{_WEIGHTS_EXAMPLE}', got {value!r}"
         )
     return tuple(_finite_float(part) for part in parts)
 
@@ -164,11 +168,11 @@ def _check_model_ids(models: list[str]) -> None:
     """Refuse two models with one id, which a batch report could not tell apart."""
     model_paths: dict[str, str] = {}  # model id -> the path it comes from
     for model in models:
-        model_id = Path(model).stem
-        if model_id in model_paths:
-            raise ProcompError(f"models {model_paths[model_id]} and {model} have one model id, "
-                               f"{model_id!r}: give each model its own file name")
-        model_paths[model_id] = model
+        key = model_id(model)
+        if key in model_paths:
+            raise ProcompError(f"models {model_paths[key]} and {model} have one model id, "
+                               f"{key!r}: give each model its own file name")
+        model_paths[key] = model
 
 
 def _cmd_score(args) -> int:
@@ -182,20 +186,12 @@ def _cmd_score(args) -> int:
     registry = _config("registry", args.languages)
     modeler_responses = load_responses_file(args.modeler_responses)
     reader_responses = [load_responses_file(p) for p in args.reader_responses]
-    plan = compile_plan(
-        tree,
-        registry,
-        modeler_responses,
-        reader_responses,
-        modeler_schema,
-        reader_schema,
-        noise_threshold=args.threshold,
-        language=args.language,
-    )
+    plan = compile_plan(tree, registry, modeler_responses, reader_responses, modeler_schema, reader_schema,
+                        noise_threshold=args.threshold, language=args.language)
 
     if len(models) == 1:
         graph = parse_model_file(models[0])
-        evaluation = plan.evaluate(graph, model_id=Path(models[0]).stem)
+        evaluation = plan.evaluate(graph, model_id=model_id(models[0]))
         _emit(export(evaluation, args.format).body, args.output)
         return EXIT_OK
     from .batch import score_batch  # imported here, so that scoring one model loads no worker code
@@ -314,16 +310,10 @@ def _cmd_questionnaire_fill(args) -> int:
                 level = int(value)
             except ValueError:
                 raise ProcompError(f"expected an integer for {question.id}, got {value!r}") from None
-            if not 1 <= level <= question.levels:
-                raise ProcompError(
-                    f"level {level} outside [1, {question.levels}] for {question.id}"
-                )
+            if problem := level_out_of_range(question, level):
+                raise ProcompError(f"{problem} for {question.id}")
             answers[question.id] = level
-    responses = ResponseSet(
-        respondent=args.respondent,
-        schema_version=schema.version,
-        answers=answers,
-    )
+    responses = ResponseSet(respondent=args.respondent, schema_version=schema.version, answers=answers)
     Path(args.output).write_text(
         json.dumps(serialize_responses(responses), indent=2) + "\n", encoding="utf-8"
     )
@@ -375,7 +365,7 @@ def _add_score(sub) -> None:
     score.add_argument("--threshold", type=_finite_float, default=DEFAULT_NOISE_THRESHOLD,
                        help=f"noise threshold (default {DEFAULT_NOISE_THRESHOLD})")
     score.add_argument("--weights", type=_parse_weights,
-                       help="override interaction weights, e.g. 0.156,0.844")
+                       help=f"override interaction weights, e.g. {_WEIGHTS_EXAMPLE}")
     score.add_argument("--jobs", type=_positive_int, default=1,
                        help="score several models in up to this many worker processes "
                             "(capped by the model count and the CPUs)")
@@ -397,10 +387,11 @@ def _add_survey(sub) -> None:
     survey_rank.add_argument("dataset", help="CSV with columns item, rank, fraction")
     survey_rank.add_argument("--method", default="dnlog",
                              choices=[k.value for k in MethodKind])
-    survey_rank.add_argument("--d", type=_finite_float, default=10.0,
-                             help="top weight for dnlog (default 10)")
-    survey_rank.add_argument("--p", type=_finite_float, default=2.0,
-                             help="power for rank-exponent (default 2)")
+    # no default: RankMethod supplies the method's own
+    survey_rank.add_argument("--d", type=_finite_float,
+                             help=f"top weight for dnlog (default {DEFAULT_D:g})")
+    survey_rank.add_argument("--p", type=_finite_float,
+                             help=f"power for rank-exponent (default {DEFAULT_P:g})")
     survey_rank.add_argument("--compare", action="store_true",
                              help="tabulate all five weighting methods")
     survey_rank.add_argument("--output")

@@ -14,6 +14,9 @@ organization.
 
 from __future__ import annotations
 
+from ..ett import default_interaction_weights_document
+from ..ranking import DEFAULT_D
+
 _MODELER_CRITERIA = (
     ("m-language", "Process Modeling Language", (
         ("m-lang-complexity", "Language complexity",
@@ -314,8 +317,8 @@ def _criteria_documents(table, perspective: str) -> list[dict]:
 def ett_document() -> dict:
     return {
         "version": "1",
-        "survey_d": 10.0,
-        "interaction_weights": {"modeler": 0.156, "reader": 0.844},
+        "survey_d": DEFAULT_D,
+        "interaction_weights": default_interaction_weights_document(),
         "criteria": _criteria_documents(_MODELER_CRITERIA, "modeler")
         + _criteria_documents(_READER_CRITERIA, "reader"),
     }

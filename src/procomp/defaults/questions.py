@@ -193,17 +193,13 @@ def _question_documents(rows) -> list[dict]:
     return documents
 
 
+def _questionnaire_document(perspective: str, rows) -> dict:
+    return {"version": "1", "perspective": perspective, "questions": _question_documents(rows)}
+
+
 def modeler_questionnaire_document() -> dict:
-    return {
-        "version": "1",
-        "perspective": "modeler",
-        "questions": _question_documents(_MODELER_QUESTIONS),
-    }
+    return _questionnaire_document("modeler", _MODELER_QUESTIONS)
 
 
 def reader_questionnaire_document() -> dict:
-    return {
-        "version": "1",
-        "perspective": "reader",
-        "questions": _question_documents(_READER_QUESTIONS),
-    }
+    return _questionnaire_document("reader", _READER_QUESTIONS)

@@ -30,10 +30,11 @@ def _float_sized_int(text: str) -> int:
 
 
 def read_document(path: str | Path, build):
-    """``build`` of the JSON object in a file. Raises ConfigError naming the
-    file when the text is not strict JSON (NaN, Infinity and numbers that
-    overflow to infinity are refused), or when ``build`` raises one."""
-    with open(path, encoding="utf-8") as fh:
+    """``build`` of the JSON object in a UTF-8 file, with or without a
+    byte-order mark. Raises ConfigError naming the file when the text is not
+    strict JSON (NaN, Infinity and numbers that overflow to infinity are
+    refused), or when ``build`` raises one."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             document = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float,
                                  parse_int=_float_sized_int)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .documents import read_document, read_field
 from .errors import ConfigError, Finding
-from .ranking import dnlog_weight
+from .ranking import DEFAULT_D, dnlog_weight
 from .records import record, replace
 
 INTERACTION_SUM_TOL = 1e-9
@@ -21,6 +21,7 @@ REGISTRY_BINDINGS = ("complexity", "control-flow-pattern-support")
 CANONICAL_TOTAL = 96
 CANONICAL_MODELER = 54
 CANONICAL_READER = 42
+DEFAULT_INTERACTION_WEIGHTS = (0.156, 0.844)  # (modeler, reader)
 
 
 class Perspective(str, enum.Enum):
@@ -111,16 +112,15 @@ class EvaluationTheoryTree:
 
     version: str
     criteria: tuple[QualityCriterion, ...]
-    survey_d: float = 10.0
-    interaction_weights: tuple[float, float] = (0.156, 0.844)
+    survey_d: float = DEFAULT_D
+    interaction_weights: tuple[float, float] = DEFAULT_INTERACTION_WEIGHTS
 
     def criteria_for(self, perspective: Perspective) -> tuple[QualityCriterion, ...]:
         return tuple(c for c in self.criteria if c.perspective is perspective)
 
     def metric_count(self, perspective: Perspective | None = None) -> int:
-        if perspective is None:
-            return sum(len(c.metrics) for c in self.criteria)
-        return sum(len(c.metrics) for c in self.criteria_for(perspective))
+        criteria = self.criteria if perspective is None else self.criteria_for(perspective)
+        return sum(len(c.metrics) for c in criteria)
 
     def all_metrics(self) -> tuple[QualityMetric, ...]:
         return tuple(m for c in self.criteria for m in c.metrics)
@@ -184,6 +184,16 @@ def _parse_criterion(document: dict, path: str) -> QualityCriterion:
                             metrics=tuple(sorted(metrics, key=lambda m: m.rank)), weight=weight)
 
 
+def default_interaction_weights_document() -> dict:
+    """The default interaction weights in their document form, a new object each call."""
+    return {p.value: w for p, w in zip(Perspective, DEFAULT_INTERACTION_WEIGHTS)}
+
+
+def _criterion_order(criterion: QualityCriterion) -> tuple[str, int]:
+    """The order of a tree's criteria: by perspective, then by rank."""
+    return criterion.perspective.value, criterion.rank
+
+
 def build_ett(document: dict) -> EvaluationTheoryTree:
     """Build a tree from its document form without checking its invariants.
 
@@ -193,14 +203,14 @@ def build_ett(document: dict) -> EvaluationTheoryTree:
     """
     version = read_field(document, "version", str)
     weights = read_field(document, "interaction_weights", dict,
-                         default={"modeler": 0.156, "reader": 0.844})
-    w_m, w_r = (read_field(weights, key, float, "interaction_weights") for key in ("modeler", "reader"))
-    survey_d = document.get("survey_d", 10.0)
+                         default=default_interaction_weights_document())
+    w_m, w_r = (read_field(weights, p.value, float, "interaction_weights") for p in Perspective)
+    survey_d = document.get("survey_d", DEFAULT_D)
     if type(survey_d) is not float:  # validate_ett reports a float out of range, NaN included
         survey_d = read_field(document, "survey_d", float)
     criteria = [_parse_criterion(cdoc, f"criteria[{ci}]")
                 for ci, cdoc in enumerate(read_field(document, "criteria", list))]
-    criteria.sort(key=lambda c: (c.perspective.value, c.rank))
+    criteria.sort(key=_criterion_order)
     return EvaluationTheoryTree(version=version, criteria=tuple(criteria), survey_d=survey_d,
                                 interaction_weights=(w_m, w_r))
 
@@ -317,9 +327,9 @@ def load_ett_file(path: str | Path) -> EvaluationTheoryTree:
 # Weighting
 
 
-def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> EvaluationTheoryTree:
-    """Derive the absent rank weights of every sibling group, keeping the
-    pinned ones; returns a new tree.
+def assign_weights(tree: EvaluationTheoryTree) -> EvaluationTheoryTree:
+    """Derive the absent rank weights of every sibling group with the tree's
+    ``survey_d``, keeping the pinned ones; returns a new tree.
 
     Within each group of n ranked siblings, rank 1 gets weight d, rank n
     gets weight 1, with a constant ratio in between; a singleton group gets
@@ -327,8 +337,7 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
     with d, for a d that is not finite and > 1 or a weight past the
     largest float.
     """
-    if d is None:
-        d = tree.survey_d
+    d = tree.survey_d
 
     def weight(node, n_siblings: int) -> float:
         return node.weight if node.weight is not None else dnlog_weight(n_siblings, node.rank, d)
@@ -347,7 +356,7 @@ def assign_weights(tree: EvaluationTheoryTree, d: float | None = None) -> Evalua
             new_criteria.append(QualityCriterion(
                 id=criterion.id, name=criterion.name, perspective=criterion.perspective,
                 rank=criterion.rank, metrics=metrics, weight=weight(criterion, len(group))))
-    new_criteria.sort(key=lambda c: (c.perspective.value, c.rank))
+    new_criteria.sort(key=_criterion_order)
     return replace(tree, criteria=tuple(new_criteria))
 
 

@@ -130,16 +130,9 @@ class ScoringPlan:
         s_b = combined_score(s_m, s_r, w_m, w_r)
 
         return ComprehensionEvaluation(
-            model_id=model_id,
-            criteria=tuple(criteria_results),
-            s_m=s_m,
-            s_r=s_r,
-            s_b=s_b,
-            w_m=w_m,
-            w_r=w_r,
+            model_id=model_id, criteria=tuple(criteria_results), s_m=s_m, s_r=s_r, s_b=s_b, w_m=w_m, w_r=w_r,
             noise_threshold=self.noise_threshold,
-            flags=tuple(detect_noise(criteria_results, self.noise_threshold)),
-        )
+            flags=tuple(detect_noise(criteria_results, self.noise_threshold)))
 
 
 def compile_plan(

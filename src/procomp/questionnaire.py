@@ -91,10 +91,16 @@ def validate_responses(schema: QuestionnaireSchema, responses: ResponseSet) -> l
                 findings.append(Finding("wrong-type", question.id, f"expected true/false, got {answer!r}"))
         elif isinstance(answer, bool) or not isinstance(answer, int):
             findings.append(Finding("wrong-type", question.id, f"expected an integer level, got {answer!r}"))
-        elif not 1 <= answer <= question.levels:
-            findings.append(Finding("out-of-range", question.id,
-                                    f"level {answer} outside [1, {question.levels}]"))
+        elif problem := level_out_of_range(question, answer):
+            findings.append(Finding("out-of-range", question.id, problem))
     return findings
+
+
+def level_out_of_range(question: Question, level: int) -> str | None:
+    """Why ``level`` is not a level of the Likert ``question``; None if it is one."""
+    if not 1 <= level <= question.levels:
+        return f"level {level} outside [1, {question.levels}]"
+    return None
 
 
 def question_score(question: Question, answer: bool | int) -> float:

@@ -21,6 +21,8 @@ from .records import record
 
 PLACEMENT_SUM_TOL = 1e-9
 _GROWTH_TOL = 1e-9
+DEFAULT_D = 10.0  # the dnlog top weight d: a tree's survey_d and `survey rank --d`
+DEFAULT_P = 2.0  # the rank-exponent power: `survey rank --p`
 
 
 class MethodKind(str, enum.Enum):
@@ -35,8 +37,8 @@ class MethodKind(str, enum.Enum):
 class RankMethod:
     """A weighting method plus its parameter, if it takes one.
 
-    ``param`` is the exponent for RANK_EXPONENT (default 2.0) and the top
-    weight d for DNLOG (default 10.0); it is ignored by the other kinds.
+    ``param`` is the exponent for RANK_EXPONENT and the top weight d for
+    DNLOG (``DEFAULT_P`` and ``DEFAULT_D`` if None); other kinds ignore it.
     """
 
     kind: MethodKind
@@ -44,12 +46,12 @@ class RankMethod:
 
     def __post_init__(self):
         if self.kind is MethodKind.RANK_EXPONENT:
-            p = 2.0 if self.param is None else self.param
+            p = DEFAULT_P if self.param is None else self.param
             if not 0 < p < math.inf:
                 raise ValueError(f"rank-exponent power must be finite and > 0, got {p}")
             object.__setattr__(self, "param", p)
         elif self.kind is MethodKind.DNLOG:
-            d = 10.0 if self.param is None else self.param
+            d = DEFAULT_D if self.param is None else self.param
             # dnlog_weight checks d, and gives a singleton group d itself
             object.__setattr__(self, "param", dnlog_weight(1, 1, d))
         else:

@@ -51,13 +51,18 @@ def _no_noise(evaluation: ComprehensionEvaluation) -> str:
     return f"No noise detected (no score below threshold {fmt2(evaluation.noise_threshold)})."
 
 
+def _cell(text: str) -> str:
+    """``text`` as one markdown table cell: a pipe escaped, a line break as ``<br>``."""
+    return text.replace("|", "\\|").replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+
+
 def _table(header: tuple[str, ...], rows) -> list[str]:
     """The lines of a markdown table."""
     return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
-            *("| " + " | ".join(row) + " |" for row in rows)]
+            *("| " + " | ".join(map(_cell, row)) + " |" for row in rows)]
 
 
-def render_summary(evaluation: ComprehensionEvaluation) -> ReportDocument:
+def _render_text(evaluation: ComprehensionEvaluation) -> str:
     """The summary view: perspective scores, criterion table, noise flags."""
     lines = [
         f"Comprehension summary for {evaluation.model_id}",
@@ -85,7 +90,7 @@ def render_summary(evaluation: ComprehensionEvaluation) -> ReportDocument:
     else:
         lines.append(f"  {_no_noise(evaluation)}")
     lines.append("")
-    return ReportDocument(ReportFormat.TEXT, "\n".join(lines))
+    return "\n".join(lines)
 
 
 def _render_markdown(evaluation: ComprehensionEvaluation) -> str:
@@ -181,29 +186,14 @@ def parse_evaluation(body: str) -> ComprehensionEvaluation:
             MetricResult(**{**m, "source": MetricSource(m["source"])}) for m in c["metrics"])})
         for c in document["criteria"]
     )
-    flags = tuple(
-        NoiseFlag(
-            kind=f["kind"],
-            id=f["id"],
-            name=f["name"],
-            score=f["score"],
-            threshold=f["threshold"],
-            perspective=Perspective(f["perspective"]),
-            criterion_id=f["criterion"],
-        )
-        for f in document["noise_flags"]
-    )
+    flags = tuple(NoiseFlag(kind=f["kind"], id=f["id"], name=f["name"], score=f["score"],
+                            threshold=f["threshold"], perspective=Perspective(f["perspective"]),
+                            criterion_id=f["criterion"]) for f in document["noise_flags"])
+    scores, weights = document["scores"], document["interaction_weights"]
     return ComprehensionEvaluation(
-        model_id=document["model"],
-        criteria=criteria,
-        s_m=document["scores"]["modeler"],
-        s_r=document["scores"]["reader"],
-        s_b=document["scores"]["combined"],
-        w_m=document["interaction_weights"]["modeler"],
-        w_r=document["interaction_weights"]["reader"],
-        noise_threshold=document["noise_threshold"],
-        flags=flags,
-    )
+        model_id=document["model"], criteria=criteria, s_m=scores["modeler"], s_r=scores["reader"],
+        s_b=scores["combined"], w_m=weights["modeler"], w_r=weights["reader"],
+        noise_threshold=document["noise_threshold"], flags=flags)
 
 
 CSV_HEADER = ("metric", "criterion", "perspective", "raw", "normalized", "weight")
@@ -236,7 +226,7 @@ def export(evaluation: ComprehensionEvaluation, format: ReportFormat | str) -> R
     """Render the evaluation in the requested format."""
     fmt = report_format(format)
     if fmt is ReportFormat.TEXT:
-        return render_summary(evaluation)
+        return ReportDocument(fmt, _render_text(evaluation))
     if fmt is ReportFormat.MARKDOWN:
         return ReportDocument(fmt, _render_markdown(evaluation))
     if fmt is ReportFormat.JSON:

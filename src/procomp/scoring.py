@@ -121,9 +121,6 @@ class ComprehensionEvaluation:
                 f"combined score {self.s_b} inconsistent with components ({expected})"
             )
 
-    def __iter__(self):
-        return iter(self.criteria)
-
     def criteria_for(self, perspective: Perspective) -> tuple[CriterionResult, ...]:
         return tuple(c for c in self.criteria if c.perspective is perspective)
 
@@ -135,10 +132,8 @@ def detect_noise(
     criteria: Iterable[CriterionResult],
     threshold: float = DEFAULT_NOISE_THRESHOLD,
 ) -> list[NoiseFlag]:
-    """Every metric and criterion scoring below the threshold, worst first.
-
-    ``criteria`` is the criterion results, or an evaluation, which iterates
-    over its own."""
+    """Every metric and criterion of ``criteria`` scoring below the
+    threshold, worst first."""
     flags = [
         NoiseFlag(kind=kind, id=item.id, name=item.name, score=item.score, threshold=threshold,
                   perspective=criterion.perspective, criterion_id=criterion.id)

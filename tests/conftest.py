@@ -18,6 +18,7 @@ from procomp.ett import assign_weights
 from procomp.questionnaire import QuestionKind, ResponseSet, serialize_responses
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BPMN = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 
 
 def child_env() -> dict[str, str]:
@@ -149,6 +150,11 @@ def namespace_documents() -> list[str]:
         f'<definitions xmlns="{ns}" id="d">' + _NAMESPACE_BODY.format(p="") + "</definitions>",
         '<definitions id="d">' + _NAMESPACE_BODY.format(p="") + "</definitions>",
     ]
+
+
+def local_name(element) -> str:
+    """The tag of an ``ElementTree`` element without its namespace."""
+    return element.tag.rsplit("}", 1)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ def per_model_evaluation(graph, tree, registry, modeler_responses, reader_respon
     evaluation = ComprehensionEvaluation(
         model_id=model_id, criteria=tuple(criteria_results), s_m=s_m, s_r=s_r,
         s_b=combined_score(s_m, s_r, w_m, w_r), w_m=w_m, w_r=w_r, noise_threshold=noise_threshold)
-    return replace(evaluation, flags=tuple(detect_noise(evaluation, noise_threshold)))
+    return replace(evaluation, flags=tuple(detect_noise(evaluation.criteria, noise_threshold)))
 
 
 def evaluation_document(evaluation) -> dict:

@@ -69,7 +69,7 @@ def criterion(label: str):
 
 def test_01_exponential_rank_weights_endpoints_and_ratio():
     with criterion("1 rank-weight endpoints"):
-        tree = assign_weights(default_ett(), 10.0)
+        tree = assign_weights(default_ett())
         groups = []
         for perspective in Perspective:
             siblings = tree.criteria_for(perspective)
@@ -205,7 +205,7 @@ def test_06_noise_diagnosis_fidelity():
             ),
             s_m=5.2, s_r=6.0, s_b=5.6, w_m=0.5, w_r=0.5,
         )
-        flags = detect_noise(evaluation, threshold=4.0)
+        flags = detect_noise(evaluation.criteria, threshold=4.0)
         assert [(f.kind, f.id, f.score) for f in flags] == [
             ("metric", "m-info-method", 1.6),
             ("metric", "m-info-availability", 2.1),

@@ -1217,6 +1217,34 @@ def test_init_files_load_back_to_the_defaults(capsys, tmp_path):
     assert sorted(registry, key=by_name) == sorted(defaults.builtin_language_registry(), key=by_name)
 
 
+def test_the_defaults_agree_wherever_a_tree_or_a_rank_method_gets_them(capsys, tmp_path):
+    from procomp.ett import EvaluationTheoryTree, load_ett, load_ett_file
+    from procomp.ranking import MethodKind, RankMethod
+    assert run(capsys, "init", str(tmp_path))[0] == 0
+    written = json.loads((tmp_path / "ett.json").read_text(encoding="utf-8"))
+    bare = {key: value for key, value in written.items() if key not in ("interaction_weights", "survey_d")}
+    criteria = load_ett(bare).criteria
+    trees = [load_ett_file(tmp_path / "ett.json"), load_ett(bare), EvaluationTheoryTree("1", criteria)]
+    # the PMCF's interaction weights and dnlog top weight
+    assert {(tree.interaction_weights, tree.survey_d) for tree in trees} == {((0.156, 0.844), 10.0)}
+    assert RankMethod(MethodKind.DNLOG).param == trees[0].survey_d
+    table = tmp_path / "survey.csv"
+    table.write_text("item,rank,fraction\na,1,0.5\na,2,0.5\nb,1,0.5\nb,2,0.5\n", encoding="utf-8")
+    code, out, err = run(capsys, "survey", "rank", str(table))
+    assert (code, err, out.splitlines()[0]) == (0, "", "rank  score       item   (method: dnlog(d=10))")
+    assert run(capsys, "survey", "rank", str(table), "--d", "10") == (code, out, err)
+    explicit = run(capsys, "survey", "rank", str(table), "--method", "rank-exponent", "--p", "2")
+    assert run(capsys, "survey", "rank", str(table), "--method", "rank-exponent") == explicit
+    assert "(method: rank-exponent(p=2))" in explicit[1]
+
+
+def test_ett_validate_reads_an_init_tree_saved_with_a_byte_order_mark(capsys, tmp_path):
+    assert run(capsys, "init", str(tmp_path))[0] == 0
+    path = tmp_path / "ett.json"
+    path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert run(capsys, "ett", "validate", "--ett", str(path)) == (0, "tree is valid\n", "")
+
+
 def test_env_config_dir_used_for_defaults(capsys, tmp_path, monkeypatch, response_bundle):
     target = tmp_path / "config"
     assert main(["init", str(target)]) == 0

@@ -7,14 +7,19 @@ names the file in any ConfigError.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 
 import pytest
 
+from procomp.defaults import (default_ett_document, default_language_documents, default_modeler_schema,
+                              modeler_questionnaire_document)
 from procomp.documents import read_document, read_field
 from procomp.errors import ConfigError
-from procomp.ett import Perspective, build_ett
+from procomp.ett import Perspective, build_ett, load_ett_file
+from procomp.languages import load_descriptor_file
+from procomp.questionnaire import ResponseSet, load_responses_file, load_schema_file, serialize_responses
 
 
 @pytest.mark.parametrize("kind, value, message", [
@@ -62,3 +67,24 @@ def test_read_document_names_the_file(tmp_path):
     path.write_text("[1, NaN]")
     with pytest.raises(ConfigError, match=r": malformed JSON document: NaN is not a JSON number"):
         read_document(path, build_ett)
+
+
+def _responses_document() -> dict:
+    schema = default_modeler_schema()
+    return serialize_responses(ResponseSet("m-1", schema.version, {q.id: 1 for q in schema.questions}))
+
+
+@pytest.mark.parametrize("load, document", [
+    (load_ett_file, default_ett_document),
+    (load_schema_file, modeler_questionnaire_document),
+    (load_responses_file, _responses_document),
+    (load_descriptor_file, lambda: next(iter(default_language_documents().values()))),
+], ids=["tree", "schema", "response-set", "descriptor"])
+def test_a_document_with_a_byte_order_mark_reads_as_one_without(tmp_path, load, document):
+    # editors on Windows save "UTF-8 with BOM"; the survey CSV reader takes such a file too
+    text = json.dumps(document(), indent=2)
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+    assert load(marked) == load(plain)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from procomp import replace
 from procomp.errors import ConfigError
 from procomp.ett import (
     Perspective,
@@ -120,7 +121,7 @@ def test_serialization_is_canonically_ordered():
 
 def test_weight_endpoints_n5_d10():
     tree = load_ett(minimal_document(metric_ranks=(1, 2, 3, 4, 5)))
-    weighted = assign_weights(tree, 10.0)
+    weighted = assign_weights(tree)
     weights = [m.weight for m in weighted.criteria[0].metrics]
     assert weights[0] == 10.0
     assert weights[4] == 1.0
@@ -131,12 +132,12 @@ def test_weight_endpoints_n5_d10():
 
 def test_weight_endpoints_n2_d4():
     tree = load_ett(minimal_document(metric_ranks=(1, 2)))
-    weighted = assign_weights(tree, 4.0)
+    weighted = assign_weights(replace(tree, survey_d=4.0))
     assert [m.weight for m in weighted.criteria[0].metrics] == [4.0, 1.0]
 
 
 def test_singleton_group_gets_full_weight():
-    weighted = assign_weights(load_ett(minimal_document()), 10.0)
+    weighted = assign_weights(load_ett(minimal_document()))
     assert weighted.criteria[0].metrics[0].weight == 10.0
     assert weighted.criteria[0].weight == 10.0
 
@@ -145,13 +146,13 @@ def test_weighting_rejects_d_at_most_one():
     tree = load_ett(minimal_document())
     for d in (1.0, 0.5, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="must be finite and > 1"):
-            assign_weights(tree, d)
+            assign_weights(replace(tree, survey_d=d))
 
 
 def test_weighting_a_fully_pinned_tree_uses_no_d():
     # as scoring_violations, ett validate and score already accept it
     tree = load_ett(pinned_ett_document())
-    assert assign_weights(tree, 0.5) == assign_weights(tree)
+    assert assign_weights(replace(tree, survey_d=0.5)).criteria == assign_weights(tree).criteria
 
 
 def test_weight_monotonicity_and_geometric_spacing():
@@ -159,7 +160,7 @@ def test_weight_monotonicity_and_geometric_spacing():
     for _ in range(50):
         n = rng.randint(2, 12)
         d = rng.uniform(1.01, 50.0)
-        tree = assign_weights(load_ett(minimal_document(tuple(range(1, n + 1)))), d)
+        tree = assign_weights(replace(load_ett(minimal_document(tuple(range(1, n + 1)))), survey_d=d))
         weights = [m.weight for m in tree.criteria[0].metrics]
         assert all(a > b > 0 for a, b in zip(weights, weights[1:]))
         ratios = [a / b for a, b in zip(weights, weights[1:])]

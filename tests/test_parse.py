@@ -24,11 +24,10 @@ from procomp.errors import ModelParseError
 from procomp.pipeline import compile_plan
 from procomp.report import ReportFormat, batch_entry, export
 
-from conftest import (FIXTURES, make_responses, namespace_documents, nested_subprocess_document,
-                      random_bpmn_document)
+from conftest import (BPMN, FIXTURES, local_name, make_responses, namespace_documents,
+                      nested_subprocess_document, random_bpmn_document)
 from oracles import tree_parse_model
 
-BPMN = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 FIXTURE_NAMES = ("sequence", "xor_loop", "and_parallel", "order_fulfillment")
 
 
@@ -195,10 +194,6 @@ INSERTED_TAGS = ("process", "collaboration", "subProcess", "dataInputAssociation
 HOST_TAGS = {"subProcess", "task", "userTask", "dataInputAssociation", "dataOutputAssociation",
              "sourceRef", "targetRef", "process", "collaboration", "laneSet", "incoming",
              "messageFlow", "sequenceFlow"}
-
-
-def local_name(element: ElementTree.Element) -> str:
-    return element.tag.rsplit("}", 1)[-1]
 
 
 def new_element(rng: random.Random, ids: list[str], tag: str | None = None) -> ElementTree.Element:

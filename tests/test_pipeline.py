@@ -111,7 +111,7 @@ def test_plan_builds_one_evaluation_per_model(config, monkeypatch):
     monkeypatch.setattr(ComprehensionEvaluation, "__post_init__", counted)
     evaluation = plan.evaluate(graph, model_id="order_fulfillment")
     assert checked == ["order_fulfillment"]
-    assert evaluation.flags and list(evaluation.flags) == detect_noise(evaluation, plan.noise_threshold)
+    assert evaluation.flags and list(evaluation.flags) == detect_noise(evaluation.criteria, plan.noise_threshold)
 
 
 def test_plan_evaluate_scores_only_the_model_derived_metrics(config, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -10,8 +11,7 @@ from procomp.bpmn import parse_model_file
 from procomp.errors import ProcompError, ScoringError
 from procomp.ett import MetricSource, Perspective
 from procomp.pipeline import compile_plan, evaluate_model
-from procomp.report import (batch_entry, export, fmt2, frame_batch, parse_evaluation,
-                            render_summary)
+from procomp.report import batch_entry, export, fmt2, frame_batch, parse_evaluation
 from procomp.scoring import (ComprehensionEvaluation, CriterionResult, MetricResult,
                              combined_score, detect_noise)
 
@@ -59,33 +59,33 @@ def test_half_up_two_decimal_formatting():
 
 
 def test_summary_contains_reference_rounded_values():
-    body = render_summary(reference_evaluation()).body
+    body = export(reference_evaluation(), "text").body
     assert "4.74" in body
     assert "6.29" in body
     assert "6.06" in body
 
 
 def test_summary_without_flags_has_explicit_no_noise_line():
-    body = render_summary(reference_evaluation()).body
+    body = export(reference_evaluation(), "text").body
     assert "No noise detected" in body
 
 
 def test_summary_lists_only_the_perspectives_that_hold_criteria():
     modeler_only = replace(reference_evaluation(), criteria=reference_evaluation().criteria[:1])
-    body = render_summary(modeler_only).body
+    body = export(modeler_only, "text").body
     assert "  Criterion scores:\n    modeler:\n      Information   5.01\n\n" in body
     assert "reader:" not in body
 
 
 def test_summary_lists_flags_with_paths(evaluation):
-    body = render_summary(evaluation).body
+    body = export(evaluation, "text").body
     assert "Noise below threshold 4.00" in body
     assert "modeler/m-information/m-info-method" in body
 
 
 def test_rendering_is_deterministic(evaluation):
-    first = render_summary(evaluation).body
-    second = render_summary(evaluation).body
+    first = export(evaluation, "text").body
+    second = export(evaluation, "text").body
     assert first == second
     assert export(evaluation, "json").body == export(evaluation, "json").body
 
@@ -152,6 +152,22 @@ def test_markdown_without_flags_ends_with_the_no_noise_line(evaluation):
         golden[:noise] + "No noise detected (no score below threshold 1.00).\n")
 
 
+@pytest.mark.parametrize("name, cell", [
+    ("Language | notation", "Language \\| notation"),
+    ("Language\nnotation", "Language<br>notation"),
+    ("Language\r\nnotation\r", "Language<br>notation<br>"),
+], ids=["pipe", "newline", "crlf-and-cr"])
+def test_a_markdown_cell_keeps_a_name_with_a_pipe_or_a_line_break_in_its_column(evaluation, name, cell):
+    renamed = replace(evaluation, criteria=tuple(replace(c, name=name) for c in evaluation.criteria),
+                      flags=tuple(replace(f, name=name) for f in evaluation.flags))
+    body = export(renamed, "markdown").body
+    assert f"| modeler | {cell} | " in body
+    assert f" | {cell} | modeler/" in body
+    # every row of the three tables has as many unescaped pipes as its header
+    borders = [len(re.findall(r"(?<!\\)\|", line)) for line in body.split("\n") if line.startswith("|")]
+    assert borders == [3] * 5 + [4] * (len(evaluation.criteria) + 2) + [5] * (len(evaluation.flags) + 2)
+
+
 def test_unsupported_format_rejected(evaluation):
     with pytest.raises(ProcompError, match="unsupported format"):
         export(evaluation, "xlsx")
@@ -189,7 +205,7 @@ def random_evaluation(rng: random.Random) -> ComprehensionEvaluation:
         criteria=criteria, s_m=s_m, s_r=s_r, s_b=combined_score(s_m, s_r, w_m, 1 - w_m),
         w_m=w_m, w_r=1 - w_m, noise_threshold=rng.choice([4.0, 4, 7.5]))
     if rng.random() < 0.5:
-        evaluation = replace(evaluation, flags=tuple(detect_noise(evaluation,
+        evaluation = replace(evaluation, flags=tuple(detect_noise(evaluation.criteria,
                                                                   evaluation.noise_threshold)))
     return evaluation
 

@@ -230,7 +230,7 @@ def test_monotone_aggregation():
 
 
 def test_worked_example_flags_exactly_three_ascending():
-    flags = detect_noise(noise_fixture(), threshold=4.0)
+    flags = detect_noise(noise_fixture().criteria, threshold=4.0)
     assert [(f.kind, f.id) for f in flags] == [
         ("metric", "m-info-method"),
         ("metric", "m-info-availability"),
@@ -248,12 +248,12 @@ def test_all_tens_no_flags():
                             metrics=[metric("m", 10.0)]),),
         s_m=10.0, s_r=10.0, s_b=10.0, w_m=0.5, w_r=0.5,
     )
-    assert detect_noise(evaluation, threshold=4.0) == []
+    assert detect_noise(evaluation.criteria, threshold=4.0) == []
 
 
 def test_threshold_ten_flags_everything():
     fixture = noise_fixture()
-    flags = detect_noise(fixture, threshold=10.0)
+    flags = detect_noise(fixture.criteria, threshold=10.0)
     metric_count = sum(len(c.metrics) for c in fixture.criteria)
     assert len(flags) == metric_count + len(fixture.criteria)
 
